@@ -29,7 +29,6 @@ during evaluation or sampling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -283,34 +282,25 @@ def quantile(config: AuctionConfig, i: int, u) -> float | np.ndarray:
     return float(out[0]) if scalar else out
 
 
-def _quantile_levels(
-    config: AuctionConfig, prof: EquilibriumProfile, i: int
-) -> tuple[np.ndarray, int]:
-    """Ascending CDF values at the piece bottoms s_K, ..., s_1 for bidder i."""
-    n = config.n
-    k_max = n - 1 if i == n else i
-    bottoms = np.asarray(prof.breakpoints[1 : k_max + 1][::-1])
-    levels = _cdf_array(config, prof, i, bottoms)
-    if i == n:
-        levels[0] = prof.atom_n
-    return levels, k_max
-
-
 def _quantile_array(
-    config: AuctionConfig, prof: EquilibriumProfile, i: int, us: np.ndarray
+    config: AuctionConfig, prof: EquilibriumProfile, i: int | np.ndarray, us: np.ndarray
 ) -> np.ndarray:
+    """Quantile kernel for bidders ``i`` (1-based, scalar or array broadcast
+    against ``us``) at levels ``us`` in [0, 1].
+
+    Bidder i's CDF at the piece bottom s_k is exactly 1 - p_k/p_i, so level u
+    lies on the piece k with p_{k-1} < p_i (1 - u) <= p_k: one search over the
+    sorted probabilities serves every bidder at once, and ties (zero-width
+    pieces) are never selected.  Since p_i (1 - u) <= p_i the search never
+    passes k = i; it reaches k = n only for the last bidder's atom, where the
+    exponent 0 and prefix_n == lam make the formula exactly 0.
+    """
     n = config.n
-    p_i = config.probabilities[i - 1]
-    levels, k_max = _quantile_levels(config, prof, i)
-    idx = np.searchsorted(levels, us, side="right")
-    out = np.zeros_like(us, dtype=float)
-    in_piece = idx >= 1
-    if np.any(in_piece):
-        kv = k_max - idx[in_piece] + 1
-        pref = np.asarray(prof.prefix_products)[kv]
-        x = (p_i * us[in_piece] + 1.0 - p_i) ** (n - kv) * pref - prof.lam
-        out[in_piece] = np.maximum(x, 0.0)
-    return out
+    p = np.asarray(config.probabilities)
+    p_i = p[np.asarray(i) - 1]
+    k = np.searchsorted(p, p_i * (1.0 - us), side="left") + 1
+    pref = np.asarray(prof.prefix_products)[k]
+    return np.maximum((p_i * us + 1.0 - p_i) ** (n - k) * pref - prof.lam, 0.0)
 
 
 def payoff(config: AuctionConfig, i: int, x) -> float | np.ndarray:
@@ -350,6 +340,3 @@ def no_failure_cdf(n: int, x) -> float | np.ndarray:
     out = xs ** (1.0 / (n - 1))
     return float(out) if np.ndim(x) == 0 else out
 
-
-def _isclose(a: float, b: float, rel: float = 1e-9, abs_: float = 1e-12) -> bool:
-    return math.isclose(a, b, rel_tol=rel, abs_tol=abs_)

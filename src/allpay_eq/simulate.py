@@ -7,14 +7,20 @@ order: participation uniforms for bidders 1..n first, then one bid uniform per
 participant in index order.  Reports are therefore bit-for-bit identical for a
 given (config, trials, seed, chunk_size) regardless of thread count.
 
-Per-chunk moment sums are reduced sequentially in chunk order, never in
-completion order, which keeps the float accumulation deterministic under
-parallel execution.
+The default chunk follows from n: a fixed budget of 2**19 words per chunk
+(65,536 trials at n = 4, 4,096 at n = 64), so memory per worker stays bounded
+as n grows.  Each chunk is simulated as one m x n block: a single quantile
+call covers every participant, and moment sums are taken column-wise over the
+whole block, where a non-participant's zero bid and utility add nothing.
+Per-chunk sums are reduced sequentially in chunk order, never in completion
+order, which keeps the float accumulation deterministic under parallel
+execution.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -26,7 +32,8 @@ from numpy.random import Generator, Philox
 from .config import AuctionConfig, ValidationError
 from .equilibrium import _cdf_array, _quantile_array, equilibrium_profile
 
-_DEFAULT_CHUNK = 65536  # even, so chunk word offsets stay Philox-block aligned
+_CHUNK_WORDS = 2**19  # Philox words per default chunk
+_SEED_LIMIT = 2**128  # Philox keys are 128-bit
 _THREADS_ENV = "ALLPAY_EQ_THREADS"
 
 
@@ -60,16 +67,16 @@ def run_auction(config: AuctionConfig, randomness) -> AuctionOutcome:
     n = config.n
     draw = _make_drawer(randomness)
     participated = [draw() < p for p in config.probabilities]
+    active = [i for i, flag in enumerate(participated, start=1) if flag]
     bids: list[float | None] = [None] * n
     if n == 1:
         if participated[0]:
             bids[0] = 0.0
-    else:
-        prof = equilibrium_profile(config)
-        for i in range(1, n + 1):
-            if participated[i - 1]:
-                u = np.asarray([draw()])
-                bids[i - 1] = float(_quantile_array(config, prof, i, u)[0])
+    elif active:
+        u = np.asarray([draw() for _ in active])
+        values = _quantile_array(config, equilibrium_profile(config), np.asarray(active), u)
+        for i, b in zip(active, values):
+            bids[i - 1] = float(b)
     return _settle(participated, bids)
 
 
@@ -178,22 +185,27 @@ def monte_carlo(
     trials: int,
     seed: int = 0,
     threads: int | None = None,
-    chunk_size: int = _DEFAULT_CHUNK,
+    chunk_size: int | None = None,
 ) -> SimulationReport:
     """Run ``trials`` independent auctions and aggregate moment statistics.
 
     Deterministic for fixed (config, trials, seed, chunk_size) under any
-    thread count.  ``threads`` defaults to 1 and is capped by the
-    ALLPAY_EQ_THREADS environment variable when that is set.
+    thread count.  ``seed`` is an integer in [0, 2**128).  ``chunk_size``
+    defaults to a budget of 2**19 Philox words at 2n words a trial (65,536
+    trials at n = 4).  ``threads`` defaults to 1 and is capped by the
+    ALLPAY_EQ_THREADS environment variable when that is set, by the CPU count
+    and by the number of chunks.
     """
     if not isinstance(trials, int) or trials < 1:
         raise ValidationError(f"trials must be a positive integer, got {trials!r}")
-    if chunk_size < 2 or chunk_size % 2:
+    seed = _check_seed(seed)
+    if chunk_size is None:
+        chunk_size = _default_chunk_size(config.n)
+    elif chunk_size < 2 or chunk_size % 2:
         raise ValidationError("chunk_size must be even and >= 2")
-    seed = int(seed)
     starts = list(range(0, trials, chunk_size))
-    workers = _resolve_threads(threads)
-    if workers > 1 and len(starts) > 1:
+    workers = _resolve_threads(threads, len(starts))
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(
                 pool.map(
@@ -209,13 +221,36 @@ def monte_carlo(
     return _finalize(config, trials, seed, total)
 
 
-def _resolve_threads(threads: int | None) -> int:
+def _default_chunk_size(n: int) -> int:
+    """Trials per chunk: a budget of 2**19 Philox words at 2n words a trial,
+    rounded down to an even count (whole 4-word Philox blocks) and at least 2."""
+    return max(2, _CHUNK_WORDS // (2 * n) // 2 * 2)
+
+
+def _check_seed(seed) -> int:
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise ValidationError(f"seed must be an integer, got {seed!r}") from None
+    if not 0 <= value < _SEED_LIMIT:
+        raise ValidationError(f"seed must lie in [0, 2**128), got {value}")
+    return value
+
+
+def _resolve_threads(threads: int | None, chunks: int) -> int:
+    """Worker count: ``threads`` (default 1, or the ALLPAY_EQ_THREADS value
+    when that is set), capped by that variable, the CPU count and ``chunks``."""
     cap = os.environ.get(_THREADS_ENV)
-    cap_value = max(1, int(cap)) if cap else None
+    cap_value = None
+    if cap:
+        try:
+            cap_value = max(1, int(cap))
+        except ValueError:
+            raise ValidationError(f"{_THREADS_ENV} must be an integer, got {cap!r}") from None
     requested = threads if threads is not None else (cap_value or 1)
     if cap_value is not None:
         requested = min(requested, cap_value)
-    return max(1, requested)
+    return max(1, min(requested, os.cpu_count() or 1, chunks))
 
 
 def _trial_block(config: AuctionConfig, seed: int, t0: int, m: int) -> np.ndarray:
@@ -232,61 +267,50 @@ def _trial_block(config: AuctionConfig, seed: int, t0: int, m: int) -> np.ndarra
 def _simulate_block(
     config: AuctionConfig, seed: int, t0: int, m: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized trials: (participation, bids, utilities, sum_rev, max_rev)."""
+    """Vectorized trials: (participation, bids, utilities, sum_rev, max_rev).
+
+    Non-participants hold bid 0 and utility 0, so every per-trial reduction
+    runs over the whole block without a mask.
+    """
     n = config.n
     words = _trial_block(config, seed, t0, m)
-    p = np.asarray(config.probabilities)
-    part = words[:, :n] < p
+    part = words[:, :n] < np.asarray(config.probabilities)
     bids = np.zeros((m, n))
-    if n == 1:
-        pass  # sole bidder bids 0 when present
-    else:
-        prof = equilibrium_profile(config)
+    if n > 1:  # a sole bidder bids 0 when present
         # participants take bid words in index order from the block's back half
-        rank = np.cumsum(part, axis=1) - 1
-        u_bid = np.take_along_axis(words[:, n:], np.maximum(rank, 0), axis=1)
-        for i in range(1, n + 1):
-            col = part[:, i - 1]
-            if np.any(col):
-                bids[col, i - 1] = _quantile_array(config, prof, i, u_bid[col, i - 1])
-    masked = np.where(part, bids, -np.inf)
-    top = masked.max(axis=1)
-    any_part = part.any(axis=1)
-    winners = part & (masked == top[:, None])
+        rows, cols = np.nonzero(part)
+        rank = np.cumsum(part, axis=1)[rows, cols] - 1
+        prof = equilibrium_profile(config)
+        bids[rows, cols] = _quantile_array(config, prof, cols + 1, words[rows, n + rank])
+    top = bids.max(axis=1)  # bids are >= 0, so this is 0 when nobody shows up
+    winners = part & (bids == top[:, None])
     n_win = winners.sum(axis=1)
     share = np.zeros(m)
     np.divide(1.0, n_win, out=share, where=n_win > 0)
-    utilities = np.where(part, -bids, 0.0) + winners * share[:, None]
-    sum_rev = np.where(part, bids, 0.0).sum(axis=1)
-    max_rev = np.where(any_part, top, 0.0)
-    return part, bids, utilities, sum_rev, max_rev
+    utilities = winners * share[:, None] - bids
+    return part, bids, utilities, bids.sum(axis=1), top
 
 
-def _moment_sums(values: np.ndarray) -> np.ndarray:
-    v = values
-    return np.array([v.sum(), (v**2).sum(), (v**3).sum(), (v**4).sum()])
+def _column_moments(values: np.ndarray) -> np.ndarray:
+    """Power sums s1..s4 down axis 0, stacked on the last axis."""
+    v2 = values * values
+    return np.stack(
+        [values.sum(axis=0), v2.sum(axis=0), (v2 * values).sum(axis=0), (v2 * v2).sum(axis=0)],
+        axis=-1,
+    )
 
 
 def _chunk_sums(config: AuctionConfig, seed: int, t0: int, m: int) -> dict:
-    n = config.n
     part, bids, utilities, sum_rev, max_rev = _simulate_block(config, seed, t0, m)
-    bid_moments = np.zeros((n, 4))
-    util_moments = np.zeros((n, 4))
-    zero_counts = np.zeros(n)
-    for j in range(n):
-        col = part[:, j]
-        b = bids[col, j]
-        bid_moments[j] = _moment_sums(b)
-        zero_counts[j] = np.count_nonzero(b == 0.0)
-        util_moments[j] = _moment_sums(utilities[:, j])
+    participations = part.sum(axis=0)
     return {
         "trials": m,
-        "participations": part.sum(axis=0).astype(float),
-        "bid_moments": bid_moments,
-        "zero_counts": zero_counts,
-        "util_moments": util_moments,
-        "sum_rev": _moment_sums(sum_rev),
-        "max_rev": _moment_sums(max_rev),
+        "participations": participations.astype(float),
+        "bid_moments": _column_moments(bids),
+        "zero_counts": (participations - np.count_nonzero(bids, axis=0)).astype(float),
+        "util_moments": _column_moments(utilities),
+        "sum_rev": _column_moments(sum_rev),
+        "max_rev": _column_moments(max_rev),
     }
 
 

@@ -135,6 +135,14 @@ def test_simulate_trials_validation(capsys):
     assert code == 2 and "trials" in err
 
 
+def test_simulate_bad_seed_and_thread_env_exit_2(capsys, monkeypatch):
+    code, _, err = run_cli(capsys, "simulate", "--probs", "0.5,1", "--trials", "10", "--seed", "-1")
+    assert code == 2 and "seed" in err
+    monkeypatch.setenv("ALLPAY_EQ_THREADS", "abc")
+    code, _, err = run_cli(capsys, "simulate", "--probs", "0.5,1", "--trials", "10")
+    assert code == 2 and "ALLPAY_EQ_THREADS" in err
+
+
 def test_simulate_csv(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "--probs", "0.5,1", "--trials", "1000", "--format", "csv"

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import allpay_eq as ap
+from allpay_eq.equilibrium import _quantile_array
 from conftest import example1_explicit_cdfs, prob_lists, random_configs
 
 S0, S1, S2 = 11 / 12, 23 / 108, 1 / 12
@@ -236,6 +238,83 @@ def test_quantile_atom_rule(example4):
     us = np.array([0.0, 0.1, 0.24999, 0.25])
     assert np.all(ap.quantile(example4, 4, us) == 0.0)
     assert ap.quantile(example4, 4, 0.2500001) > 0.0
+
+
+EDGE_WINDOW = 1e-12  # levels this close to a piece edge may take either piece
+EDGE_TOL = 2.3e-16
+
+
+def piece_formula(cfg, i, us, ks):
+    """The closed-form inversion of bidder i on piece k, elementwise."""
+    prof = ap.equilibrium_profile(cfg)
+    p_i = cfg.probabilities[i - 1]
+    pref = np.asarray(prof.prefix_products)[ks]
+    return np.maximum((p_i * us + 1.0 - p_i) ** (cfg.n - ks) * pref - prof.lam, 0.0)
+
+
+def reference_quantile(cfg, i, us):
+    """Slow per-bidder quantile: a table of CDF levels at bidder i's piece
+    bottoms, one search per bidder, then the piece's closed form.  Returns the
+    bids, the level table (ascending, pieces k_max..1) and k_max."""
+    prof = ap.equilibrium_profile(cfg)
+    n = cfg.n
+    k_max = n - 1 if i == n else i
+    levels = np.atleast_1d(ap.cdf(cfg, i, np.asarray(prof.breakpoints[1 : k_max + 1][::-1])))
+    if i == n:
+        levels[0] = prof.atom_n
+    idx = np.searchsorted(levels, us, side="right")
+    if i < n:  # no atom: a level below the rounded bottom level is the bottom piece
+        idx = np.maximum(idx, 1)
+    out = np.zeros_like(us)
+    live = idx >= 1
+    out[live] = piece_formula(cfg, i, us[live], k_max - idx[live] + 1)
+    return out, levels, k_max
+
+
+@st.composite
+def kernel_cases(draw):
+    """Configs with n <= 80 drawn from a small pool of values, so ties are
+    common and p = 1 (and with it the atom's absence or zero prefixes) occurs."""
+    n = draw(st.integers(2, 80))
+    pool = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=n)) + [1.0]
+    probs = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    return ap.build_config(probs), draw(st.integers(0, 2**32 - 1))
+
+
+@given(kernel_cases())
+def test_quantile_kernel_matches_per_bidder_reference(case):
+    """The whole-block kernel equals the per-bidder reference bit for bit away
+    from piece edges.  At an edge either adjacent piece is right, and the two
+    closed forms differ by their rounding, so there the bid must match some
+    piece's closed form to EDGE_TOL (only the pieces meeting there come close)."""
+    cfg, seed = case
+    prof = ap.equilibrium_profile(cfg)
+    p = np.asarray(cfg.probabilities)
+    rng = np.random.default_rng(seed)
+    bidders, levels_all, bids_each = [], [], []
+    for i in range(1, cfg.n + 1):
+        edges = 1.0 - p / p[i - 1]
+        edges = edges[edges >= 0.0]
+        near_edges = [edges, np.nextafter(edges, 2.0), np.nextafter(edges, -1.0)]
+        us = np.clip(np.concatenate([rng.random(32), *near_edges, [0.0, 1.0]]), 0.0, 1.0)
+        got = _quantile_array(cfg, prof, i, us)
+        assert np.array_equal(got, ap.quantile(cfg, i, us))
+        ref, levels, k_max = reference_quantile(cfg, i, us)
+        table = np.concatenate([levels, edges])
+        near = np.min(np.abs(us[:, None] - table[None, :]), axis=1) <= EDGE_WINDOW
+        assert np.array_equal(got[~near], ref[~near])
+        # every piece's formula at each edge level; the atom bids 0
+        candidates = piece_formula(cfg, i, us[near, None], np.arange(1, k_max + 1))
+        gap = np.min(np.abs(candidates - got[near, None]), axis=1)
+        if i == cfg.n:
+            gap = np.minimum(gap, got[near])
+        assert np.all(gap <= EDGE_TOL)
+        bidders.append(np.full(us.size, i))
+        levels_all.append(us)
+        bids_each.append(got)
+    # one call over every bidder at once, as the simulator makes it
+    fused = _quantile_array(cfg, prof, np.concatenate(bidders), np.concatenate(levels_all))
+    assert np.array_equal(fused, np.concatenate(bids_each))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,13 @@ import pytest
 from numpy.random import Generator, Philox
 
 import allpay_eq as ap
-from allpay_eq.simulate import _simulate_block, _trial_block
+from allpay_eq.simulate import (
+    _chunk_sums,
+    _default_chunk_size,
+    _resolve_threads,
+    _simulate_block,
+    _trial_block,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +101,81 @@ def test_env_var_caps_threads(example4, monkeypatch):
     capped = ap.monte_carlo(example4, 50_000, seed=3, threads=16)
     monkeypatch.delenv("ALLPAY_EQ_THREADS")
     assert capped == ap.monte_carlo(example4, 50_000, seed=3, threads=1)
+
+
+def test_env_var_must_be_an_integer(example4, monkeypatch):
+    monkeypatch.setenv("ALLPAY_EQ_THREADS", "abc")
+    with pytest.raises(ap.ValidationError, match="ALLPAY_EQ_THREADS"):
+        ap.monte_carlo(example4, 100)
+
+
+def test_workers_clamped_to_cpus_and_chunks(monkeypatch):
+    """The resolved worker count, checked without starting a pool."""
+    monkeypatch.delenv("ALLPAY_EQ_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert _resolve_threads(None, 100) == 1
+    assert _resolve_threads(10**6, 100) == 8
+    assert _resolve_threads(10**6, 3) == 3
+    assert _resolve_threads(0, 100) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _resolve_threads(4, 100) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setenv("ALLPAY_EQ_THREADS", "5")
+    assert _resolve_threads(None, 100) == 5
+    assert _resolve_threads(16, 100) == 5
+    assert _resolve_threads(16, 2) == 2
+    monkeypatch.setenv("ALLPAY_EQ_THREADS", "10000")
+    assert _resolve_threads(None, 100) == 8
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128, 1.5, "7", None])
+def test_seed_validation(example4, seed):
+    with pytest.raises(ap.ValidationError, match="seed"):
+        ap.monte_carlo(example4, 100, seed=seed)
+
+
+def test_seed_range_ends(example4):
+    top = ap.monte_carlo(example4, 100, seed=2**128 - 1)
+    assert top.seed == 2**128 - 1
+    assert ap.monte_carlo(example4, 100, seed=np.int64(3)) == ap.monte_carlo(example4, 100, seed=3)
+
+
+def test_default_chunk_size():
+    assert _default_chunk_size(4) == 65536
+    assert _default_chunk_size(64) == 4096
+    for n in (1, 2, 3, 5, 7, 63, 65, 100, 999, 2**17, 2**18, 2**18 + 1, 10**7):
+        chunk = _default_chunk_size(n)
+        assert chunk >= 2 and chunk % 2 == 0
+        assert chunk == 2 or chunk * 2 * n <= 2**19
+
+
+def test_thread_count_does_not_change_wide_report():
+    """n = 64 with a tied pair, default chunk (4,096 trials): several chunks."""
+    probs = list(np.linspace(0.05, 1.0, 63)) + [0.5]
+    cfg = ap.build_config(probs)
+    trials = 3 * _default_chunk_size(cfg.n) + 100
+    base = repr(ap.monte_carlo(cfg, trials, seed=5, threads=1).to_dict())
+    for threads in (2, 4):
+        assert repr(ap.monte_carlo(cfg, trials, seed=5, threads=threads).to_dict()) == base
+
+
+def test_chunk_sums_match_masked_per_column_sums():
+    """Column sums over the whole block equal the per-bidder sums over
+    participants only; the summation order differs, so to a few ulps."""
+    cfg = ap.build_config(list(np.linspace(0.05, 1.0, 15)) + [0.5])
+    m = 4096
+    part, bids, utils, srev, mrev = _simulate_block(cfg, 11, 0, m)
+    got = _chunk_sums(cfg, 11, 0, m)
+    for j in range(cfg.n):
+        b = bids[part[:, j], j]
+        want = [np.sum(b**q) for q in (1, 2, 3, 4)]
+        np.testing.assert_allclose(got["bid_moments"][j], want, rtol=1e-12, atol=0)
+        want = [np.sum(utils[:, j] ** q) for q in (1, 2, 3, 4)]
+        np.testing.assert_allclose(got["util_moments"][j], want, rtol=1e-12, atol=1e-300)
+        assert got["participations"][j] == b.size
+        assert got["zero_counts"][j] == np.count_nonzero(b == 0.0)
+    for key, v in (("sum_rev", srev), ("max_rev", mrev)):
+        np.testing.assert_allclose(got[key], [np.sum(v**q) for q in (1, 2, 3, 4)], rtol=1e-12)
 
 
 def test_philox_blocks_are_stream_slices(example4):
