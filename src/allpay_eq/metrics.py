@@ -5,7 +5,8 @@ submitted bid, the max-profit auctioneer collects only the winning bid.  Each
 closed form here has an independent numerical route (piecewise quadrature of
 the bid densities or of the winning-bid CDF) used by the test suite; the
 quadrature helpers never integrate across a breakpoint, since the integrands
-are smooth only inside pieces.
+are smooth only inside pieces.  Each route integrates all its pieces in one
+tanh-sinh call (Takahasi & Mori 1974); scipy is imported only there.
 """
 
 from __future__ import annotations
@@ -13,17 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from .config import AuctionConfig, DegenerateAuctionError
+from .config import AuctionConfig, AuctionError, DegenerateAuctionError
 from .equilibrium import (
     _cdf_array,
     _pdf_array,
     equilibrium_profile,
-    lambda_value,
 )
 
-_QUAD_KW = dict(epsabs=1e-11, epsrel=1e-11, limit=200)
+# minlevel 4, not the default 2: started at level 2, the error estimate passed
+# oracle results up to 7e-12 off on configs where level 4 stays below 1e-13
+_TANHSINH_KW = dict(atol=1e-11, rtol=1e-11, minlevel=4)
 
 
 def expected_bid(config: AuctionConfig, i: int) -> float:
@@ -217,54 +218,52 @@ def revenue_report(config: AuctionConfig) -> RevenueReport:
 # ---------------------------------------------------------------------------
 
 
-def _nonempty_pieces(config: AuctionConfig, k_max: int) -> list[tuple[int, float, float]]:
+def _integrate_support(f, config: AuctionConfig, i: int) -> float:
+    """Integral of the vectorized f over bidder i's support (bidder n's holds
+    every piece), all pieces of positive width in one tanh-sinh call.  Each
+    piece [lo, hi] is mapped onto t in [0, 1] geometrically in lam + x, as
+    lam + x = a (1 + (hi - lo)/a)**t with a = lo + lam, which evens out the
+    near-singularity of the densities at x = -lam; a piece with a = 0 is mapped
+    linearly.  Raises AuctionError naming the pieces that do not converge."""
+    from scipy.integrate import tanhsinh
+
     prof = equilibrium_profile(config)
-    s = prof.breakpoints
-    return [(k, s[k], s[k - 1]) for k in range(1, k_max + 1) if s[k] < s[k - 1]]
+    lam, s = prof.lam, np.asarray(prof.breakpoints)
+    k = np.arange(1, min(i, config.n - 1) + 1)
+    k = k[s[k] < s[k - 1]]
+    lo, hi = s[k], s[k - 1]
+    a = lo + lam
+    r = np.log1p((hi - lo) / np.where(a > 0, a, 1.0))
+
+    def mapped(t, lo, hi, a, r):
+        e = np.expm1(r * t)  # lam + x = a (1 + e) on the geometric pieces
+        x = np.where(a > 0, lo + a * e, lo + (hi - lo) * t)
+        return f(x) * np.where(a > 0, a * (1 + e) * r, hi - lo)
+
+    res = tanhsinh(mapped, 0, 1, args=(lo, hi, a, r), **_TANHSINH_KW)
+    bad = ~res.success
+    if np.any(bad):
+        named = [f"k={kb} [{x:.17g}, {y:.17g}]" for kb, x, y in zip(k[bad], lo[bad], hi[bad])]
+        raise AuctionError(f"quadrature did not converge on pieces {', '.join(named)}")
+    return float(np.sum(res.integral))
 
 
 def expected_bid_quadrature(config: AuctionConfig, i: int) -> float:
-    """E[bid_i] by adaptive quadrature of x * f_i(x) piece by piece (the atom
-    at 0, if any, contributes nothing)."""
+    """E[bid_i] by quadrature of x * f_i(x) piece by piece (an atom at 0 adds 0)."""
     prof = equilibrium_profile(config)
-    k_max = config.n - 1 if i == config.n else i
-    total = 0.0
-    for _, lo, hi in _nonempty_pieces(config, k_max):
-        total += quad(
-            lambda t: t * float(_pdf_array(config, prof, i, np.asarray([t]))[0]),
-            lo,
-            hi,
-            **_QUAD_KW,
-        )[0]
-    return total
+    return _integrate_support(lambda x: x * _pdf_array(config, prof, i, x), config, i)
 
 
 def distribution_mass_quadrature(config: AuctionConfig, i: int) -> float:
     """Total probability mass of bidder i: atom plus quadrature of the density."""
     prof = equilibrium_profile(config)
-    k_max = config.n - 1 if i == config.n else i
-    total = prof.atom_n if i == config.n else 0.0
-    for _, lo, hi in _nonempty_pieces(config, k_max):
-        total += quad(
-            lambda t: float(_pdf_array(config, prof, i, np.asarray([t]))[0]),
-            lo,
-            hi,
-            **_QUAD_KW,
-        )[0]
-    return total
+    atom = prof.atom_n if i == config.n else 0.0
+    return atom + _integrate_support(lambda x: _pdf_array(config, prof, i, x), config, i)
 
 
 def max_profit_quadrature(config: AuctionConfig) -> float:
-    """E of the winning bid by piecewise Stieltjes integration of x dG.
-
-    Within each smooth piece, integrate by parts so only G itself is ever
-    evaluated: int_a^b x dG = b G(b) - a G(a) - int_a^b G dx.  The atom of G
-    at 0 contributes 0.
-    """
-    total = 0.0
-    for _, lo, hi in _nonempty_pieces(config, config.n - 1):
-        g_lo = float(winning_bid_cdf(config, lo))
-        g_hi = float(winning_bid_cdf(config, hi))
-        inner = quad(lambda t: float(winning_bid_cdf(config, t)), lo, hi, **_QUAD_KW)[0]
-        total += hi * g_hi - lo * g_lo - inner
-    return total
+    """E of the winning bid by Stieltjes integration of x dG over [0, s_0],
+    integrated by parts so only G itself is ever evaluated: s_0 G(s_0) minus
+    the piecewise quadrature of G, with G(s_0) = 1 (an atom at 0 adds 0)."""
+    s0 = equilibrium_profile(config).breakpoints[0]
+    return s0 - _integrate_support(lambda x: winning_bid_cdf(config, x), config, config.n)

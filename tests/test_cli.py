@@ -252,3 +252,15 @@ def test_module_invocation_subprocess():
         text=True,
     )
     assert bad.returncode == 2 and bad.stdout == ""
+
+
+def test_import_and_equilibrium_leave_scipy_unloaded():
+    # scipy serves only the quadrature oracles, which import it when they run
+    code = (
+        "import sys, allpay_eq\n"
+        "from allpay_eq import cli\n"
+        f"assert cli.main(['equilibrium', *{EXAMPLE_ARGS!r}]) == 0\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

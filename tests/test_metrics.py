@@ -1,12 +1,14 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from numpy.testing import assert_allclose
 
 import allpay_eq as ap
+from allpay_eq import metrics
 from conftest import EXAMPLE_BIDS, EXAMPLE_MAX_PROFIT, prob_lists, random_configs
 
 
@@ -117,6 +119,91 @@ def test_quadrature_cross_checks(example4):
                 ap.expected_bid(cfg, i), abs=1e-6
             )
         assert ap.max_profit_quadrature(cfg) == pytest.approx(ap.max_profit(cfg), abs=1e-6)
+
+
+# configs on which per-piece adaptive quadrature (QUADPACK) returned a wrong
+# density mass with only a warning: near-singular pieces at tiny lam, ties that
+# leave pieces an ulp or two wide, and lam = 0; on the last one, tanh-sinh
+# mapped linearly onto each piece is 2.4e-10 off while reporting convergence
+ORACLE_EDGE_CONFIGS = {
+    "tied_0.8x20": [0.8] * 20,
+    "tied_0.9x12_and_1": [0.9] * 12 + [1.0],
+    "linspace_0.6_0.95_n20": list(np.linspace(0.6, 0.95, 20)),
+    "linspace_0.5_0.99_n27": list(np.linspace(0.5, 0.99, 27)),
+    "ulp_wide_ties": [0.7, 0.8, 0.9] * 6,
+    "lam_zero": [0.3, 1.0, 1.0],
+    "near_singular_0.76x15_and_1": [0.76] * 15 + [1.0],
+}
+
+
+@pytest.mark.parametrize("probs", ORACLE_EDGE_CONFIGS.values(), ids=ORACLE_EDGE_CONFIGS.keys())
+def test_quadrature_oracles_on_edge_configs(probs):
+    cfg = ap.build_config(probs)
+    for i in range(1, cfg.n + 1):
+        assert ap.distribution_mass_quadrature(cfg, i) == pytest.approx(1.0, abs=1e-10)
+        assert ap.expected_bid_quadrature(cfg, i) == pytest.approx(
+            ap.expected_bid(cfg, i), abs=1e-10
+        )
+    assert ap.max_profit_quadrature(cfg) == pytest.approx(ap.max_profit(cfg), abs=1e-10)
+
+
+def _mpmath_quadrature_reference(probs, bidders, dps=50):
+    """Expected bids of the given bidders and the max profit, by mpmath.quad at
+    dps digits over each piece of the oracles' integrands x f_i(x) and G(x),
+    with lam, prefix products and breakpoints recomputed at that precision."""
+    with mpmath.workdps(dps):
+        p = [mpmath.mpf(v) for v in sorted(probs)]
+        n = len(p)
+        pref = [mpmath.mpf(1)]  # pref[k - 1] = prod_{j<k} (1 - p_j)
+        for v in p[:-1]:
+            pref.append(pref[-1] * (1 - v))
+        lam = pref[-1]
+        s = [1 - lam] + [(1 - p[k - 1]) ** (n - k) * pref[k - 1] - lam for k in range(1, n)]
+
+        def pdf(i, k, x):
+            m = n - k
+            scale = p[i - 1] * m * pref[k - 1] ** (mpmath.mpf(1) / m)
+            return (lam + x) ** (mpmath.mpf(1 - m) / m) / scale
+
+        def win_cdf(k, x):
+            h = ((lam + x) / pref[k - 1]) ** (mpmath.mpf(1) / (n - k))
+            return mpmath.fprod(h if j >= k else 1 - p[j - 1] for j in range(1, n + 1))
+
+        bids = {}
+        for i in bidders:
+            k_max = n - 1 if i == n else i
+            bids[i] = sum(
+                mpmath.quad(lambda x: x * pdf(i, k, x), [s[k], s[k - 1]])
+                for k in range(1, k_max + 1)
+            )
+        max_profit = sum(
+            s[k - 1] * win_cdf(k, s[k - 1]) - s[k] * win_cdf(k, s[k])
+            - mpmath.quad(lambda x: win_cdf(k, x), [s[k], s[k - 1]])
+            for k in range(1, n)
+        )
+        return {i: float(b) for i, b in bids.items()}, float(max_profit)
+
+
+def test_quadrature_oracles_match_50_digit_mpmath():
+    probs = ORACLE_EDGE_CONFIGS["linspace_0.6_0.95_n20"]
+    cfg = ap.build_config(probs)
+    bidders = (1, 7, cfg.n - 1, cfg.n)
+    bids, max_profit = _mpmath_quadrature_reference(probs, bidders)
+    for i in bidders:
+        assert ap.expected_bid_quadrature(cfg, i) == pytest.approx(bids[i], abs=1e-12)
+    assert ap.max_profit_quadrature(cfg) == pytest.approx(max_profit, abs=1e-12)
+
+
+def test_quadrature_raises_when_a_piece_does_not_converge(monkeypatch, example4):
+    # with zero tolerances no error estimate can pass, so every piece fails
+    monkeypatch.setattr(metrics, "_TANHSINH_KW", dict(metrics._TANHSINH_KW, atol=0.0, rtol=0.0))
+    for oracle in (
+        lambda: ap.expected_bid_quadrature(example4, 1),
+        lambda: ap.distribution_mass_quadrature(example4, 4),
+        lambda: ap.max_profit_quadrature(example4),
+    ):
+        with pytest.raises(ap.AuctionError, match=r"did not converge on pieces k=1 "):
+            oracle()
 
 
 def test_approach_to_no_failure_table():
