@@ -237,7 +237,7 @@ def _cmd_uniform(args: argparse.Namespace):
 
 def _cmd_audit(args: argparse.Namespace):
     config = _load_config(args)
-    bidders = [args.i] if args.i else list(range(1, config.n + 1))
+    bidders = range(1, config.n + 1) if args.i is None else [args.i]
     results = [best_response_audit(config, i, args.grid) for i in bidders]
     payload = {
         "lambda": equilibrium_profile(config).lam,

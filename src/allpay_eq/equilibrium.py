@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -116,11 +117,7 @@ def equilibrium_profile(config: AuctionConfig) -> EquilibriumProfile:
 def lambda_value(config: AuctionConfig) -> float:
     """Equilibrium profit of a participating bidder: prod over the n-1 smallest
     probabilities of (1 - p_j).  Empty product (n = 1) is 1."""
-    p = config.probabilities
-    out = 1.0
-    for v in p[: config.n - 1]:
-        out *= 1.0 - v
-    return out
+    return equilibrium_profile(config).lam if config.n > 1 else 1.0
 
 
 def breakpoints(config: AuctionConfig) -> list[float]:
@@ -201,30 +198,33 @@ def cdf(config: AuctionConfig, i: int, x) -> float | np.ndarray:
     """
     prof = equilibrium_profile(config)
     _check_bidder(config, i)
+    return _scalar_or_array(lambda xs: _cdf_array(config, prof, i, xs), x)
+
+
+def _scalar_or_array(kernel, x) -> float | np.ndarray:
+    """Apply the elementwise array kernel to x: a float for a scalar x, else an
+    array of x's shape."""
     xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    out = _cdf_array(config, prof, i, xs)
-    return float(out[0]) if scalar else out
+    out = kernel(xs.reshape(-1)).reshape(xs.shape)
+    return float(out) if xs.ndim == 0 else out
 
 
 def _cdf_array(
-    config: AuctionConfig, prof: EquilibriumProfile, i: int, xs: np.ndarray
+    config: AuctionConfig, prof: EquilibriumProfile, i: int | np.ndarray, xs: np.ndarray
 ) -> np.ndarray:
+    """CDF kernel for bidders ``i`` (1-based, scalar or array broadcast against
+    ``xs``) at bids ``xs``.  Every bidder's CDF on piece k is built from the
+    same H_k(x), evaluated once per point; bidder i uses pieces 1..min(i, n-1)."""
     n = config.n
-    p_i = config.probabilities[i - 1]
+    p_i = np.asarray(config.probabilities)[np.asarray(i) - 1]
     k = _piece_indices(prof, xs)
-    out = np.zeros_like(xs, dtype=float)
-    out[k == 0] = 1.0
-    k_max = n - 1 if i == n else i
-    live = (k >= 1) & (k <= k_max)
-    if np.any(live):
-        kv = k[live]
-        lam = prof.lam
-        pref = np.asarray(prof.prefix_products)[kv]
-        h = ((lam + xs[live]) / pref) ** (1.0 / (n - kv))
-        out[live] = np.clip((h + p_i - 1.0) / p_i, 0.0, 1.0)
-    return out
+    k_max = np.minimum(i, n - 1)  # bidder i's piece of lowest bids
+    inner = (k >= 1) & (k <= np.max(k_max))  # on a piece of some requested bidder
+    kv = k[inner]
+    h = np.zeros_like(xs, dtype=float)
+    h[inner] = ((prof.lam + xs[inner]) / np.asarray(prof.prefix_products)[kv]) ** (1.0 / (n - kv))
+    live = inner & (k <= k_max)
+    return np.where(live, np.clip((h + p_i - 1.0) / p_i, 0.0, 1.0), k == 0)
 
 
 def pdf(config: AuctionConfig, i: int, x) -> float | np.ndarray:
@@ -236,13 +236,9 @@ def pdf(config: AuctionConfig, i: int, x) -> float | np.ndarray:
     """
     prof = equilibrium_profile(config)
     _check_bidder(config, i)
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    if i == config.n and prof.atom_n > 0.0 and np.any(xs == 0.0):
+    if i == config.n and prof.atom_n > 0.0 and np.any(np.asarray(x, dtype=float) == 0.0):
         raise ValidationError("atom has no density: bidder n holds mass at bid 0")
-    out = _pdf_array(config, prof, i, xs)
-    return float(out[0]) if scalar else out
+    return _scalar_or_array(lambda xs: _pdf_array(config, prof, i, xs), x)
 
 
 def _pdf_array(
@@ -274,12 +270,9 @@ def quantile(config: AuctionConfig, i: int, u) -> float | np.ndarray:
     prof = equilibrium_profile(config)
     _check_bidder(config, i)
     us = np.asarray(u, dtype=float)
-    scalar = us.ndim == 0
-    us = np.atleast_1d(us)
     if np.any((us < 0.0) | (us > 1.0) | np.isnan(us)):
         raise ValidationError("quantile level must lie in [0, 1]")
-    out = _quantile_array(config, prof, i, us)
-    return float(out[0]) if scalar else out
+    return _scalar_or_array(lambda levels: _quantile_array(config, prof, i, levels), us)
 
 
 def _quantile_array(
@@ -310,19 +303,45 @@ def payoff(config: AuctionConfig, i: int, x) -> float | np.ndarray:
 
     Equals lam everywhere on bidder i's support and falls below lam off it.
     """
-    prof = equilibrium_profile(config)
     _check_bidder(config, i)
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    prod = np.ones_like(xs, dtype=float)
-    for j in range(1, config.n + 1):
-        if j == i:
-            continue
-        p_j = config.probabilities[j - 1]
-        prod *= p_j * _cdf_array(config, prof, j, xs) + 1.0 - p_j
-    out = prod - xs
-    return float(out[0]) if scalar else out
+    return _scalar_or_array(lambda xs: _opponent_product(config, xs, skip=i) - xs, x)
+
+
+_BLOCK_ENTRIES = 2**13  # factor-matrix entries per row block
+
+
+def _factor_blocks(
+    config: AuctionConfig, xs: np.ndarray, cdfs=None, p=None
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """The factor kernel: over row blocks of about _BLOCK_ENTRIES entries of
+    the 1-d bids ``xs``, yield each block's slice and rows x n matrix of
+    p_j F_j(x) + 1 - p_j, the chance that bidder j does not outbid x.  F_j is
+    the equilibrium CDF unless ``cdfs`` gives one callable per sorted bidder,
+    each called once on all of ``xs``; ``p`` overrides the probabilities."""
+    prof = equilibrium_profile(config)
+    p = np.asarray(config.probabilities if p is None else p, dtype=float)
+    given = None if cdfs is None else np.array([c(xs) for c in cdfs], dtype=float)
+    step = max(1, _BLOCK_ENTRIES // config.n)
+    for start in range(0, len(xs), step):
+        rows = slice(start, start + step)
+        if given is None:
+            f = _cdf_array(config, prof, np.arange(1, config.n + 1), xs[rows, None])
+        else:
+            f = given[:, rows].T
+        yield rows, p * f + 1.0 - p
+
+
+def _opponent_product(
+    config: AuctionConfig, xs: np.ndarray, skip: int = 0, cdfs=None, p=None
+) -> np.ndarray:
+    """prod_j (p_j F_j(x) + 1 - p_j) in bidder order over every j but ``skip``
+    (1-based; 0 skips none); ``cdfs`` and ``p`` as in _factor_blocks."""
+    out = np.empty(len(xs))
+    for rows, f in _factor_blocks(config, xs, cdfs, p):
+        if skip:
+            f[:, skip - 1] = 1.0
+        out[rows] = f.prod(axis=1)
+    return out
 
 
 def expected_utility(config: AuctionConfig, i: int) -> float:
@@ -336,7 +355,5 @@ def no_failure_cdf(n: int, x) -> float | np.ndarray:
     """Classic fully-reliable symmetric equilibrium CDF, x ** (1/(n-1)) on [0, 1]."""
     if n < 2:
         raise DegenerateAuctionError("degenerate auction: n >= 2 required")
-    xs = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-    out = xs ** (1.0 / (n - 1))
-    return float(out) if np.ndim(x) == 0 else out
+    return _scalar_or_array(lambda xs: np.clip(xs, 0.0, 1.0) ** (1.0 / (n - 1)), x)
 

@@ -16,11 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import AuctionConfig, AuctionError, DegenerateAuctionError
-from .equilibrium import (
-    _cdf_array,
-    _pdf_array,
-    equilibrium_profile,
-)
+from .equilibrium import _opponent_product, _pdf_array, _scalar_or_array, equilibrium_profile
 
 # minlevel 4, not the default 2: started at level 2, the error estimate passed
 # oracle results up to 7e-12 off on configs where level 4 stays below 1e-13
@@ -82,15 +78,7 @@ def winning_bid_cdf(config: AuctionConfig, x) -> float | np.ndarray:
     with G(0) the probability that the winning bid is 0 (nobody outbids the
     atom, or nobody shows up at all).
     """
-    prof = equilibrium_profile(config)
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    prod = np.ones_like(xs, dtype=float)
-    for j in range(1, config.n + 1):
-        p_j = config.probabilities[j - 1]
-        prod *= p_j * _cdf_array(config, prof, j, xs) + 1.0 - p_j
-    return float(prod[0]) if scalar else prod
+    return _scalar_or_array(lambda xs: _opponent_product(config, xs), x)
 
 
 def max_profit(config: AuctionConfig) -> float:

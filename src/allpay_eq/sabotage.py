@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import AuctionConfig, ValidationError
-from .equilibrium import _cdf_array, equilibrium_profile
+from .equilibrium import _opponent_product, _scalar_or_array, equilibrium_profile
 
 _TIE_TOL = 1e-12
 
@@ -113,24 +113,13 @@ def sabotaged_payoff(scenario: SabotageScenario, x) -> float | np.ndarray:
     probability while everyone still plays the announced equilibrium.  x must
     lie in [0, s_0]."""
     cfg = scenario.config
-    prof = equilibrium_profile(cfg)
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    if np.any((xs < 0.0) | (xs > prof.breakpoints[0])):
-        raise ValidationError(f"bid outside [0, {prof.breakpoints[0]}]")
-    prod = np.ones_like(xs, dtype=float)
-    for j in range(1, cfg.n + 1):
-        if j == scenario.saboteur:
-            continue
-        p_j = (
-            scenario.true_target_probability
-            if j == scenario.target
-            else cfg.probabilities[j - 1]
-        )
-        prod *= p_j * _cdf_array(cfg, prof, j, xs) + 1.0 - p_j
-    out = prod - xs
-    return float(out[0]) if scalar else out
+    s0 = equilibrium_profile(cfg).breakpoints[0]
+    x = np.asarray(x, dtype=float)
+    if np.any((x < 0.0) | (x > s0)):
+        raise ValidationError(f"bid outside [0, {s0}]")
+    p = list(cfg.probabilities)
+    p[scenario.target - 1] = scenario.true_target_probability
+    return _scalar_or_array(lambda xs: _opponent_product(cfg, xs, scenario.saboteur, p=p) - xs, x)
 
 
 def joint_support_profit(scenario: SabotageScenario, k: int, x) -> float | np.ndarray:
@@ -141,12 +130,10 @@ def joint_support_profit(scenario: SabotageScenario, k: int, x) -> float | np.nd
     n = cfg.n
     if not 1 <= k <= min(scenario.saboteur, scenario.target):
         raise ValidationError(f"piece {k} outside the joint support range")
-    c_k = prof.prefix_products[k]
-    xs = np.asarray(x, dtype=float)
-    out = scenario.theta * (prof.lam + xs) * (
-        (c_k / (prof.lam + xs)) ** (1.0 / (n - k)) - 1.0
-    ) + prof.lam
-    return float(out) if np.ndim(x) == 0 else out
+    theta, c_k, lam = scenario.theta, prof.prefix_products[k], prof.lam
+    return _scalar_or_array(
+        lambda xs: theta * (lam + xs) * ((c_k / (lam + xs)) ** (1.0 / (n - k)) - 1.0) + lam, x
+    )
 
 
 def optimal_sabotage_bid(scenario: SabotageScenario) -> SabotagePlan:

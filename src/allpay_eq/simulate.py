@@ -15,6 +15,10 @@ whole block, where a non-participant's zero bid and utility add nothing.
 Per-chunk sums are reduced sequentially in chunk order, never in completion
 order, which keeps the float accumulation deterministic under parallel
 execution.
+
+The best-response audit against the equilibrium covers every bidder in one
+blocked pass over its grid, and memoizes the last (config, grid_size), since
+callers audit the bidders of one config one at a time.
 """
 
 from __future__ import annotations
@@ -24,13 +28,21 @@ import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from functools import lru_cache, partial
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from .config import AuctionConfig, ValidationError
-from .equilibrium import _cdf_array, _quantile_array, equilibrium_profile
+from .equilibrium import (
+    _check_bidder,
+    _factor_blocks,
+    _opponent_product,
+    _quantile_array,
+    cdf,
+    equilibrium_profile,
+)
 
 _CHUNK_WORDS = 2**19  # Philox words per default chunk
 _SEED_LIMIT = 2**128  # Philox keys are 128-bit
@@ -405,57 +417,51 @@ def best_response_audit(
     if grid_size < 2:
         raise ValidationError("grid_size must be >= 2")
     prof = equilibrium_profile(config)
-    grid = np.union1d(np.linspace(0.0, prof.breakpoints[0], grid_size), prof.breakpoints)
-    payoff_grid = _profile_payoff(config, i, grid, cdfs)
-    best = int(np.argmax(payoff_grid))
+    _check_bidder(config, i)
     if cdfs is None:
-        baseline = prof.lam
-    else:
-        own = cdfs[i - 1]
-        mids = 0.5 * (grid[1:] + grid[:-1])
-        payoff_mids = _profile_payoff(config, i, mids, cdfs)
-        f_grid = np.asarray(own(grid), dtype=float)
-        baseline = float(f_grid[0]) * float(payoff_grid[0]) + float(
-            np.sum(payoff_mids * np.diff(f_grid))
-        )
+        return _equilibrium_audits(config, grid_size)[i - 1]
+    grid = np.union1d(np.linspace(0.0, prof.breakpoints[0], grid_size), prof.breakpoints)
+    payoff_grid = _opponent_product(config, grid, i, cdfs) - grid
+    best = int(np.argmax(payoff_grid))
+    mids = 0.5 * (grid[1:] + grid[:-1])
+    payoff_mids = _opponent_product(config, mids, i, cdfs) - mids
+    f_grid = np.asarray(cdfs[i - 1](grid), dtype=float)
+    baseline = float(f_grid[0] * payoff_grid[0] + np.sum(payoff_mids * np.diff(f_grid)))
     return AuditResult(
         bidder=i,
         max_payoff=float(payoff_grid[best]),
         argmax_bid=float(grid[best]),
-        baseline=float(baseline),
+        baseline=baseline,
         deviation_gain=float(payoff_grid[best] - baseline),
     )
 
 
-def equilibrium_cdf_callables(
-    config: AuctionConfig,
-) -> list[Callable[[np.ndarray], np.ndarray]]:
+@lru_cache(maxsize=1)
+def _equilibrium_audits(config: AuctionConfig, grid_size: int) -> tuple[AuditResult, ...]:
+    """Every bidder's audit against the equilibrium in one blocked pass, with a
+    running maximum and first argmax per bidder.  Bidder i's opponent product
+    is prod_{j<i} f_j * prod_{j>i} f_j, from exclusive prefix and suffix
+    products: dividing the full product by f_i fails where f_i is exactly 0,
+    below the support of a bidder with p = 1."""
+    prof = equilibrium_profile(config)
+    grid = np.union1d(np.linspace(0.0, prof.breakpoints[0], grid_size), prof.breakpoints)
+    best = np.full(config.n, -np.inf)
+    argmax = np.zeros(config.n)
+    for rows, f in _factor_blocks(config, grid):
+        ones = np.ones((len(f), 1))
+        below = np.cumprod(np.hstack([ones, f[:, :-1]]), axis=1)
+        above = np.cumprod(np.hstack([ones, f[:, :0:-1]]), axis=1)[:, ::-1]
+        payoffs = below * above - grid[rows, None]
+        values = payoffs.max(axis=0)
+        argmax = np.where(values > best, grid[rows][payoffs.argmax(axis=0)], argmax)
+        best = np.maximum(values, best)
+    return tuple(
+        AuditResult(i, float(m), float(x), prof.lam, float(m - prof.lam))
+        for i, m, x in zip(range(1, config.n + 1), best, argmax)
+    )
+
+
+def equilibrium_cdf_callables(config: AuctionConfig) -> list[Callable[[np.ndarray], np.ndarray]]:
     """The equilibrium profile as plain callables, handy for building perturbed
     profiles to audit."""
-    prof = equilibrium_profile(config)
-
-    def make(i: int) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda xs: _cdf_array(config, prof, i, np.asarray(xs, dtype=float))
-
-    return [make(i) for i in range(1, config.n + 1)]
-
-
-def _profile_payoff(
-    config: AuctionConfig,
-    i: int,
-    xs: np.ndarray,
-    cdfs: Sequence[Callable[[np.ndarray], np.ndarray]] | None,
-) -> np.ndarray:
-    prof = equilibrium_profile(config)
-    prod = np.ones_like(xs, dtype=float)
-    for j in range(1, config.n + 1):
-        if j == i:
-            continue
-        p_j = config.probabilities[j - 1]
-        f_j = (
-            _cdf_array(config, prof, j, xs)
-            if cdfs is None
-            else np.asarray(cdfs[j - 1](xs), dtype=float)
-        )
-        prod *= p_j * f_j + 1.0 - p_j
-    return prod - xs
+    return [partial(cdf, config, i) for i in range(1, config.n + 1)]

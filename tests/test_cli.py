@@ -233,6 +233,12 @@ def test_audit_json(capsys):
     assert len(json.loads(out)["audits"]) == 1
 
 
+@pytest.mark.parametrize("bidder", ["9", "-1", "0", "5"])
+def test_audit_bad_bidder_exits_2(capsys, bidder):
+    code, out, err = run_cli(capsys, "audit", *EXAMPLE_ARGS, "--grid", "101", "--i", bidder)
+    assert code == 2 and out == "" and "bidder index" in err
+
+
 # ---------------------------------------------------------------------------
 # installed entry point
 # ---------------------------------------------------------------------------

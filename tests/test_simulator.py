@@ -2,12 +2,16 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
 import allpay_eq as ap
+from allpay_eq.equilibrium import _BLOCK_ENTRIES
 from allpay_eq.simulate import (
     _chunk_sums,
     _default_chunk_size,
+    _equilibrium_audits,
     _resolve_threads,
     _simulate_block,
     _trial_block,
@@ -313,3 +317,57 @@ def test_audit_with_explicit_equilibrium_callables(example4):
     res = ap.best_response_audit(example4, 2, 5_001, cdfs=cdfs)
     assert abs(res.deviation_gain) <= 1e-9
     assert res.baseline == pytest.approx(ap.lambda_value(example4), abs=1e-11)
+
+
+@pytest.mark.parametrize("bidder", [9, -1, 0, 5])
+def test_audit_rejects_bidder_outside_config(example4, bidder):
+    with pytest.raises(ap.ValidationError, match="bidder index"):
+        ap.best_response_audit(example4, bidder, 101)
+    with pytest.raises(ap.ValidationError, match="bidder index"):
+        ap.best_response_audit(
+            example4, bidder, 101, cdfs=ap.equilibrium_cdf_callables(example4)
+        )
+
+
+# up to 80 bidders, with repeated values (ties) and probabilities of 1
+audit_configs = st.integers(min_value=2, max_value=80).flatmap(
+    lambda n: st.lists(
+        st.one_of(st.sampled_from([0.3, 0.8, 1.0]), st.floats(min_value=0.01, max_value=1.0)),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+@given(probs=audit_configs, blocks=st.integers(1, 3), extra=st.integers(0, 50), data=st.data())
+def test_all_bidder_audit_matches_per_bidder_product(probs, blocks, extra, data):
+    """The one-pass audit (prefix and suffix products of the factor blocks)
+    against the per-bidder product over the equilibrium CDF callables, on grids
+    that span one to four factor blocks."""
+    cfg = ap.build_config(probs)
+    grid = blocks * (_BLOCK_ENTRIES // cfg.n) + extra
+    cdfs = ap.equilibrium_cdf_callables(cfg)
+    for i in {1, data.draw(st.integers(1, cfg.n)), cfg.n}:
+        # factors are exactly 0 below the support of a bidder with p = 1: the
+        # opponent product must never be taken by dividing the full one
+        with np.errstate(divide="raise", invalid="raise"):
+            fast = ap.best_response_audit(cfg, i, grid)
+        slow = ap.best_response_audit(cfg, i, grid, cdfs=cdfs)
+        assert abs(fast.max_payoff - slow.max_payoff) <= 1e-15
+        assert fast.baseline == ap.lambda_value(cfg)
+
+
+def test_audit_memo_holds_only_the_last_config_and_grid(example4):
+    """Interleaved configs and grid sizes each read their own audit, equal to
+    one computed cold, and only the last (config, grid) stays memoized."""
+    other = ap.build_config([0.2, 0.4, 0.4, 0.9, 1.0, 1.0])
+    cold = {
+        (cfg, grid): _equilibrium_audits.__wrapped__(cfg, grid)
+        for cfg in (example4, other)
+        for grid in (301, 5_001)
+    }
+    for cfg, grid in [(example4, 301), (other, 301), (example4, 5_001), (example4, 301),
+                      (other, 5_001), (other, 5_001), (example4, 5_001)]:
+        for i in range(1, cfg.n + 1):
+            assert ap.best_response_audit(cfg, i, grid) == cold[cfg, grid][i - 1]
+        assert _equilibrium_audits.cache_info().currsize == 1
