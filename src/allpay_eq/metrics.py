@@ -5,22 +5,36 @@ submitted bid, the max-profit auctioneer collects only the winning bid.  Each
 closed form here has an independent numerical route (piecewise quadrature of
 the bid densities or of the winning-bid CDF) used by the test suite; the
 quadrature helpers never integrate across a breakpoint, since the integrands
-are smooth only inside pieces.  Each route integrates all its pieces in one
-tanh-sinh call (Takahasi & Mori 1974); scipy is imported only there.
+are smooth only inside pieces.  Inside piece k the routes change variable to
+h = H_k(x), in which every integrand is a polynomial, so one fixed
+Gauss-Legendre rule of n nodes over all pieces is exact up to rounding: no
+tolerance, no adaptivity, and no dependency beyond numpy.  The integrands
+themselves are still evaluated in x, through the bid density and the
+winning-bid CDF.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .config import AuctionConfig, AuctionError, DegenerateAuctionError
-from .equilibrium import _opponent_product, _pdf_array, _scalar_or_array, equilibrium_profile
-
-# minlevel 4, not the default 2: started at level 2, the error estimate passed
-# oracle results up to 7e-12 off on configs where level 4 stays below 1e-13
-_TANHSINH_KW = dict(atol=1e-11, rtol=1e-11, minlevel=4)
+from .equilibrium import (
+    _check_bidder,
+    _opponent_product,
+    _pdf_array,
+    _scalar_or_array,
+    equilibrium_profile,
+)
+from .uniform import (
+    UniformCase,
+    uniform_bid_moments,
+    uniform_bidder_profit,
+    uniform_max_profit,
+    uniform_sum_profit,
+)
 
 
 def expected_bid(config: AuctionConfig, i: int) -> float:
@@ -38,10 +52,9 @@ def expected_bid(config: AuctionConfig, i: int) -> float:
     E[bid_n] = (p_{n-1}/p_n) * E[bid_{n-1}].
     """
     prof = equilibrium_profile(config)
+    _check_bidder(config, i)
     p = config.probabilities
     n = config.n
-    if not 1 <= i <= n:
-        raise DegenerateAuctionError(f"bidder index {i} outside 1..{n}")
     if i == n:
         return p[n - 2] / p[n - 1] * expected_bid(config, n - 1)
     pref = prof.prefix_products
@@ -118,19 +131,25 @@ class NoFailureBaseline:
 def no_failure_baseline(n: int) -> NoFailureBaseline:
     """Benchmark table for the classic auction where everyone always shows up:
     expected bid 1/n, bidder utility 0, sum revenue 1, max revenue n/(2n-1),
-    with the matching variances."""
+    with the matching variances.  These are the uniform closed forms at p = 1,
+    where the sum revenue carries no participation noise."""
     if n < 2:
         raise DegenerateAuctionError("degenerate auction: n >= 2 required")
+    case = UniformCase(n=n, p=1.0)
+    bid, bid_var = uniform_bid_moments(case)
+    utility, utility_var = uniform_bidder_profit(case)
+    revenue, revenue_var = uniform_sum_profit(case)
+    max_revenue, max_revenue_var = uniform_max_profit(case)
     return NoFailureBaseline(
         n=n,
-        expected_bid=1.0 / n,
-        bid_variance=1.0 / (2 * n - 1) - 1.0 / n**2,
-        bidder_utility=0.0,
-        utility_variance=(n - 1) / (n * (2.0 * n - 1)),
-        sum_profit=1.0,
-        sum_profit_variance=n / (2.0 * n - 1) - 1.0 / n,
-        max_profit=n / (2.0 * n - 1),
-        max_profit_variance=n * (n - 1) ** 2 / ((3.0 * n - 2) * (2.0 * n - 1) ** 2),
+        expected_bid=bid,
+        bid_variance=bid_var,
+        bidder_utility=utility,
+        utility_variance=utility_var,
+        sum_profit=revenue,
+        sum_profit_variance=revenue_var,
+        max_profit=max_revenue,
+        max_profit_variance=max_revenue_var,
     )
 
 
@@ -206,45 +225,50 @@ def revenue_report(config: AuctionConfig) -> RevenueReport:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=8)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule on [-1, 1] (Golub & Welsch 1969)."""
+    return np.polynomial.legendre.leggauss(n)
+
+
 def _integrate_support(f, config: AuctionConfig, i: int) -> float:
     """Integral of the vectorized f over bidder i's support (bidder n's holds
-    every piece), all pieces of positive width in one tanh-sinh call.  Each
-    piece [lo, hi] is mapped onto t in [0, 1] geometrically in lam + x, as
-    lam + x = a (1 + (hi - lo)/a)**t with a = lo + lam, which evens out the
-    near-singularity of the densities at x = -lam; a piece with a = 0 is mapped
-    linearly.  Raises AuctionError naming the pieces that do not converge."""
-    from scipy.integrate import tanhsinh
-
+    every piece) by one fixed Gauss-Legendre rule in the piece variable
+    h = H_k(x), all pieces of positive width in one call of f.  On piece k,
+    x = C_k h**m - lam with m = n - k and C_k = prefix_products[k], so
+    dx = m C_k h**(m-1) dh and the oracles' integrands x f_i dx, f_i dx and
+    G dx are polynomials in h of degree m, 0 and 2m <= 2n - 2, which n nodes
+    integrate exactly.  Raises AuctionError if the result is not finite."""
     prof = equilibrium_profile(config)
-    lam, s = prof.lam, np.asarray(prof.breakpoints)
-    k = np.arange(1, min(i, config.n - 1) + 1)
-    k = k[s[k] < s[k - 1]]
-    lo, hi = s[k], s[k - 1]
-    a = lo + lam
-    r = np.log1p((hi - lo) / np.where(a > 0, a, 1.0))
-
-    def mapped(t, lo, hi, a, r):
-        e = np.expm1(r * t)  # lam + x = a (1 + e) on the geometric pieces
-        x = np.where(a > 0, lo + a * e, lo + (hi - lo) * t)
-        return f(x) * np.where(a > 0, a * (1 + e) * r, hi - lo)
-
-    res = tanhsinh(mapped, 0, 1, args=(lo, hi, a, r), **_TANHSINH_KW)
-    bad = ~res.success
-    if np.any(bad):
-        named = [f"k={kb} [{x:.17g}, {y:.17g}]" for kb, x, y in zip(k[bad], lo[bad], hi[bad])]
-        raise AuctionError(f"quadrature did not converge on pieces {', '.join(named)}")
-    return float(np.sum(res.integral))
+    n, lam, s = config.n, prof.lam, np.asarray(prof.breakpoints)
+    k = np.arange(1, min(i, n - 1) + 1)
+    k = k[s[k] < s[k - 1]][:, None]  # one row per piece, one column per node
+    m = n - k
+    c = np.asarray(prof.prefix_products)[k]
+    lo, hi = ((lam + s[k]) / c) ** (1.0 / m), ((lam + s[k - 1]) / c) ** (1.0 / m)
+    t, w = _gauss_legendre(n)
+    half = (hi - lo) / 2.0
+    h = lo + half * (t + 1.0)
+    x = c * h**m - lam
+    dx = m * c * h ** (m - 1) * half
+    with np.errstate(divide="ignore", invalid="ignore"):  # the guard below reports it
+        total = float(np.sum(f(x.ravel()).reshape(x.shape) * dx * w))
+    if not np.isfinite(total):
+        raise AuctionError(f"quadrature over bidder {i}'s support is not finite: {total}")
+    return total
 
 
 def expected_bid_quadrature(config: AuctionConfig, i: int) -> float:
     """E[bid_i] by quadrature of x * f_i(x) piece by piece (an atom at 0 adds 0)."""
     prof = equilibrium_profile(config)
+    _check_bidder(config, i)
     return _integrate_support(lambda x: x * _pdf_array(config, prof, i, x), config, i)
 
 
 def distribution_mass_quadrature(config: AuctionConfig, i: int) -> float:
     """Total probability mass of bidder i: atom plus quadrature of the density."""
     prof = equilibrium_profile(config)
+    _check_bidder(config, i)
     atom = prof.atom_n if i == config.n else 0.0
     return atom + _integrate_support(lambda x: _pdf_array(config, prof, i, x), config, i)
 

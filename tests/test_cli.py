@@ -261,11 +261,14 @@ def test_module_invocation_subprocess():
 
 
 def test_import_and_equilibrium_leave_scipy_unloaded():
-    # scipy serves only the quadrature oracles, which import it when they run
+    # numpy is the only runtime dependency, the quadrature oracles included
     code = (
-        "import sys, allpay_eq\n"
+        "import sys, allpay_eq as ap\n"
         "from allpay_eq import cli\n"
         f"assert cli.main(['equilibrium', *{EXAMPLE_ARGS!r}]) == 0\n"
+        "cfg = ap.build_config([1 / 3, 0.5, 0.75, 1.0])\n"
+        "ap.expected_bid_quadrature(cfg, 1), ap.distribution_mass_quadrature(cfg, 4)\n"
+        "ap.max_profit_quadrature(cfg)\n"
         "assert 'scipy' not in sys.modules\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

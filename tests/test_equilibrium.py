@@ -26,11 +26,21 @@ def test_lambda_examples(example4):
     assert ap.lambda_value(ap.build_config([0.4])) == 1.0
 
 
-def test_lambda_ignores_most_reliable(example4):
-    # changing p_n alone cannot move lambda
-    for p_n in (0.76, 0.9, 1.0):
-        cfg = ap.build_config([1 / 3, 1 / 2, 3 / 4, p_n])
-        assert ap.lambda_value(cfg) == ap.lambda_value(example4)
+@given(prob_lists, st.floats(min_value=0.0, max_value=1.0))
+def test_lambda_ignores_most_reliable(probs, t):
+    # the most reliable bidder does not influence the others: moving p_n
+    # anywhere in [p_{n-1}, 1] leaves lam, the breakpoints and F_1..F_{n-1}
+    # bit-identical and moves only the atom 1 - p_{n-1}/p_n
+    cfg = ap.build_config(probs)
+    p, n = cfg.probabilities, cfg.n
+    moved = ap.build_config([*p[:-1], min(1.0, p[-2] + t * (1.0 - p[-2]))])
+    before, after = ap.equilibrium_profile(cfg), ap.equilibrium_profile(moved)
+    assert after.lam == before.lam and ap.lambda_value(moved) == ap.lambda_value(cfg)
+    assert after.breakpoints == before.breakpoints
+    assert after.atom_n == 1.0 - p[-2] / moved.probabilities[-1]
+    xs = np.concatenate([np.linspace(-0.01, 1.0, 257), before.breakpoints])
+    for i in range(1, n):
+        assert np.array_equal(ap.cdf(moved, i, xs), ap.cdf(cfg, i, xs))
 
 
 def test_breakpoints_worked_example(example4):

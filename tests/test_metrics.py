@@ -8,7 +8,6 @@ from hypothesis import given
 from numpy.testing import assert_allclose
 
 import allpay_eq as ap
-from allpay_eq import metrics
 from conftest import EXAMPLE_BIDS, EXAMPLE_MAX_PROFIT, prob_lists, random_configs
 
 
@@ -123,8 +122,9 @@ def test_quadrature_cross_checks(example4):
 
 # configs on which per-piece adaptive quadrature (QUADPACK) returned a wrong
 # density mass with only a warning: near-singular pieces at tiny lam, ties that
-# leave pieces an ulp or two wide, and lam = 0; on the last one, tanh-sinh
-# mapped linearly onto each piece is 2.4e-10 off while reporting convergence
+# leave pieces an ulp or two wide, and lam = 0; on near_singular, tanh-sinh
+# mapped linearly onto each piece is 2.4e-10 off while reporting convergence,
+# and on all_reliable_x64 tanh-sinh in x does not converge at all
 ORACLE_EDGE_CONFIGS = {
     "tied_0.8x20": [0.8] * 20,
     "tied_0.9x12_and_1": [0.9] * 12 + [1.0],
@@ -133,6 +133,7 @@ ORACLE_EDGE_CONFIGS = {
     "ulp_wide_ties": [0.7, 0.8, 0.9] * 6,
     "lam_zero": [0.3, 1.0, 1.0],
     "near_singular_0.76x15_and_1": [0.76] * 15 + [1.0],
+    "all_reliable_x64": [1.0] * 64,
 }
 
 
@@ -194,16 +195,24 @@ def test_quadrature_oracles_match_50_digit_mpmath():
     assert ap.max_profit_quadrature(cfg) == pytest.approx(max_profit, abs=1e-12)
 
 
-def test_quadrature_raises_when_a_piece_does_not_converge(monkeypatch, example4):
-    # with zero tolerances no error estimate can pass, so every piece fails
-    monkeypatch.setattr(metrics, "_TANHSINH_KW", dict(metrics._TANHSINH_KW, atol=0.0, rtol=0.0))
-    for oracle in (
-        lambda: ap.expected_bid_quadrature(example4, 1),
-        lambda: ap.distribution_mass_quadrature(example4, 4),
-        lambda: ap.max_profit_quadrature(example4),
-    ):
-        with pytest.raises(ap.AuctionError, match=r"did not converge on pieces k=1 "):
-            oracle()
+def test_quadrature_raises_when_the_result_is_not_finite():
+    # at n = 100, h**99 underflows at the lowest nodes of bidder 1's piece, so
+    # x = 0, where the density is infinite and x f_1 dx and f_1 dx are 0 * inf
+    cfg = ap.build_config([1.0] * 100)
+    for oracle in (ap.expected_bid_quadrature, ap.distribution_mass_quadrature):
+        with pytest.raises(ap.AuctionError, match="bidder 1's support is not finite"):
+            oracle(cfg, 1)
+    # G dx vanishes there instead, so the max-profit oracle stays exact
+    assert ap.max_profit_quadrature(cfg) == pytest.approx(ap.max_profit(cfg), abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "route", [ap.expected_bid, ap.expected_bid_quadrature, ap.distribution_mass_quadrature]
+)
+@pytest.mark.parametrize("i", [0, -1, 5])
+def test_per_bidder_routes_reject_bidder_outside_config(route, i, example4):
+    with pytest.raises(ap.ValidationError, match=f"bidder index {i} outside 1..4"):
+        route(example4, i)
 
 
 def test_approach_to_no_failure_table():

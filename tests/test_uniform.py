@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,11 +28,11 @@ def test_bid_moments_examples():
 
 
 def test_bid_moments_reduce_to_baseline_at_p1():
+    # the classic bid CDF x ** (1/(n-1)) on [0, 1]: mean 1/n, second moment 1/(2n-1)
     for n in (2, 3, 5, 8):
         mean, var = ap.uniform_bid_moments(case(n, 1.0))
-        base = ap.no_failure_baseline(n)
-        assert mean == pytest.approx(base.expected_bid, rel=1e-14)
-        assert var == pytest.approx(base.bid_variance, rel=1e-14)
+        assert mean == pytest.approx(float(Fraction(1, n)), rel=1e-14)
+        assert var == pytest.approx(float(Fraction(1, 2 * n - 1) - Fraction(1, n**2)), rel=1e-14)
 
 
 def test_bid_mean_not_monotone():
@@ -102,9 +103,12 @@ def test_max_profit_examples():
 
 
 def test_max_profit_variance_reduces_to_baseline():
+    # the winning bid has CDF x ** (n/(n-1)): second moment n/(3n-2), mean n/(2n-1)
     for n in (2, 3, 6):
         var = ap.uniform_max_profit(case(n, 1.0))[1]
-        assert var == pytest.approx(ap.no_failure_baseline(n).max_profit_variance, rel=1e-12)
+        exact = Fraction(n, 3 * n - 2) - Fraction(n, 2 * n - 1) ** 2
+        assert exact == Fraction(n * (n - 1) ** 2, (3 * n - 2) * (2 * n - 1) ** 2)
+        assert var == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_uniform_matches_general_case():
