@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -138,6 +139,30 @@ def test_seed_validation(example4, seed):
         ap.monte_carlo(example4, 100, seed=seed)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"trials": True},
+        {"trials": 10.0},
+        {"trials": "100"},
+        {"chunk_size": 4.0},
+        {"chunk_size": True},
+    ],
+    ids=["trials_bool", "trials_float", "trials_str", "chunk_float", "chunk_bool"],
+)
+def test_integer_arguments_rejected(example4, kwargs):
+    args = {"trials": 100, **kwargs}
+    name = next(iter(kwargs))
+    with pytest.raises(ap.ValidationError, match=name):
+        ap.monte_carlo(example4, **args)
+
+
+def test_integer_arguments_accept_numpy_integers(example4):
+    base = ap.monte_carlo(example4, 100, seed=3, chunk_size=64)
+    got = ap.monte_carlo(example4, np.int64(100), seed=np.int64(3), chunk_size=np.int32(64))
+    assert got == base and type(got.trials) is int
+
+
 def test_seed_range_ends(example4):
     top = ap.monte_carlo(example4, 100, seed=2**128 - 1)
     assert top.seed == 2**128 - 1
@@ -163,21 +188,38 @@ def test_thread_count_does_not_change_wide_report():
         assert repr(ap.monte_carlo(cfg, trials, seed=5, threads=threads).to_dict()) == base
 
 
+def _powers(v):
+    """v, v^2, v^3, v^4, each rounded as the chunk sums round them."""
+    v2 = v * v
+    return v, v2, v2 * v, v2 * v2
+
+
 def test_chunk_sums_match_masked_per_column_sums():
-    """Column sums over the whole block equal the per-bidder sums over
-    participants only; the summation order differs, so to a few ulps."""
+    """Row sums over the whole block equal the per-bidder sums over
+    participants only; the summation order differs, so to a few ulps.  Every
+    bid power sum and every even-power utility sum (terms >= 0, so no
+    cancellation) also matches the correctly rounded math.fsum to 1e-15."""
     cfg = ap.build_config(list(np.linspace(0.05, 1.0, 15)) + [0.5])
     m = 4096
     part, bids, utils, srev, mrev = _simulate_block(cfg, 11, 0, m)
     got = _chunk_sums(cfg, 11, 0, m)
     for j in range(cfg.n):
-        b = bids[part[:, j], j]
+        b = bids[j, part[j]]
         want = [np.sum(b**q) for q in (1, 2, 3, 4)]
         np.testing.assert_allclose(got["bid_moments"][j], want, rtol=1e-12, atol=0)
-        want = [np.sum(utils[:, j] ** q) for q in (1, 2, 3, 4)]
+        want = [np.sum(utils[j] ** q) for q in (1, 2, 3, 4)]
         np.testing.assert_allclose(got["util_moments"][j], want, rtol=1e-12, atol=1e-300)
         assert got["participations"][j] == b.size
         assert got["zero_counts"][j] == np.count_nonzero(b == 0.0)
+        bid_powers, util_powers = _powers(bids[j]), _powers(utils[j])
+        for q in range(4):
+            np.testing.assert_allclose(
+                got["bid_moments"][j][q], math.fsum(bid_powers[q]), rtol=1e-15, atol=0
+            )
+        for q in (1, 3):  # squares and fourth powers
+            np.testing.assert_allclose(
+                got["util_moments"][j][q], math.fsum(util_powers[q]), rtol=1e-15, atol=0
+            )
     for key, v in (("sum_rev", srev), ("max_rev", mrev)):
         np.testing.assert_allclose(got[key], [np.sum(v**q) for q in (1, 2, 3, 4)], rtol=1e-12)
 
@@ -188,19 +230,29 @@ def test_philox_blocks_are_stream_slices(example4):
     assert np.array_equal(np.vstack(parts), whole)
 
 
-def test_vectorized_trials_replay_exactly(example4):
-    """Feeding a trial's word block to run_auction reproduces the vectorized row."""
-    words = _trial_block(example4, 7, 0, 64)
-    part, bids, utils, srev, mrev = _simulate_block(example4, 7, 0, 64)
-    for t in range(64):
-        out = ap.run_auction(example4, iter(words[t]))
-        assert out.participated == tuple(part[t])
-        for j in range(4):
-            if part[t, j]:
-                assert out.bids[j] == bids[t, j]
+@pytest.mark.parametrize(
+    "probs",
+    [(1 / 3, 1 / 2, 3 / 4, 1.0), tuple(np.linspace(0.05, 1.0, 15)) + (0.5,)],
+    ids=["worked_example", "n16_tie"],
+)
+def test_vectorized_trials_replay_exactly(probs):
+    """Feeding a trial's word block to run_auction reproduces the vectorized
+    trial, held bidder-major as one contiguous row per bidder."""
+    cfg = ap.build_config(list(probs))
+    n, m = cfg.n, 64
+    words = _trial_block(cfg, 7, 0, m)
+    part, bids, utils, srev, mrev = _simulate_block(cfg, 7, 0, m)
+    for a in (part, bids, utils):
+        assert a.shape == (n, m) and a.flags.c_contiguous
+    for t in range(m):
+        out = ap.run_auction(cfg, iter(words[t]))
+        assert out.participated == tuple(part[:, t])
+        for j in range(n):
+            if part[j, t]:
+                assert out.bids[j] == bids[j, t]
             else:
                 assert out.bids[j] is None
-        assert out.bidder_utilities == tuple(utils[t])
+        assert out.bidder_utilities == tuple(utils[:, t])
         assert out.sum_revenue == srev[t] and out.max_revenue == mrev[t]
 
 
