@@ -288,12 +288,45 @@ def _quantile_array(
     passes k = i; it reaches k = n only for the last bidder's atom, where the
     exponent 0 and prefix_n == lam make the formula exactly 0.
     """
-    n = config.n
+    p_i = np.asarray(config.probabilities)[np.asarray(i) - 1]
+    shape = np.broadcast_shapes(np.shape(p_i), np.shape(us))
+    return _quantile_into(config, prof, p_i, us, np.empty(shape), np.empty(shape))
+
+
+def _quantile_into(
+    config: AuctionConfig,
+    prof: EquilibriumProfile,
+    p_i: np.ndarray,
+    us: np.ndarray,
+    out: np.ndarray,
+    scratch: np.ndarray,
+) -> np.ndarray:
+    """The quantile kernel at levels ``us`` for bidders of probability ``p_i``,
+    written into ``out`` with ``scratch`` as its one float temporary; both
+    have the broadcast shape, and neither may overlap ``p_i`` or ``us``.
+
+    Computes max((p_i u + 1 - p_i)**(n-k) * prefix_k - lam, 0) with
+    k = searchsorted(p, p_i (1 - u), "left") + 1, in that order of operations.
+    The power is never taken in place: numpy rounds an in-place power of a
+    single element differently from its vector loop.
+    """
     p = np.asarray(config.probabilities)
-    p_i = p[np.asarray(i) - 1]
-    k = np.searchsorted(p, p_i * (1.0 - us), side="left") + 1
-    pref = np.asarray(prof.prefix_products)[k]
-    return np.maximum((p_i * us + 1.0 - p_i) ** (n - k) * pref - prof.lam, 0.0)
+    np.subtract(1.0, us, out=scratch)
+    scratch *= p_i
+    k = np.searchsorted(p, scratch, side="left")
+    k += 1
+    exponent = np.subtract(config.n, k, out=k)
+    np.multiply(p_i, us, out=out)
+    out += 1.0
+    out -= p_i
+    power = np.power(out, exponent, out=scratch)
+    # prefix_k is entry n - k of the reversed prefix products.  mode="clip":
+    # the exponent is in range, and the default "raise" buffers ``out``.
+    reversed_prefix = np.asarray(prof.prefix_products)[::-1]
+    np.take(reversed_prefix, exponent, out=out, mode="clip")
+    out *= power
+    out -= prof.lam
+    return np.maximum(out, 0.0, out=out)
 
 
 def payoff(config: AuctionConfig, i: int, x) -> float | np.ndarray:

@@ -13,9 +13,14 @@ as n grows.  Each chunk of m trials is simulated bidder-major, as n x m
 arrays with one contiguous row per bidder: a single quantile call covers
 every participant, and each bidder's power sums are taken pairwise along its
 row, where a non-participant's zero bid and utility add nothing.
-Per-chunk sums are reduced sequentially in chunk order, never in completion
-order, which keeps the float accumulation deterministic under parallel
-execution.
+
+With w workers, worker i runs the chunks i, i + w, i + 2w, ... in order
+through one buffer arena that it creates and that is dropped when the call
+returns; every array of a chunk is written into a C-contiguous prefix of an
+arena slot, so chunks after a worker's first allocate almost nothing.  The
+per-chunk sums are put back in chunk order and reduced sequentially in that
+order, never in completion order, which keeps the float accumulation
+deterministic under parallel execution.
 
 The best-response audit against the equilibrium covers every bidder in one
 blocked pass over its grid, and memoizes the last (config, grid_size), since
@@ -41,6 +46,7 @@ from .equilibrium import (
     _factor_blocks,
     _opponent_product,
     _quantile_array,
+    _quantile_into,
     cdf,
     equilibrium_profile,
 )
@@ -207,9 +213,9 @@ def monte_carlo(
     thread count.  ``trials``, ``seed`` and ``chunk_size`` are integers (not
     bools), ``seed`` in [0, 2**128).  ``chunk_size`` defaults to a budget of
     2**19 Philox words at 2n words a trial (65,536 trials at n = 4).
-    ``threads`` defaults to 1 and is capped by the ALLPAY_EQ_THREADS
-    environment variable when that is set, by the CPU count and by the number
-    of chunks.
+    ``threads`` is a positive integer (not a bool); it defaults to 1 and is
+    capped by the ALLPAY_EQ_THREADS environment variable when that is set, by
+    the CPU count and by the number of chunks.
     """
     trials = _check_integer("trials", trials)
     if trials < 1:
@@ -223,18 +229,29 @@ def monte_carlo(
         chunk_size = _check_integer("chunk_size", chunk_size)
         if chunk_size < 2 or chunk_size % 2:
             raise ValidationError(f"chunk_size must be even and >= 2, got {chunk_size}")
+    if threads is not None:
+        threads = _check_integer("threads", threads)
+        if threads < 1:
+            raise ValidationError(f"threads must be a positive integer, got {threads}")
     starts = list(range(0, trials, chunk_size))
     workers = _resolve_threads(threads, len(starts))
+
+    def lane(w: int) -> list[dict]:
+        """Worker w's chunks, starts[w::workers], in order through one arena."""
+        arena = _Arena(config.n, min(chunk_size, trials))
+        return [
+            _chunk_sums(config, seed, t0, min(chunk_size, trials - t0), arena)
+            for t0 in starts[w::workers]
+        ]
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(
-                pool.map(
-                    lambda t0: _chunk_sums(config, seed, t0, min(chunk_size, trials - t0)),
-                    starts,
-                )
-            )
+            lanes = list(pool.map(lane, range(workers)))
     else:
-        chunks = [_chunk_sums(config, seed, t0, min(chunk_size, trials - t0)) for t0 in starts]
+        lanes = [lane(0)]
+    chunks: list[dict] = [{}] * len(starts)
+    for w, sums in enumerate(lanes):
+        chunks[w::workers] = sums
     total = chunks[0]
     for part in chunks[1:]:  # fixed order: chunk index, not completion order
         total = _merge(total, part)
@@ -273,19 +290,58 @@ def _resolve_threads(threads: int | None, chunks: int) -> int:
     return max(1, min(requested, os.cpu_count() or 1, chunks))
 
 
-def _trial_block(config: AuctionConfig, seed: int, t0: int, m: int) -> np.ndarray:
-    """Uniform draws for trials t0..t0+m-1, one 2n-word row per trial."""
+def _trial_block(
+    config: AuctionConfig, seed: int, t0: int, m: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Uniform draws for trials t0..t0+m-1, one 2n-word row per trial, written
+    into ``out`` (an m x 2n C-contiguous float array) when given."""
     words_per_trial = 2 * config.n
     offset_words = t0 * words_per_trial
     bit_gen = Philox(key=seed)
     if offset_words:
         assert offset_words % 4 == 0  # Philox advances in 4-word blocks
         bit_gen.advance(offset_words // 4)
-    return Generator(bit_gen).random((m, words_per_trial))
+    return Generator(bit_gen).random((m, words_per_trial), out=out)
+
+
+class _Arena:
+    """The buffers of one Monte Carlo worker, reused by each of its chunks of
+    up to m trials at n bidders.
+
+    Every slot is flat: a chunk of m' <= m trials views a C-contiguous prefix
+    of it, never a column slice, whose ravel would copy.  A slot is reused
+    once its first content is dead:
+
+    - ``words`` holds the Philox words, then the quantile's p_i and scratch,
+      then the power-sum temporaries.
+    - ``pos`` holds the bid-word positions, then the utilities.
+    - ``levels`` holds the gathered positions, then the quantiles.
+    - ``bids`` holds the gathered bid words, then the bids.
+    - ``win`` holds the winner mask, then the nonzero-bid mask.
+    """
+
+    def __init__(self, n: int, m: int):
+        size = n * m
+        self.words = np.empty(2 * size)
+        self.part = np.empty(size, dtype=bool)
+        self.win = np.empty(size, dtype=bool)
+        self.pos = np.empty(size)
+        self.levels = np.empty(size)
+        self.bids = np.empty(size)
+        self.first_pos = np.arange(n - 1, 2 * n * m, 2 * n)  # bidder 1's bid word
+        self.top = np.empty(m)
+        self.share = np.empty(m)
+        self.nonempty = np.empty(m, dtype=bool)
+        self.sum_rev = np.empty(m)
+
+
+def _view(slot: np.ndarray, *shape: int) -> np.ndarray:
+    """The C-contiguous prefix of a flat arena slot, in ``shape``."""
+    return slot[: math.prod(shape)].reshape(shape)
 
 
 def _simulate_block(
-    config: AuctionConfig, seed: int, t0: int, m: int
+    config: AuctionConfig, seed: int, t0: int, m: int, arena: _Arena | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized trials, bidder-major: (participation, bids, utilities,
     sum_rev, max_rev).
@@ -293,60 +349,89 @@ def _simulate_block(
     The first three are C-contiguous n x m arrays, row j - 1 holding bidder
     j's value in each trial; the revenues have one entry per trial.
     Non-participants hold bid 0 and utility 0, so every reduction runs over
-    whole rows without a mask.
+    whole rows without a mask.  All five are views into ``arena`` (a fresh
+    one when not given), valid until its next chunk.
     """
     n = config.n
-    words = _trial_block(config, seed, t0, m)
-    part = np.empty((n, m), dtype=bool)  # C order; the transposed view's would be F
-    np.less(words[:, :n].T, np.asarray(config.probabilities)[:, None], out=part)
-    bids = np.zeros((n, m))
+    if arena is None:
+        arena = _Arena(n, m)
+    p = np.asarray(config.probabilities)
+    words = _trial_block(config, seed, t0, m, out=_view(arena.words, m, 2 * n))
+    part = _view(arena.part, n, m)  # C order; the transposed view's would be F
+    np.less(words[:, :n].T, p[:, None], out=part)
+    bids = _view(arena.bids, n, m)
     if n > 1:  # a sole bidder bids 0 when present
         # Participants take bid words in index order from each trial's back
         # half: pos[j, t] is the flat index of the word bidder j + 1 takes in
         # trial t when present.  It is a cumulative count down axis 0, added
         # row by row: np.cumsum(axis=0) runs one column at a time, 10x slower.
-        pos = np.empty((n, m), dtype=np.intp)
-        np.add(np.arange(n - 1, 2 * n * m, 2 * n), part[0], out=pos[0])
+        pos = _view(arena.pos.view(np.int64), n, m)
+        np.add(arena.first_pos[:m], part[0], out=pos[0])
         for j in range(1, n):
             np.add(pos[j - 1], part[j], out=pos[j])
         flat = np.flatnonzero(part)  # participants, bidder-major
-        bidders = np.repeat(np.arange(1, n + 1), np.count_nonzero(part, axis=1))
-        us = words.ravel()[pos.ravel()[flat]]
+        k = flat.size
+        # mode="clip": the indices are in range, and "raise" buffers ``out``
+        at = np.take(pos.ravel(), flat, out=arena.levels.view(np.int64)[:k], mode="clip")
+        us = np.take(words.ravel(), at, out=arena.bids[:k], mode="clip")
+        # the words are dead: their block holds p_i and the quantile scratch
+        p_i = arena.words[:k]
+        stop = 0
+        for p_j, count in zip(p, np.count_nonzero(part, axis=1).tolist()):
+            p_i[stop : stop + count] = p_j
+            stop += count
+        scratch = arena.words[n * m : n * m + k]
         prof = equilibrium_profile(config)
-        bids.ravel()[flat] = _quantile_array(config, prof, bidders, us)
-    top = bids.max(axis=0)  # bids are >= 0, so this is 0 when nobody shows up
-    winners = part & (bids == top)
-    n_win = np.count_nonzero(winners, axis=0)
-    share = np.zeros(m)
-    np.divide(1.0, n_win, out=share, where=n_win > 0)
-    utilities = winners * share - bids
-    sum_rev = bids[0].copy()
+        values = _quantile_into(config, prof, p_i, us, arena.levels[:k], scratch)
+        bids.fill(0.0)
+        bids.ravel()[flat] = values
+    else:
+        bids.fill(0.0)
+    top = np.max(bids, axis=0, out=arena.top[:m])  # bids are >= 0: 0 when nobody shows up
+    winners = np.equal(bids, top, out=_view(arena.win, n, m))
+    winners &= part
+    share = np.sum(winners, axis=0, dtype=float, out=arena.share[:m])  # winner counts
+    np.divide(1.0, share, out=share, where=np.greater(share, 0.0, out=arena.nonempty[:m]))
+    utilities = np.multiply(winners, share, out=_view(arena.pos, n, m))
+    utilities -= bids
+    sum_rev = arena.sum_rev[:m]
+    np.copyto(sum_rev, bids[0])
     for row in bids[1:]:  # bidders in index order, as run_auction adds them
         sum_rev += row
     return part, bids, utilities, sum_rev, top
 
 
-def _power_sums(values: np.ndarray) -> np.ndarray:
+def _power_sums(values: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Power sums s1..s4 along the last axis, stacked on a new last axis.
-    Each sum runs over a contiguous row, which numpy adds pairwise."""
-    v2 = values * values
-    return np.stack(
-        [values.sum(axis=-1), v2.sum(axis=-1), (v2 * values).sum(axis=-1), (v2 * v2).sum(axis=-1)],
-        axis=-1,
-    )
+    Each sum runs over a contiguous row, which numpy adds pairwise.  v^2 and
+    v^3, then v^4 over v^3, are written into the flat ``scratch``, which
+    holds at least twice the entries of ``values``."""
+    v2 = np.multiply(values, values, out=_view(scratch, *values.shape))
+    powers = _view(scratch[values.size :], *values.shape)
+    sums = [values.sum(axis=-1), v2.sum(axis=-1)]
+    sums.append(np.multiply(v2, values, out=powers).sum(axis=-1))
+    sums.append(np.multiply(v2, v2, out=powers).sum(axis=-1))
+    return np.stack(sums, axis=-1)
 
 
-def _chunk_sums(config: AuctionConfig, seed: int, t0: int, m: int) -> dict:
-    part, bids, utilities, sum_rev, max_rev = _simulate_block(config, seed, t0, m)
+def _chunk_sums(
+    config: AuctionConfig, seed: int, t0: int, m: int, arena: _Arena | None = None
+) -> dict:
+    """One chunk's counts and power sums, as fresh arrays that do not alias
+    ``arena`` (a fresh one when not given)."""
+    if arena is None:
+        arena = _Arena(config.n, m)
+    part, bids, utilities, sum_rev, max_rev = _simulate_block(config, seed, t0, m, arena)
     participations = np.count_nonzero(part, axis=1)
+    nonzero = np.not_equal(bids, 0.0, out=_view(arena.win, *bids.shape))
     return {
         "trials": m,
         "participations": participations.astype(float),
-        "bid_moments": _power_sums(bids),
-        "zero_counts": (participations - np.count_nonzero(bids, axis=1)).astype(float),
-        "util_moments": _power_sums(utilities),
-        "sum_rev": _power_sums(sum_rev),
-        "max_rev": _power_sums(max_rev),
+        "bid_moments": _power_sums(bids, arena.words),
+        "zero_counts": (participations - np.count_nonzero(nonzero, axis=1)).astype(float),
+        "util_moments": _power_sums(utilities, arena.words),
+        "sum_rev": _power_sums(sum_rev, arena.words),
+        "max_rev": _power_sums(max_rev, arena.words),
     }
 
 

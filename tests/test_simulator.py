@@ -1,5 +1,7 @@
 import math
 import os
+import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -10,9 +12,12 @@ from numpy.random import Generator, Philox
 import allpay_eq as ap
 from allpay_eq.equilibrium import _BLOCK_ENTRIES
 from allpay_eq.simulate import (
+    _Arena,
     _chunk_sums,
     _default_chunk_size,
     _equilibrium_audits,
+    _finalize,
+    _merge,
     _resolve_threads,
     _simulate_block,
     _trial_block,
@@ -133,6 +138,14 @@ def test_workers_clamped_to_cpus_and_chunks(monkeypatch):
     assert _resolve_threads(None, 100) == 8
 
 
+@pytest.mark.parametrize(
+    "threads", [0, -3, 2.5, True, "2"], ids=["zero", "negative", "float", "bool", "str"]
+)
+def test_threads_validation(example4, threads):
+    with pytest.raises(ap.ValidationError, match="threads"):
+        ap.monte_carlo(example4, 100, threads=threads)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**128, 1.5, "7", None])
 def test_seed_validation(example4, seed):
     with pytest.raises(ap.ValidationError, match="seed"):
@@ -186,6 +199,92 @@ def test_thread_count_does_not_change_wide_report():
     base = repr(ap.monte_carlo(cfg, trials, seed=5, threads=1).to_dict())
     for threads in (2, 4):
         assert repr(ap.monte_carlo(cfg, trials, seed=5, threads=threads).to_dict()) == base
+
+
+@pytest.mark.parametrize("full_chunks", [4, 5], ids=["odd_count", "even_count"])
+def test_uneven_lanes_match_fresh_arena_merge(monkeypatch, full_chunks):
+    """Full 256-trial chunks and a 130-trial tail, dealt round-robin to two
+    lanes of unequal trials (and, with 5 chunks in all, of unequal chunk
+    counts): threads 1 and 2 give one report, equal bit for bit to the
+    chunk-order merge of _chunk_sums calls that each use a fresh arena."""
+    monkeypatch.delenv("ALLPAY_EQ_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = ap.build_config(list(np.linspace(0.05, 1.0, 7)) + [0.5])
+    trials, chunk = full_chunks * 256 + 130, 256
+    parts = [_chunk_sums(cfg, 17, t0, min(chunk, trials - t0)) for t0 in range(0, trials, chunk)]
+    want = repr(_finalize(cfg, trials, 17, reduce(_merge, parts)).to_dict())
+    for threads in (1, 2):
+        got = ap.monte_carlo(cfg, trials, seed=17, threads=threads, chunk_size=chunk)
+        assert repr(got.to_dict()) == want
+
+
+def test_chunk_sums_do_not_alias_the_arena():
+    cfg = ap.build_config(list(np.linspace(0.05, 1.0, 7)) + [0.5])
+    arena = _Arena(cfg.n, 512)
+    first = _chunk_sums(cfg, 3, 0, 512, arena)
+    kept = {key: np.copy(value) for key, value in first.items()}
+    _chunk_sums(cfg, 3, 512, 512, arena)
+    for key, value in first.items():
+        assert np.array_equal(value, kept[key]), key
+
+
+def _assert_chunk_equal(got, want):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_edge_chunks_through_a_used_arena():
+    """A sole bidder, and a chunk in which nobody participates, each run
+    through an arena that an earlier chunk has filled: the same arrays as a
+    fresh arena, and the outcome run_auction gives."""
+    m = 256
+    solo = ap.build_config([0.6])
+    arena = _Arena(1, m)
+    _simulate_block(solo, 4, 0, m, arena)
+    got = _simulate_block(solo, 4, m, m, arena)
+    _assert_chunk_equal(got, _simulate_block(solo, 4, m, m))
+    part, bids, utils, srev, mrev = got
+    assert part.any() and not part.all()
+    assert np.array_equal(utils[0], part[0].astype(float))
+    assert not bids.any() and not srev.any() and not mrev.any()
+
+    rare = ap.build_config([0.001, 0.002])
+    # the first chunk of seed 6 has participants, the second (trials 256..511) none
+    arena = _Arena(2, m)
+    assert _simulate_block(rare, 6, 0, m, arena)[0].any()
+    got = _simulate_block(rare, 6, m, m, arena)
+    _assert_chunk_equal(got, _simulate_block(rare, 6, m, m))
+    assert not any(a.any() for a in got)
+    words = _trial_block(rare, 6, m, m)
+    for t in range(m):
+        out = ap.run_auction(rare, iter(words[t]))
+        assert out.winners == frozenset() and out.bidder_utilities == (0.0, 0.0)
+
+
+def test_tail_chunk_views_are_contiguous_prefixes():
+    """A short tail chunk through an arena sized for full chunks: every
+    (n, m') array is C-contiguous and equals a fresh arena's."""
+    cfg = ap.build_config(list(np.linspace(0.05, 1.0, 7)) + [0.5])
+    arena = _Arena(cfg.n, 256)
+    _simulate_block(cfg, 9, 0, 256, arena)
+    got = _simulate_block(cfg, 9, 256, 130, arena)
+    for a in got[:3]:
+        assert a.shape == (cfg.n, 130) and a.flags.c_contiguous
+    _assert_chunk_equal(got, _simulate_block(cfg, 9, 256, 130))
+    assert got[1].any()
+
+
+def test_traced_memory_peak_bound(example4):
+    """One 2**18-trial call on one thread holds one arena: its traced peak
+    stays under four default word blocks (4 MiB each at n = 4)."""
+    word_block = 2 * example4.n * _default_chunk_size(example4.n) * 8
+    tracemalloc.start()
+    try:
+        ap.monte_carlo(example4, 2**18, seed=1, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * word_block
 
 
 def _powers(v):
