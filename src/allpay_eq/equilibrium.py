@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -174,6 +174,33 @@ def bid_distribution(config: AuctionConfig, i: int) -> BidDistribution:
         atom_at_zero=prof.atom_n if i == n else 0.0,
         support=support(config, i),
     )
+
+
+class _Pieces(NamedTuple):
+    """Pieces k = 1..n-1, entry k - 1 of each array.  On piece k every bidder's
+    CDF is a shift of the level h = H_k(x), which sweeps exactly [lo, hi] =
+    [1 - p_k, 1 - p_{k-1}] while x = c h**m - lam.  Every field is taken from
+    the probabilities directly (1 - lo is not p_k in floats), and a piece is
+    empty iff width == 0, that is p_{k-1} == p_k."""
+
+    lam: float
+    m: np.ndarray  # n - k
+    c: np.ndarray  # C_k = prefix_products[k]
+    p_prev: np.ndarray  # p_{k-1}, with p_0 = 0
+    p: np.ndarray  # p_k
+    lo: np.ndarray
+    hi: np.ndarray
+    width: np.ndarray  # p_k - p_{k-1}
+
+
+def _pieces(config: AuctionConfig) -> _Pieces:
+    """The piece table of the config's equilibrium (requires n >= 2)."""
+    prof = equilibrium_profile(config)
+    n = config.n
+    p = np.asarray(config.probabilities[: n - 1])
+    p_prev = np.concatenate(([0.0], p[:-1]))
+    c = np.asarray(prof.prefix_products[1:n])
+    return _Pieces(prof.lam, n - np.arange(1, n), c, p_prev, p, 1.0 - p, 1.0 - p_prev, p - p_prev)
 
 
 def _check_bidder(config: AuctionConfig, i: int) -> None:

@@ -1,16 +1,16 @@
 """Closed-form expected bids and auctioneer revenue for both profit models.
 
 Two revenue models are covered: the sum-profit auctioneer collects every
-submitted bid, the max-profit auctioneer collects only the winning bid.  Each
-closed form here has an independent numerical route (piecewise quadrature of
-the bid densities or of the winning-bid CDF) used by the test suite; the
-quadrature helpers never integrate across a breakpoint, since the integrands
-are smooth only inside pieces.  Inside piece k the routes change variable to
-h = H_k(x), in which every integrand is a polynomial, so one fixed
-Gauss-Legendre rule of n nodes over all pieces is exact up to rounding: no
-tolerance, no adaptivity, and no dependency beyond numpy.  The integrands
-themselves are still evaluated in x, through the bid density and the
-winning-bid CDF.
+submitted bid, the max-profit auctioneer collects only the winning bid.  Both
+the closed forms and their quadrature routes read piece k from the
+equilibrium's one piece table, as the interval [1 - p_k, 1 - p_{k-1}] swept by
+the level h = H_k(x), in which bids and CDFs are polynomials.  The routes (of
+the bid densities or of the winning-bid CDF, used by the test suite) never
+integrate across a breakpoint, and in h one fixed Gauss-Legendre rule of n
+nodes over all pieces is exact up to rounding: no tolerance, no adaptivity,
+and no dependency beyond numpy.  Their integrands are still evaluated in x,
+through the bid density and the winning-bid CDF, so the routes stay
+independent of the closed forms.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .equilibrium import (
     _check_bidder,
     _opponent_product,
     _pdf_array,
+    _pieces,
     _scalar_or_array,
     equilibrium_profile,
 )
@@ -38,38 +39,28 @@ from .uniform import (
 
 
 def expected_bid(config: AuctionConfig, i: int) -> float:
-    """Expected equilibrium bid of bidder i, conditional on participating.
+    """Expected equilibrium bid of bidder i (see expected_bids)."""
+    bids = expected_bids(config)
+    _check_bidder(config, i)
+    return bids[i - 1]
 
-    For i <= n-1:
 
-        E[bid_i] = (1/p_i) * ( 1/n
-                   + sum_{k=1}^{i} (1-p_k)**(n-k) * prod_{j<=k}(1-p_j)
-                                   / ((n-k)(n-k+1))
-                   - (1-p_i)**(n-i) * prod_{j<=i}(1-p_j) / (n-i)
-                   - p_i * lam )
+def expected_bids(config: AuctionConfig) -> tuple[float, ...]:
+    """Expected bids of all bidders in sorted order, conditional on
+    participating.  On piece k, x = C_k h**m - lam and dF_i = dh / p_i with
+    h over [lo, hi] = [1 - p_k, 1 - p_{k-1}] and m = n - k, so for i <= n-1
+
+        E[bid_i] = (1/p_i) * sum_{k=1}^{i} ( C_k (hi**(m+1) - lo**(m+1))/(m+1)
+                                             - lam (p_k - p_{k-1}) )
 
     and the last bidder scales the second most reliable one:
     E[bid_n] = (p_{n-1}/p_n) * E[bid_{n-1}].
     """
-    prof = equilibrium_profile(config)
-    _check_bidder(config, i)
+    pc = _pieces(config)
+    terms = pc.c * (pc.hi ** (pc.m + 1) - pc.lo ** (pc.m + 1)) / (pc.m + 1) - pc.lam * pc.width
+    bids = (np.cumsum(terms) / pc.p).tolist()
     p = config.probabilities
-    n = config.n
-    if i == n:
-        return p[n - 2] / p[n - 1] * expected_bid(config, n - 1)
-    pref = prof.prefix_products
-    p_i = p[i - 1]
-    total = 1.0 / n
-    for k in range(1, i + 1):
-        total += (1.0 - p[k - 1]) ** (n - k) * pref[k + 1] / ((n - k) * (n - k + 1))
-    total -= (1.0 - p_i) ** (n - i) * pref[i + 1] / (n - i)
-    total -= p_i * prof.lam
-    return total / p_i
-
-
-def expected_bids(config: AuctionConfig) -> tuple[float, ...]:
-    """Expected bids of all bidders in sorted order."""
-    return tuple(expected_bid(config, i) for i in range(1, config.n + 1))
+    return (*bids, p[-2] / p[-1] * bids[-1])
 
 
 def sum_profit(config: AuctionConfig) -> float:
@@ -95,22 +86,19 @@ def winning_bid_cdf(config: AuctionConfig, x) -> float | np.ndarray:
 
 
 def max_profit(config: AuctionConfig) -> float:
-    """Max-profit auctioneer's expected revenue,
+    """Max-profit auctioneer's expected revenue.  On piece k the winning-bid
+    CDF is C_k h**(m+1), so with x = C_k h**m - lam it is
 
-        n/(2n-1) - lam
-          + sum_{k=1}^{n-1} (1-p_k)**(2n-2k-1) * prod_{j<=k}(1-p_j)**2
-                            / (4(n-k)**2 - 1).
+        sum_k C_k ( C_k (m+1)/(2m+1) (hi**(2m+1) - lo**(2m+1))
+                    - lam (hi**(m+1) - lo**(m+1)) ),
+
+    which telescopes to the paper's n/(2n-1) - lam + sum_{k=1}^{n-1}
+    (1-p_k)**(2n-2k-1) * prod_{j<=k}(1-p_j)**2 / (4(n-k)**2 - 1).
     """
-    prof = equilibrium_profile(config)
-    p = config.probabilities
-    n = config.n
-    pref = prof.prefix_products
-    total = n / (2.0 * n - 1.0) - prof.lam
-    for k in range(1, n):
-        total += (1.0 - p[k - 1]) ** (2 * n - 2 * k - 1) * pref[k + 1] ** 2 / (
-            4.0 * (n - k) ** 2 - 1.0
-        )
-    return total
+    pc = _pieces(config)
+    m = pc.m
+    top = pc.c * (m + 1) / (2 * m + 1) * (pc.hi ** (2 * m + 1) - pc.lo ** (2 * m + 1))
+    return float(np.sum(pc.c * (top - pc.lam * (pc.hi ** (m + 1) - pc.lo ** (m + 1)))))
 
 
 @dataclass(frozen=True)
@@ -234,22 +222,18 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _integrate_support(f, config: AuctionConfig, i: int) -> float:
     """Integral of the vectorized f over bidder i's support (bidder n's holds
     every piece) by one fixed Gauss-Legendre rule in the piece variable
-    h = H_k(x), all pieces of positive width in one call of f.  On piece k,
-    x = C_k h**m - lam with m = n - k and C_k = prefix_products[k], so
+    h = H_k(x) over [lo, hi] = [1 - p_k, 1 - p_{k-1}], all pieces of positive
+    width in one call of f.  On piece k, x = C_k h**m - lam with m = n - k, so
     dx = m C_k h**(m-1) dh and the oracles' integrands x f_i dx, f_i dx and
     G dx are polynomials in h of degree m, 0 and 2m <= 2n - 2, which n nodes
     integrate exactly.  Raises AuctionError if the result is not finite."""
-    prof = equilibrium_profile(config)
-    n, lam, s = config.n, prof.lam, np.asarray(prof.breakpoints)
-    k = np.arange(1, min(i, n - 1) + 1)
-    k = k[s[k] < s[k - 1]][:, None]  # one row per piece, one column per node
-    m = n - k
-    c = np.asarray(prof.prefix_products)[k]
-    lo, hi = ((lam + s[k]) / c) ** (1.0 / m), ((lam + s[k - 1]) / c) ** (1.0 / m)
-    t, w = _gauss_legendre(n)
-    half = (hi - lo) / 2.0
-    h = lo + half * (t + 1.0)
-    x = c * h**m - lam
+    pc = _pieces(config)
+    k = np.flatnonzero(pc.width[: min(i, config.n - 1)] > 0.0)[:, None]  # row per piece
+    m, c = pc.m[k], pc.c[k]
+    t, w = _gauss_legendre(config.n)  # one column per node
+    half = pc.width[k] / 2.0
+    h = pc.lo[k] + half * (t + 1.0)
+    x = c * h**m - pc.lam
     dx = m * c * h ** (m - 1) * half
     with np.errstate(divide="ignore", invalid="ignore"):  # the guard below reports it
         total = float(np.sum(f(x.ravel()).reshape(x.shape) * dx * w))

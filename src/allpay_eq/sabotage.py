@@ -13,8 +13,9 @@ On pieces shared by both supports (k <= min(i, r)) this reduces to
 
 with theta = (p_r - p'_r)/p_r and C_k = prod_{j<k}(1 - p_j), which is concave
 per piece.  The optimum over the whole bid range therefore lives at one of at
-most min(i, r) candidates: an interior stationary point when 1/(n-k) lies in
-[p_{k-1}, p_k], otherwise the piece endpoint nearest the stationary point.
+most min(i, r) candidates, one per nonempty piece of the equilibrium's piece
+table: in the level q = 1 - H_k(x), which sweeps [p_{k-1}, p_k], it is the
+stationary point q = 1/(n-k) clipped to that interval.
 Candidate locations do not depend on p'_r (only the profit scale theta does),
 and every candidate profit is lam plus a nonnegative term, so sabotage never
 hurts the saboteur.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import AuctionConfig, ValidationError
-from .equilibrium import _opponent_product, _scalar_or_array, equilibrium_profile
+from .equilibrium import _opponent_product, _pieces, _scalar_or_array, equilibrium_profile
 
 _TIE_TOL = 1e-12
 
@@ -139,49 +140,33 @@ def joint_support_profit(scenario: SabotageScenario, k: int, x) -> float | np.nd
 def optimal_sabotage_bid(scenario: SabotageScenario) -> SabotagePlan:
     """Enumerate the per-piece optima of the sabotaged payoff and pick the best.
 
-    For each nonempty joint-support piece k = 1..min(i, r), with m = n - k,
-    C = prod_{j<k}(1-p_j) and the dummy p_0 = 0:
+    On piece k the level h = 1 - q sweeps q over [p_{k-1}, p_k] (dummy
+    p_0 = 0), and with m = n - k and C = prod_{j<k}(1-p_j) the bid and the
+    payoff there are
 
-    * 1/m in [p_{k-1}, p_k]: interior stationary point
-        bid    = (1 - 1/m)**m * C - lam
-        profit = (1/m) (1 - 1/m)**(m-1) * C * theta + lam
-    * 1/m < p_{k-1}: the payoff still rises at the piece top, take s_{k-1}
-        profit = p_{k-1} (1 - p_{k-1})**(m-1) * C * theta + lam
-    * 1/m > p_k: the payoff already falls at the piece bottom, take s_k
-        profit = p_k (1 - p_k)**(m-1) * C * theta + lam
+        bid    = (1 - q)**m * C - lam
+        profit = q (1 - q)**(m-1) * C * theta + lam,
 
-    Boundary ties of 1/m with p_{k-1} or p_k fall to the interior branch; the
-    adjacent endpoint branch agrees there algebraically.  Profit ties within
+    which rises up to q = 1/m and falls after it.  Each nonempty joint-support
+    piece k = 1..min(i, r) therefore offers q = min(max(1/m, p_{k-1}), p_k).
+
+    The branch is "interior" when q == 1/m, so boundary ties of 1/m with
+    p_{k-1} or p_k stay interior (the endpoint agrees there algebraically),
+    else "upper_endpoint" (q = p_{k-1}, the piece top s_{k-1}) or
+    "lower_endpoint" (q = p_k, the piece bottom s_k).  Profit ties within
     1e-12 resolve to the cheaper bid.
     """
-    cfg = scenario.config
-    prof = equilibrium_profile(cfg)
-    p = cfg.probabilities
-    n = cfg.n
-    lam = prof.lam
-    s = prof.breakpoints
-    theta = scenario.theta
+    pc = _pieces(scenario.config)
+    top = min(scenario.saboteur, scenario.target)
     candidates: list[SabotageCandidate] = []
-    for k in range(1, min(scenario.saboteur, scenario.target) + 1):
-        if s[k] == s[k - 1]:  # zero-width piece, nothing to bid on
+    rows = zip(*(a[:top].tolist() for a in (pc.m, pc.c, pc.p_prev, pc.p)))
+    for k, (m, c_k, p_lo, p_hi) in enumerate(rows, start=1):
+        if p_lo == p_hi:  # empty piece, nothing to bid on
             continue
-        m = n - k
-        c_k = prof.prefix_products[k]
-        p_lo = p[k - 2] if k >= 2 else 0.0
-        p_hi = p[k - 1]
-        inv = 1.0 / m
-        if p_lo <= inv <= p_hi:
-            bid = (1.0 - inv) ** m * c_k - lam
-            profit = inv * (1.0 - inv) ** (m - 1) * c_k * theta + lam
-            branch = "interior"
-        elif inv < p_lo:
-            bid = s[k - 1]
-            profit = p_lo * (1.0 - p_lo) ** (m - 1) * c_k * theta + lam
-            branch = "upper_endpoint"
-        else:
-            bid = s[k]
-            profit = p_hi * (1.0 - p_hi) ** (m - 1) * c_k * theta + lam
-            branch = "lower_endpoint"
+        q = min(max(1.0 / m, p_lo), p_hi)
+        branch = "interior" if q == 1.0 / m else "upper_endpoint" if q == p_lo else "lower_endpoint"
+        bid = (1.0 - q) ** m * c_k - pc.lam
+        profit = q * (1.0 - q) ** (m - 1) * c_k * scenario.theta + pc.lam
         candidates.append(SabotageCandidate(piece=k, bid=bid, profit=profit, branch=branch))
     best = candidates[0]
     for cand in candidates[1:]:

@@ -281,9 +281,11 @@ def _resolve_threads(threads: int | None, chunks: int) -> int:
     cap_value = None
     if cap:
         try:
-            cap_value = max(1, int(cap))
+            cap_value = int(cap)
         except ValueError:
             raise ValidationError(f"{_THREADS_ENV} must be an integer, got {cap!r}") from None
+        if cap_value < 1:
+            raise ValidationError(f"{_THREADS_ENV} must be a positive integer, got {cap!r}")
     requested = threads if threads is not None else (cap_value or 1)
     if cap_value is not None:
         requested = min(requested, cap_value)
@@ -523,6 +525,7 @@ def best_response_audit(
     strategy, integrated against the grid, so a profitable deviation shows up
     as a positive gain.
     """
+    grid_size = _check_integer("grid_size", grid_size)
     if grid_size < 2:
         raise ValidationError("grid_size must be >= 2")
     prof = equilibrium_profile(config)

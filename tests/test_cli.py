@@ -1,8 +1,10 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*argv):
+    """A fresh interpreter that imports the package from where this process
+    found it, so a plain ``pytest`` in a checkout needs no PYTHONPATH."""
+    src = str(Path(ap.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +155,12 @@ def test_simulate_bad_seed_and_thread_env_exit_2(capsys, monkeypatch):
     assert code == 2 and "ALLPAY_EQ_THREADS" in err
 
 
+def test_simulate_thread_env_below_one_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("ALLPAY_EQ_THREADS", "0")
+    code, out, err = run_cli(capsys, "simulate", "--probs", "0.5,1", "--trials", "10")
+    assert code == 2 and out == "" and "ALLPAY_EQ_THREADS" in err
+
+
 def test_simulate_csv(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "--probs", "0.5,1", "--trials", "1000", "--format", "csv"
@@ -245,18 +262,10 @@ def test_audit_bad_bidder_exits_2(capsys, bidder):
 
 
 def test_module_invocation_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "allpay_eq.cli", "equilibrium", "--probs", "0.5,1"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_python("-m", "allpay_eq.cli", "equilibrium", "--probs", "0.5,1")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["lambda"] == 0.5
-    bad = subprocess.run(
-        [sys.executable, "-m", "allpay_eq.cli", "equilibrium", "--probs", "2"],
-        capture_output=True,
-        text=True,
-    )
+    bad = run_python("-m", "allpay_eq.cli", "equilibrium", "--probs", "2")
     assert bad.returncode == 2 and bad.stdout == ""
 
 
@@ -271,5 +280,5 @@ def test_import_and_equilibrium_leave_scipy_unloaded():
         "ap.max_profit_quadrature(cfg)\n"
         "assert 'scipy' not in sys.modules\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr

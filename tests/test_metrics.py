@@ -195,6 +195,18 @@ def test_quadrature_oracles_match_50_digit_mpmath():
     assert ap.max_profit_quadrature(cfg) == pytest.approx(max_profit, abs=1e-12)
 
 
+def test_mass_oracle_exact_at_tiny_probabilities():
+    """Pieces as narrow as p = 1e-12 keep their width exactly: the level
+    interval [1 - p_k, 1 - p_{k-1}] is mapped with half-width (p_k - p_{k-1})/2,
+    not rebuilt from the breakpoints, so every bidder's mass stays 1."""
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        n = int(rng.integers(2, 21))
+        cfg = ap.build_config(list(10.0 ** rng.uniform(-12.0, 0.0, n)))
+        for i in range(1, cfg.n + 1):
+            assert ap.distribution_mass_quadrature(cfg, i) == pytest.approx(1.0, abs=1e-14)
+
+
 def test_quadrature_raises_when_the_result_is_not_finite():
     # at n = 100, h**99 underflows at the lowest nodes of bidder 1's piece, so
     # x = 0, where the density is infinite and x f_1 dx and f_1 dx are 0 * inf

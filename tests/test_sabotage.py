@@ -146,6 +146,18 @@ def test_plan_skips_empty_pieces():
     assert [c.piece for c in plan.candidates] == [1]
 
 
+@pytest.mark.parametrize("probs", [[0.8] * 20, [0.7, 0.8, 0.9] * 6], ids=["x20", "triples"])
+def test_plan_skips_tied_pieces_despite_breakpoint_drift(probs):
+    """Tied probabilities leave a piece empty even where the breakpoints at its
+    two ends differ in their last bits, so no candidate sits on it."""
+    p = sorted(probs)
+    n = len(p)
+    for i, r in [(n - 3, n - 2), (n - 1, n - 2), (n, n - 1)]:
+        plan = ap.optimal_sabotage_bid(scenario(probs, i, r, 0.5 * p[r - 1]))
+        for cand in plan.candidates:
+            assert cand.piece == 1 or p[cand.piece - 2] < p[cand.piece - 1]
+
+
 def test_candidates_stay_in_joint_support():
     rng = np.random.default_rng(23)
     for _ in range(40):

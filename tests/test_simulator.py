@@ -119,6 +119,14 @@ def test_env_var_must_be_an_integer(example4, monkeypatch):
         ap.monte_carlo(example4, 100)
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_env_var_below_one_rejected(cap, monkeypatch):
+    monkeypatch.setenv("ALLPAY_EQ_THREADS", cap)
+    for threads in (None, 4):
+        with pytest.raises(ap.ValidationError, match="ALLPAY_EQ_THREADS must be a positive"):
+            _resolve_threads(threads, 100)
+
+
 def test_workers_clamped_to_cpus_and_chunks(monkeypatch):
     """The resolved worker count, checked without starting a pool."""
     monkeypatch.delenv("ALLPAY_EQ_THREADS", raising=False)
@@ -444,6 +452,14 @@ def test_audit_all_reliable_profile():
 def test_audit_grid_validation(example4):
     with pytest.raises(ap.ValidationError):
         ap.best_response_audit(example4, 1, 1)
+
+
+@pytest.mark.parametrize("grid_size", [2.5, "10", None], ids=["float", "str", "none"])
+@pytest.mark.parametrize("profile", ["equilibrium", "cdfs"])
+def test_audit_grid_size_must_be_an_integer(example4, grid_size, profile):
+    cdfs = ap.equilibrium_cdf_callables(example4) if profile == "cdfs" else None
+    with pytest.raises(ap.ValidationError, match="grid_size"):
+        ap.best_response_audit(example4, 1, grid_size, cdfs=cdfs)
 
 
 def test_audit_detects_corrupted_profile(example4):
