@@ -64,19 +64,26 @@ def build_config(raw_probabilities: Sequence[float]) -> AuctionConfig:
     Raises
     ------
     ValidationError
-        If any value is outside [0, 1] (the message names the 1-based caller
-        position) or no bidder has positive probability.
+        If any value is not a number or is outside [0, 1] (the message names
+        the 1-based caller position), or no bidder has positive probability.
     """
-    probs = list(raw_probabilities)
-    for pos, value in enumerate(probs, start=1):
-        v = float(value)
+    probs = []
+    for pos, value in enumerate(raw_probabilities, start=1):
+        try:
+            v = float(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(
+                f"participation probability at position {pos} is {value!r}; "
+                "must be a number in [0, 1]"
+            ) from exc
         if not (0.0 <= v <= 1.0):
             raise ValidationError(
                 f"participation probability at position {pos} is {value!r}; "
                 "must lie in [0, 1]"
             )
-    retained = [(float(v), pos) for pos, v in enumerate(probs, start=1) if float(v) > 0.0]
-    dropped = tuple(pos for pos, v in enumerate(probs, start=1) if float(v) == 0.0)
+        probs.append(v)
+    retained = [(v, pos) for pos, v in enumerate(probs, start=1) if v > 0.0]
+    dropped = tuple(pos for pos, v in enumerate(probs, start=1) if v == 0.0)
     if not retained:
         raise ValidationError("no potential participants: every probability is zero")
     retained.sort(key=lambda pair: pair[0])
@@ -91,11 +98,16 @@ def config_from_json(text: str) -> AuctionConfig:
     """Build a config from a JSON object of the form {"probabilities": [...]}."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ValidationError(f"invalid JSON config: {exc}") from exc
     if not isinstance(obj, dict) or "probabilities" not in obj:
         raise ValidationError('config JSON must be an object with a "probabilities" array')
     probs = obj["probabilities"]
     if not isinstance(probs, list):
         raise ValidationError('"probabilities" must be an array of numbers')
+    for pos, value in enumerate(probs, start=1):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValidationError(
+                f'"probabilities" must be an array of numbers; position {pos} is {value!r}'
+            )
     return build_config(probs)

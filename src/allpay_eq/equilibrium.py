@@ -8,14 +8,20 @@ every participating bidder earns
 
 and bids are drawn from piecewise distributions built from the helper
 
-    H_k(x) = ((lam + x) / prod_{j=0}^{k-1}(1 - p_j)) ** (1 / (n - k)),
+    H_k(x) = ((lam + x) / C_k) ** (1 / (n - k)),    C_k = prod_{j=0}^{k-1}(1 - p_j),
 
-with a dummy p_0 = 0.  Piece k covers [s_k, s_{k-1}) where
+with a dummy p_0 = 0.  Piece k covers [s_k, s_{k-1}), and bidder i mixes on
+[s_i, s_0] according to F_i(x) = (H_k(x) + p_i - 1)/p_i.  For k = 0..n-1
 
-    s_k = (1 - p_k)**(n-k) * prod_{j=0}^{k-1}(1 - p_j) - lam,    s_0 = 1 - lam,
+    s_k = C_k (1 - p_k)**(n-k) - lam = D_k (1 - exp(-S_k)),
+    D_k = prod_{j=1}^{n-1} (1 - min(p_j, p_k)),
+    S_k = sum_{j: p_j > p_k} log1p((p_j - p_k)/(1 - p_j)) = log(D_k / lam),
 
-and bidder i mixes on [s_i, s_0] according to F_i(x) = (H_k(x) + p_i - 1)/p_i.
-The last bidder additionally holds an atom of mass 1 - p_{n-1}/p_n at bid 0.
+so s_0 = 1 - lam and s_{n-1} = 0.  The second form subtracts no two nearly
+equal numbers (1 - exp(-S_k) is taken with expm1): every breakpoint, s_0
+included, keeps its relative digits however small the p_j, and s_{n-1} is
+exactly 0.0.  The last bidder additionally holds an atom of mass
+1 - p_{n-1}/p_n at bid 0.
 
 When p_{n-1} = 1 the equilibrium is not unique (any bidder other than the two
 most reliable ones may move mass to an atom at 0); this module materializes
@@ -37,15 +43,14 @@ import numpy as np
 
 from .config import AuctionConfig, DegenerateAuctionError, ValidationError
 
-_BREAKPOINT_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class EquilibriumProfile:
     """Derived equilibrium constants for one auction config.
 
     lam             : per-participation equilibrium profit, prod_{j<n}(1-p_j)
-    breakpoints     : (s_0, ..., s_{n-1}), nonincreasing, s_{n-1} == 0.0
+    breakpoints     : (s_0, ..., s_{n-1}) in the module docstring's second form:
+                      nonincreasing, equal for tied p_k, s_{n-1} == 0.0
     prefix_products : entry k is prod_{j=0}^{k-1}(1-p_j), length n+1, entry n == lam
     atom_n          : mass of the last bidder's atom at bid 0, 1 - p_{n-1}/p_n
     """
@@ -81,36 +86,25 @@ class BidDistribution:
 
 @lru_cache(maxsize=256)
 def equilibrium_profile(config: AuctionConfig) -> EquilibriumProfile:
-    """Compute (and cache) lam, breakpoints, prefix products and the atom."""
+    """Compute (and cache) lam, breakpoints, prefix products and the atom.
+    Breakpoint row k reads p_k alone and is monotone in it, so tied
+    probabilities give bit-equal breakpoints and their order is exact."""
     config.require_competition()
     p = config.probabilities
     n = config.n
-    prefix = [1.0] * (n + 1)
-    for k in range(2, n + 1):
-        prefix[k] = prefix[k - 1] * (1.0 - p[k - 2])
-    lam = prefix[n]
-    s = [0.0] * n
-    s[0] = 1.0 - lam
-    for k in range(1, n):
-        s[k] = (1.0 - p[k - 1]) ** (n - k) * prefix[k] - lam
-    # s_{n-1} vanishes algebraically and the ordering s_0 >= ... >= s_{n-1} is
-    # exact in the reals; float drift of ~1 ulp (duplicate probabilities make
-    # adjacent formulas evaluate in different operand orders) is pinned away so
-    # the interval logic can rely on both properties exactly.
-    if abs(s[n - 1]) > _BREAKPOINT_TOL:
-        raise AssertionError(f"lowest breakpoint {s[n-1]!r} not within {_BREAKPOINT_TOL} of 0")
-    s[n - 1] = 0.0
-    for k in range(n - 2, 0, -1):
-        if s[k] < s[k + 1]:
-            if s[k + 1] - s[k] > _BREAKPOINT_TOL:
-                raise AssertionError(f"breakpoints out of order at k={k}: {s[k]!r} < {s[k+1]!r}")
-            s[k] = s[k + 1]
-    atom_n = 1.0 - p[n - 2] / p[n - 1]
+    q = np.asarray(p[: n - 1])  # p_1 .. p_{n-1}
+    prefix = np.cumprod(np.concatenate(([1.0, 1.0], 1.0 - q)))
+    p_k = np.concatenate(([0.0], q))[:, None]  # one row per k = 0..n-1
+    d = np.prod(1.0 - np.minimum(q, p_k), axis=1)  # D_k
+    with np.errstate(divide="ignore"):  # p_j = 1 > p_k: the term is +inf
+        ratio = np.divide(q - p_k, 1.0 - q, out=np.zeros((n, n - 1)), where=q > p_k)
+    log_ratio = np.sum(np.log1p(ratio), axis=1)  # S_k
+    s = d * -np.expm1(-log_ratio)
     return EquilibriumProfile(
-        lam=lam,
-        breakpoints=tuple(s),
-        prefix_products=tuple(prefix),
-        atom_n=atom_n,
+        lam=float(prefix[n]),
+        breakpoints=tuple(s.tolist()),
+        prefix_products=tuple(prefix.tolist()),
+        atom_n=1.0 - p[n - 2] / p[n - 1],
     )
 
 

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,15 @@ def example4() -> ap.AuctionConfig:
     return ap.build_config(list(EXAMPLE_PROBS))
 
 
+def run_python(*argv):
+    """A fresh interpreter that imports the package from where this process
+    found it, so a plain ``pytest`` in a checkout needs no PYTHONPATH."""
+    src = str(Path(ap.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
 def random_probs(rng: np.random.Generator, n: int) -> list[float]:
     """n probabilities drawn uniformly from (0, 1]."""
     return list(1.0 - rng.random(n))
@@ -47,6 +60,17 @@ prob_lists = st.lists(
     min_size=2,
     max_size=7,
 )
+
+
+@st.composite
+def edge_prob_lists(draw, max_n: int):
+    """Probability lists at the edges of the domain: 2 <= n <= max_n values
+    drawn from a small pool of log-uniform values in [1e-12, 1] plus 1.0, so
+    ties are common and p = 1 occurs."""
+    n = draw(st.integers(2, max_n))
+    log_uniform = st.floats(-12.0, 0.0).map(lambda e: 10.0**e)
+    pool = draw(st.lists(log_uniform, min_size=1, max_size=n)) + [1.0]
+    return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
 
 
 def example1_explicit_cdfs():

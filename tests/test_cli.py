@@ -1,16 +1,12 @@
 import csv
 import io
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import allpay_eq as ap
 from allpay_eq.cli import main, render_json
-from conftest import EXAMPLE_MAX_PROFIT
+from conftest import EXAMPLE_MAX_PROFIT, run_python
 
 EXAMPLE_ARGS = ["--probs", "0.3333333333333333,0.5,0.75,1"]
 
@@ -19,15 +15,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def run_python(*argv):
-    """A fresh interpreter that imports the package from where this process
-    found it, so a plain ``pytest`` in a checkout needs no PYTHONPATH."""
-    src = str(Path(ap.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +76,18 @@ def test_config_file_ingestion(capsys, tmp_path):
     assert code == 2 and "not both" in err
     code, _, err = run_cli(capsys, "equilibrium", "--config", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "values", ['["abc", 0.5]', "[null, 0.5]", "[[0.3], 0.5]", "[true, 0.5]", '["0.3", 0.5]']
+)
+def test_config_file_non_number_exits_2(capsys, tmp_path, values):
+    """Only JSON numbers are probabilities: a string, null, array or boolean
+    is invalid input, named by its position, not an internal error."""
+    path = tmp_path / "auction.json"
+    path.write_text(f'{{"probabilities": {values}}}')
+    code, out, err = run_cli(capsys, "equilibrium", "--config", str(path))
+    assert code == 2 and out == "" and "position 1" in err
 
 
 # ---------------------------------------------------------------------------

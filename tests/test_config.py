@@ -37,6 +37,14 @@ def test_out_of_range_rejected(bad):
     assert "position" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "bad", ["abc", None, [0.3], 10**400], ids=["str", "none", "list", "huge_int"]
+)
+def test_non_number_rejected(bad):
+    with pytest.raises(ap.ValidationError, match="position 2 .* must be a number"):
+        ap.build_config([0.5, bad])
+
+
 def test_out_of_range_names_offender():
     with pytest.raises(ap.ValidationError, match="position 2"):
         ap.build_config([0.5, 1.5, 0.5])

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 import allpay_eq as ap
 from allpay_eq.equilibrium import _quantile_array
-from conftest import example1_explicit_cdfs, prob_lists, random_configs
+from conftest import edge_prob_lists, example1_explicit_cdfs, prob_lists, random_configs
 
 S0, S1, S2 = 11 / 12, 23 / 108, 1 / 12
 
@@ -67,6 +67,26 @@ def test_breakpoints_nonincreasing_randomized():
         s = ap.breakpoints(cfg)
         assert all(a >= b for a, b in zip(s, s[1:]))
         assert s[0] == pytest.approx(1.0 - ap.lambda_value(cfg), rel=1e-15)
+
+
+@given(edge_prob_lists(max_n=300))
+def test_breakpoints_exact_structure_at_the_edges(probs):
+    """The breakpoint rows read p_k alone: finite, nonincreasing and bit-equal
+    for tied probabilities, with s_{n-1} exactly 0.0, for n up to 300, ties,
+    p = 1 and p down to 1e-12."""
+    cfg = ap.build_config(probs)
+    s, p = ap.breakpoints(cfg), (0.0, *cfg.probabilities)
+    assert all(math.isfinite(v) for v in s)
+    assert all(a >= b for a, b in zip(s, s[1:]))
+    assert all(s[k - 1] == s[k] for k in range(1, cfg.n) if p[k - 1] == p[k])
+    assert s[-1] == 0.0
+
+
+def test_top_breakpoint_keeps_relative_digits_at_tiny_p():
+    """s_0 = 1 - lam is exactly p_1 for n = 2; taken as a difference it lost
+    its relative digits (9.9999997e-10 here)."""
+    s0 = ap.breakpoints(ap.build_config([1e-9, 0.5]))[0]
+    assert abs(s0 - 1e-9) <= 4e-16 * 1e-9
 
 
 def test_h_value(example4):
@@ -395,6 +415,11 @@ def test_bid_distribution_marks_empty_pieces():
     cfg = ap.build_config([0.5, 0.5, 0.5])
     d = ap.bid_distribution(cfg, 2)
     assert [p.empty for p in d.pieces] == [False, True]
+    # a piece is empty exactly where p_{k-1} == p_k, however long the tie
+    for probs, nonempty in (([0.8] * 20, [1]), ([0.7, 0.8, 0.9] * 6, [1, 7, 13])):
+        cfg = ap.build_config(probs)
+        d = ap.bid_distribution(cfg, cfg.n)
+        assert [p.k for p in d.pieces if not p.empty] == nonempty
 
 
 def test_bidder_index_validation(example4):

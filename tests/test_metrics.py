@@ -8,6 +8,7 @@ from hypothesis import given
 from numpy.testing import assert_allclose
 
 import allpay_eq as ap
+import exact
 from conftest import EXAMPLE_BIDS, EXAMPLE_MAX_PROFIT, prob_lists, random_configs
 
 
@@ -205,6 +206,16 @@ def test_mass_oracle_exact_at_tiny_probabilities():
         cfg = ap.build_config(list(10.0 ** rng.uniform(-12.0, 0.0, n)))
         for i in range(1, cfg.n + 1):
             assert ap.distribution_mass_quadrature(cfg, i) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_max_profit_oracle_at_tiny_first_probability():
+    """The max-profit oracle integrates G by parts from s_0; with s_0 = 1 - lam
+    taken as a difference it returned -2.7e-17 here, against an exact
+    9.99999999667e-19 (tests/exact.py)."""
+    probs = [1e-9, 0.5]
+    want = float(exact.max_profit(exact.exact_probabilities(probs)))
+    got = ap.max_profit_quadrature(ap.build_config(probs))
+    assert got == pytest.approx(want, rel=1e-6, abs=0)
 
 
 def test_quadrature_raises_when_the_result_is_not_finite():

@@ -1,0 +1,26 @@
+"""The README's runnable scripts, run as a user runs them."""
+
+import csv
+import io
+from pathlib import Path
+
+from conftest import run_python
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def test_worked_example_script():
+    done = run_python(str(SCRIPTS / "worked_example.py"), "--trials", "2000")
+    assert done.returncode == 0, done.stderr
+    lines = [line for line in done.stdout.splitlines() if line.startswith("breakpoints:")]
+    assert lines == [
+        "breakpoints: ['0.9166666667', '0.2129629630', '0.0833333333', '0.0000000000']"
+    ]
+
+
+def test_uniform_sweep_script():
+    done = run_python(str(SCRIPTS / "uniform_sweep.py"), "--n", "2", "--points", "3")
+    assert done.returncode == 0, done.stderr
+    header, *rows = csv.reader(io.StringIO(done.stdout))
+    assert header[:3] == ["n", "p", "lambda"]
+    assert len(rows) == 3 and all(len(row) == len(header) for row in rows)
