@@ -303,15 +303,25 @@ def _quantile_array(
     against ``us``) at levels ``us`` in [0, 1].
 
     Bidder i's CDF at the piece bottom s_k is exactly 1 - p_k/p_i, so level u
-    lies on the piece k with p_{k-1} < p_i (1 - u) <= p_k: one search over the
-    sorted probabilities serves every bidder at once, and ties (zero-width
-    pieces) are never selected.  Since p_i (1 - u) <= p_i the search never
-    passes k = i; it reaches k = n only for the last bidder's atom, where the
-    exponent 0 and prefix_n == lam make the formula exactly 0.
+    lies on the piece k with p_{k-1} < p_i (1 - u) <= p_k: one guide-table
+    search of the sorted probabilities (_piece_search) serves every bidder at
+    once, and ties (zero-width pieces) are never selected.  Since
+    p_i (1 - u) <= p_i the search never passes k = i; it reaches k = n only
+    for the last bidder's atom, where the exponent 0 and prefix_n == lam make
+    the formula exactly 0.
     """
     p_i = np.asarray(config.probabilities)[np.asarray(i) - 1]
     shape = np.broadcast_shapes(np.shape(p_i), np.shape(us))
-    return _quantile_into(config, prof, p_i, us, np.empty(shape), np.empty(shape))
+    return _quantile_into(
+        config,
+        prof,
+        p_i,
+        us,
+        np.empty(shape),
+        np.empty(shape),
+        np.empty(shape, dtype=np.int64),
+        np.empty(shape, dtype=bool),
+    )
 
 
 def _quantile_into(
@@ -321,22 +331,23 @@ def _quantile_into(
     us: np.ndarray,
     out: np.ndarray,
     scratch: np.ndarray,
+    index: np.ndarray,
+    mask: np.ndarray,
 ) -> np.ndarray:
     """The quantile kernel at levels ``us`` for bidders of probability ``p_i``,
-    written into ``out`` with ``scratch`` as its one float temporary; both
-    have the broadcast shape, and neither may overlap ``p_i`` or ``us``.
+    written into ``out``, with ``scratch`` (float), ``index`` (int64) and
+    ``mask`` (bool) as its temporaries; all four are C-contiguous with the
+    broadcast shape, and none may overlap another or ``p_i`` or ``us``.
 
-    Computes max((p_i u + 1 - p_i)**(n-k) * prefix_k - lam, 0) with
-    k = searchsorted(p, p_i (1 - u), "left") + 1, in that order of operations.
-    The power is never taken in place: numpy rounds an in-place power of a
-    single element differently from its vector loop.
+    Computes max((p_i u + 1 - p_i)**(n-k) * prefix_k - lam, 0) with k - 1 the
+    count of probabilities below p_i (1 - u), found by _piece_search, in that
+    order of operations.  The power is never taken in place: numpy rounds an
+    in-place power of a single element differently from its vector loop.
     """
-    p = np.asarray(config.probabilities)
     np.subtract(1.0, us, out=scratch)
     scratch *= p_i
-    k = np.searchsorted(p, scratch, side="left")
-    k += 1
-    exponent = np.subtract(config.n, k, out=k)
+    k = _piece_search(np.asarray(config.probabilities), scratch, index, out, mask)
+    exponent = np.subtract(config.n - 1, k, out=k)  # n - k for 1-based k
     np.multiply(p_i, us, out=out)
     out += 1.0
     out -= p_i
@@ -348,6 +359,60 @@ def _quantile_into(
     out *= power
     out -= prof.lam
     return np.maximum(out, 0.0, out=out)
+
+
+class _Guide(NamedTuple):
+    """Guide table of sorted probabilities p in (0, 1] for levels v in [0, 1]
+    (indexed search: Chen & Asau 1974; Devroye 1986, section III.2.4).
+
+    [0, 1) is cut into ``cells`` cells [b/G, (b+1)/G), G the smallest power
+    of two >= 4n, so that v G and b/G are exact; v = 1 alone makes cell G.
+    ``edges[b]`` counts the p_j below b/G for b = 0..G, so the count below any
+    v in cell b lies in [edges[b], edges[b + 1]], and in cell G it is
+    edges[G]: a p_j = 1 is below no level and lies in no cell.  ``rounds`` is
+    the bit length of the largest cell occupancy, at most ceil(log2(n + 1)).
+    ``pad`` is p followed by 2**rounds copies of +inf, so every probe is in
+    range."""
+
+    cells: int
+    edges: np.ndarray
+    rounds: int
+    pad: np.ndarray
+
+
+def _guide(p: np.ndarray) -> _Guide:
+    cells = 1 << (4 * len(p) - 1).bit_length()
+    edges = np.searchsorted(p, np.arange(cells + 1) / cells, side="left")
+    rounds = int((edges[1:] - edges[:-1]).max()).bit_length()
+    return _Guide(cells, edges, rounds, np.concatenate((p, np.full(1 << rounds, np.inf))))
+
+
+def _piece_search(
+    p: np.ndarray, v: np.ndarray, k: np.ndarray, scratch: np.ndarray, mask: np.ndarray
+) -> np.ndarray:
+    """searchsorted(p, v, "left"), the count of the sorted probabilities p
+    below each level v in [0, 1], written into the int64 ``k``; the float
+    ``scratch`` and the bool ``mask`` have v's shape.  Each level starts at
+    its guide cell's lower count and takes rounds fixed branchless steps of
+    2**(rounds-1), ..., 1, advancing by a step where the probe below it is
+    still below v, so ties and p = 1 come out as searchsorted's, bit for bit.
+    The guide table is cheap next to the search and is built per call."""
+    guide = _guide(p)
+    # mode="clip": every index is in range, and "raise" buffers ``out``
+    cell = np.multiply(v, guide.cells, out=scratch.view(np.int64), casting="unsafe")
+    np.take(guide.edges, cell, out=k, mode="clip")
+    for r in reversed(range(guide.rounds)):
+        step = 1 << r
+        probe = np.take(guide.pad[step - 1 :], k, out=scratch, mode="clip")
+        np.less(probe, v, out=mask)
+        # A masked add is quick on long runs of equal mask values, which the
+        # coarse steps mostly give, but some 15x slower than a plain add of
+        # the 0/1 mask on the last step's random one.
+        if step > 1:
+            np.add(k, step, out=k, where=mask)
+        else:
+            k += mask
+    return k
 
 
 def payoff(config: AuctionConfig, i: int, x) -> float | np.ndarray:

@@ -15,12 +15,12 @@ every participant, and each bidder's power sums are taken pairwise along its
 row, where a non-participant's zero bid and utility add nothing.
 
 With w workers, worker i runs the chunks i, i + w, i + 2w, ... in order
-through one buffer arena that it creates and that is dropped when the call
-returns; every array of a chunk is written into a C-contiguous prefix of an
-arena slot, so chunks after a worker's first allocate almost nothing.  The
-per-chunk sums are put back in chunk order and reduced sequentially in that
-order, never in completion order, which keeps the float accumulation
-deterministic under parallel execution.
+through one buffer arena, which the calling thread allocates for it and which
+is dropped when the call returns; every array of a chunk is written into a
+C-contiguous prefix of an arena slot, so chunks after a worker's first
+allocate almost nothing.  The per-chunk sums are put back in chunk order and
+reduced sequentially in that order, never in completion order, which keeps
+the float accumulation deterministic under parallel execution.
 
 The best-response audit against the equilibrium covers every bidder in one
 blocked pass over its grid, and memoizes the last (config, grid_size), since
@@ -235,10 +235,14 @@ def monte_carlo(
             raise ValidationError(f"threads must be a positive integer, got {threads}")
     starts = list(range(0, trials, chunk_size))
     workers = _resolve_threads(threads, len(starts))
+    # allocated here, not in the workers: a worker thread's allocations can
+    # land in a malloc arena of its own, and the peak RSS of a process at
+    # n = 64 on two threads then flipped between about 61 and 73 MB
+    arenas = [_Arena(config.n, min(chunk_size, trials)) for _ in range(workers)]
 
     def lane(w: int) -> list[dict]:
-        """Worker w's chunks, starts[w::workers], in order through one arena."""
-        arena = _Arena(config.n, min(chunk_size, trials))
+        """Worker w's chunks, starts[w::workers], in order through arena w."""
+        arena = arenas[w]
         return [
             _chunk_sums(config, seed, t0, min(chunk_size, trials - t0), arena)
             for t0 in starts[w::workers]
@@ -316,10 +320,13 @@ class _Arena:
 
     - ``words`` holds the Philox words, then the quantile's p_i and scratch,
       then the power-sum temporaries.
-    - ``pos`` holds the bid-word positions, then the utilities.
-    - ``levels`` holds the gathered positions, then the quantiles.
+    - ``pos`` holds the bid-word positions, then the quantile's piece
+      indices, then the utilities.
+    - ``levels`` holds the gathered positions, then the search's cell indices
+      and probes, then the quantiles.
     - ``bids`` holds the gathered bid words, then the bids.
-    - ``win`` holds the winner mask, then the nonzero-bid mask.
+    - ``win`` holds the search mask, then the winner mask, then the
+      nonzero-bid mask.
     """
 
     def __init__(self, n: int, m: int):
@@ -384,7 +391,10 @@ def _simulate_block(
             stop += count
         scratch = arena.words[n * m : n * m + k]
         prof = equilibrium_profile(config)
-        values = _quantile_into(config, prof, p_i, us, arena.levels[:k], scratch)
+        index = arena.pos.view(np.int64)[:k]  # the positions are dead after the gather
+        values = _quantile_into(
+            config, prof, p_i, us, arena.levels[:k], scratch, index, arena.win[:k]
+        )
         bids.fill(0.0)
         bids.ravel()[flat] = values
     else:

@@ -135,6 +135,20 @@ def test_simulate_reproducible_and_annotated(capsys):
     assert abs(payload["sum_revenue"]["mean"] - 113 / 144) <= 5 * payload["sum_revenue"]["mean_se"]
 
 
+def test_simulate_wide_identical_under_threads(capsys, monkeypatch):
+    """n = 64 with a tied pair, 5 chunks: stdout is byte-identical on two
+    worker threads, each with the arena the call allocated for it, and on one."""
+    values = [0.05 + 0.015 * j for j in range(63)]
+    probs = ",".join(repr(v) for v in [*values, values[30]])
+    args = ["simulate", "--probs", probs, "--trials", "20000", "--seed", "3"]
+    monkeypatch.delenv("ALLPAY_EQ_THREADS", raising=False)
+    code_one, out_one, _ = run_cli(capsys, *args)
+    monkeypatch.setenv("ALLPAY_EQ_THREADS", "2")
+    code_two, out_two, _ = run_cli(capsys, *args)
+    assert code_one == code_two == 0
+    assert out_one == out_two
+
+
 def test_simulate_defaults_seed_zero(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--probs", "0.5,1", "--trials", "100")
     assert code == 0

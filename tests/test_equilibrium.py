@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import allpay_eq as ap
-from allpay_eq.equilibrium import _quantile_array
+from allpay_eq.equilibrium import _guide, _piece_search, _quantile_array
 from conftest import edge_prob_lists, example1_explicit_cdfs, prob_lists, random_configs
 
 S0, S1, S2 = 11 / 12, 23 / 108, 1 / 12
@@ -345,6 +345,45 @@ def test_quantile_kernel_matches_per_bidder_reference(case):
     # one call over every bidder at once, as the simulator makes it
     fused = _quantile_array(cfg, prof, np.concatenate(bidders), np.concatenate(levels_all))
     assert np.array_equal(fused, np.concatenate(bids_each))
+
+
+def assert_piece_search_exact(probs, seed):
+    """The guide-table search equals np.searchsorted(p, v, "left") at random
+    levels, at every cell edge b/G, at every p_j and both of its float
+    neighbours, and at 0 and 1; its round count is the bit length of the
+    largest cell occupancy, counting no p_j = 1, and at most ceil(log2(n+1))."""
+    p = np.asarray(ap.build_config(probs).probabilities)
+    guide = _guide(p)
+    below_one = p[p < 1.0]
+    occupancy = np.bincount((below_one * guide.cells).astype(int), minlength=1)
+    assert guide.rounds == int(occupancy.max()).bit_length()
+    assert guide.rounds <= math.ceil(math.log2(p.size + 1))
+    rng = np.random.default_rng(seed)
+    cell_edges = np.arange(guide.cells + 1) / guide.cells
+    near = [p, np.nextafter(p, 2.0), np.nextafter(p, -1.0)]
+    v = np.clip(np.concatenate([rng.random(256), cell_edges, *near, [0.0, 1.0]]), 0.0, 1.0)
+    k = _piece_search(p, v, np.empty(v.size, np.int64), np.empty(v.size), np.empty(v.size, bool))
+    assert np.array_equal(k, np.searchsorted(p, v, side="left"))
+
+
+@given(edge_prob_lists(max_n=300), st.integers(0, 2**32 - 1))
+def test_piece_search_matches_searchsorted_at_edges(probs, seed):
+    assert_piece_search_exact(probs, seed)
+
+
+@given(kernel_cases())
+def test_piece_search_matches_searchsorted_on_kernel_cases(case):
+    cfg, seed = case
+    assert_piece_search_exact(list(cfg.probabilities), seed)
+
+
+def test_piece_search_clustered_worst_case():
+    """64 distinct probabilities within 1e-12 share one cell: the search takes
+    its most rounds, ceil(log2(65)) = 7, and stays exact."""
+    probs = list(0.5 + np.arange(64) * 1e-14)
+    assert len(set(probs)) == 64
+    assert _guide(np.asarray(probs)).rounds == 7
+    assert_piece_search_exact(probs, 3)
 
 
 # ---------------------------------------------------------------------------

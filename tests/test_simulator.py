@@ -295,6 +295,29 @@ def test_traced_memory_peak_bound(example4):
     assert peak < 4 * word_block
 
 
+def test_traced_memory_peak_bound_wide():
+    """At n = 64 on two threads, each worker holds the arena that the call
+    allocated for it, one participant-index array (np.flatnonzero) and a few
+    of numpy's casting buffers; the piece search allocates nothing
+    chunk-sized."""
+    probs = np.linspace(0.05, 1.0, 63)
+    cfg = ap.build_config([*probs, probs[31]])  # one tied pair
+    m, trials = _default_chunk_size(cfg.n), 2**15
+    assert m == 4096
+    arena_bytes = sum(a.nbytes for a in vars(_Arena(cfg.n, m)).values())
+    participants = max(
+        np.count_nonzero(_simulate_block(cfg, 1, t0, m)[0]) for t0 in range(0, trials, m)
+    )
+    buffers = 4 * np.getbufsize() * 8
+    tracemalloc.start()
+    try:
+        ap.monte_carlo(cfg, trials, seed=1, threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (arena_bytes + participants * 8 + buffers)
+
+
 def _powers(v):
     """v, v^2, v^3, v^4, each rounded as the chunk sums round them."""
     v2 = v * v
