@@ -130,7 +130,7 @@ def h_value(config: AuctionConfig, k: int, x: float) -> float:
     """Evaluate H_k(x) = ((lam + x)/prefix_k) ** (1/(n-k)).
 
     Raises ValidationError for k outside 1..n-1, for a vanished prefix product
-    (such pieces are never used), or for x < -lam.
+    (such pieces are never used), or for x < -lam or NaN.
     """
     prof = equilibrium_profile(config)
     n = config.n
@@ -139,8 +139,8 @@ def h_value(config: AuctionConfig, k: int, x: float) -> float:
     c = prof.prefix_products[k]
     if c == 0.0:
         raise ValidationError(f"unused piece: prefix product vanishes at k={k}")
-    if prof.lam + x < 0.0:
-        raise ValidationError(f"H_{k} undefined for x={x} < -lam={-prof.lam}")
+    if not prof.lam + x >= 0.0:  # also catches a NaN x
+        raise ValidationError(f"H_{k} undefined for x={x}: needs x >= -lam={-prof.lam}")
     return ((prof.lam + x) / c) ** (1.0 / (n - k))
 
 
@@ -171,13 +171,31 @@ def bid_distribution(config: AuctionConfig, i: int) -> BidDistribution:
 
 
 class _Pieces(NamedTuple):
-    """Pieces k = 1..n-1, entry k - 1 of each array.  On piece k every bidder's
-    CDF is a shift of the level h = H_k(x), which sweeps exactly [lo, hi] =
-    [1 - p_k, 1 - p_{k-1}] while x = c h**m - lam.  Every field is taken from
-    the probabilities directly (1 - lo is not p_k in floats), and a piece is
-    empty iff width == 0, that is p_{k-1} == p_k."""
+    """The config's equilibrium as one table, built once and shared by every
+    call (_pieces), so each array is read-only.
 
+    Pieces k = 1..n-1 are entry k - 1 of m, c, p_prev, p, lo, hi and width.
+    On piece k every bidder's CDF is a shift of the level h = H_k(x), which
+    sweeps exactly [lo, hi] = [1 - p_k, 1 - p_{k-1}] while x = c h**m - lam.
+    Every piece field is taken from the probabilities directly (1 - lo is not
+    p_k in floats), and a piece is empty iff width == 0, that is p_{k-1} == p_k.
+
+    The last four fields are the guide table of ``probs`` for levels v in
+    [0, 1] (indexed search: Chen & Asau 1974; Devroye 1986, section III.2.4).
+    [0, 1) is cut into ``cells`` cells [b/G, (b+1)/G), G the smallest power
+    of two >= 4n, so that v G and b/G are exact; v = 1 alone makes cell G.
+    ``edges[b]`` counts the p_j below b/G for b = 0..G, so the count below any
+    v in cell b lies in [edges[b], edges[b + 1]], and in cell G it is
+    edges[G]: a p_j = 1 is below no level and lies in no cell.  ``rounds`` is
+    the bit length of the largest cell occupancy, at most ceil(log2(n + 1)).
+    ``pad`` is probs followed by 2**rounds copies of +inf, so every probe is
+    in range."""
+
+    n: int
     lam: float
+    probs: np.ndarray  # p_1 .. p_n
+    prefix_rev: np.ndarray  # entry e is C_{n-e}, e = 0..n: entry 0 is lam
+    breaks_asc: np.ndarray  # s_{n-1} .. s_0
     m: np.ndarray  # n - k
     c: np.ndarray  # C_k = prefix_products[k]
     p_prev: np.ndarray  # p_{k-1}, with p_0 = 0
@@ -185,16 +203,32 @@ class _Pieces(NamedTuple):
     lo: np.ndarray
     hi: np.ndarray
     width: np.ndarray  # p_k - p_{k-1}
+    cells: int
+    edges: np.ndarray
+    rounds: int
+    pad: np.ndarray
 
 
+@lru_cache(maxsize=256)
 def _pieces(config: AuctionConfig) -> _Pieces:
-    """The piece table of the config's equilibrium (requires n >= 2)."""
+    """The table of the config's equilibrium (requires n >= 2)."""
     prof = equilibrium_profile(config)
     n = config.n
-    p = np.asarray(config.probabilities[: n - 1])
-    p_prev = np.concatenate(([0.0], p[:-1]))
+    probs = np.asarray(config.probabilities)
+    p, p_prev = probs[: n - 1], np.concatenate(([0.0], probs[: n - 2]))
     c = np.asarray(prof.prefix_products[1:n])
-    return _Pieces(prof.lam, n - np.arange(1, n), c, p_prev, p, 1.0 - p, 1.0 - p_prev, p - p_prev)
+    cells = 1 << (4 * n - 1).bit_length()
+    edges = np.searchsorted(probs, np.arange(cells + 1) / cells, side="left")
+    rounds = int((edges[1:] - edges[:-1]).max()).bit_length()
+    pad = np.concatenate((probs, np.full(1 << rounds, np.inf)))
+    prefix_rev = np.asarray(prof.prefix_products[::-1])
+    breaks_asc = np.asarray(prof.breakpoints[::-1])
+    pieces = (n - np.arange(1, n), c, p_prev, p, 1.0 - p, 1.0 - p_prev, p - p_prev)
+    table = _Pieces(n, prof.lam, probs, prefix_rev, breaks_asc, *pieces, cells, edges, rounds, pad)
+    for field in table:
+        if isinstance(field, np.ndarray):
+            field.flags.writeable = False
+    return table
 
 
 def _check_bidder(config: AuctionConfig, i: int) -> None:
@@ -202,12 +236,10 @@ def _check_bidder(config: AuctionConfig, i: int) -> None:
         raise ValidationError(f"bidder index {i} outside 1..{config.n}")
 
 
-def _piece_indices(prof: EquilibriumProfile, x: np.ndarray) -> np.ndarray:
+def _piece_indices(pc: _Pieces, x: np.ndarray) -> np.ndarray:
     """Piece index per point: 0 for x >= s_0, n for x < s_{n-1} = 0, else the k
     with s_k <= x < s_{k-1}.  Zero-width pieces are never returned."""
-    asc = np.asarray(prof.breakpoints[::-1])
-    n = len(prof.breakpoints)
-    return n - np.searchsorted(asc, x, side="right")
+    return pc.n - np.searchsorted(pc.breaks_asc, x, side="right")
 
 
 def cdf(config: AuctionConfig, i: int, x) -> float | np.ndarray:
@@ -217,33 +249,33 @@ def cdf(config: AuctionConfig, i: int, x) -> float | np.ndarray:
     last bidder the value at exactly 0 is its atom.  Values are clamped to
     [0, 1] against float drift at piece edges.
     """
-    prof = equilibrium_profile(config)
+    pc = _pieces(config)
     _check_bidder(config, i)
-    return _scalar_or_array(lambda xs: _cdf_array(config, prof, i, xs), x)
+    return _scalar_or_array(lambda xs: _cdf_array(pc, i, xs), x)
 
 
 def _scalar_or_array(kernel, x) -> float | np.ndarray:
     """Apply the elementwise array kernel to x: a float for a scalar x, else an
-    array of x's shape."""
+    array of x's shape.  Raises ValidationError if x holds a NaN."""
     xs = np.asarray(x, dtype=float)
+    if np.isnan(xs).any():
+        raise ValidationError("x must not be NaN")
     out = kernel(xs.reshape(-1)).reshape(xs.shape)
     return float(out) if xs.ndim == 0 else out
 
 
-def _cdf_array(
-    config: AuctionConfig, prof: EquilibriumProfile, i: int | np.ndarray, xs: np.ndarray
-) -> np.ndarray:
+def _cdf_array(pc: _Pieces, i: int | np.ndarray, xs: np.ndarray) -> np.ndarray:
     """CDF kernel for bidders ``i`` (1-based, scalar or array broadcast against
     ``xs``) at bids ``xs``.  Every bidder's CDF on piece k is built from the
     same H_k(x), evaluated once per point; bidder i uses pieces 1..min(i, n-1)."""
-    n = config.n
-    p_i = np.asarray(config.probabilities)[np.asarray(i) - 1]
-    k = _piece_indices(prof, xs)
+    n = pc.n
+    p_i = pc.probs[np.asarray(i) - 1]
+    k = _piece_indices(pc, xs)
     k_max = np.minimum(i, n - 1)  # bidder i's piece of lowest bids
     inner = (k >= 1) & (k <= np.max(k_max))  # on a piece of some requested bidder
-    kv = k[inner]
+    m = n - k[inner]
     h = np.zeros_like(xs, dtype=float)
-    h[inner] = ((prof.lam + xs[inner]) / np.asarray(prof.prefix_products)[kv]) ** (1.0 / (n - kv))
+    h[inner] = ((pc.lam + xs[inner]) / pc.prefix_rev[m]) ** (1.0 / m)
     live = inner & (k <= k_max)
     return np.where(live, np.clip((h + p_i - 1.0) / p_i, 0.0, 1.0), k == 0)
 
@@ -255,28 +287,25 @@ def pdf(config: AuctionConfig, i: int, x) -> float | np.ndarray:
     (exactly 0, when the atom mass is positive) raises, densities do not
     exist there.
     """
-    prof = equilibrium_profile(config)
+    pc = _pieces(config)
     _check_bidder(config, i)
-    if i == config.n and prof.atom_n > 0.0 and np.any(np.asarray(x, dtype=float) == 0.0):
+    atom = equilibrium_profile(config).atom_n
+    if i == config.n and atom > 0.0 and np.any(np.asarray(x, dtype=float) == 0.0):
         raise ValidationError("atom has no density: bidder n holds mass at bid 0")
-    return _scalar_or_array(lambda xs: _pdf_array(config, prof, i, xs), x)
+    return _scalar_or_array(lambda xs: _pdf_array(pc, i, xs), x)
 
 
-def _pdf_array(
-    config: AuctionConfig, prof: EquilibriumProfile, i: int, xs: np.ndarray
-) -> np.ndarray:
-    n = config.n
-    p_i = config.probabilities[i - 1]
-    k = _piece_indices(prof, xs)
+def _pdf_array(pc: _Pieces, i: int, xs: np.ndarray) -> np.ndarray:
+    n = pc.n
+    p_i = pc.probs[i - 1]
+    k = _piece_indices(pc, xs)
     out = np.zeros_like(xs, dtype=float)
     k_max = n - 1 if i == n else i
     live = (k >= 1) & (k <= k_max)
     if np.any(live):
-        kv = k[live]
-        m = (n - kv).astype(float)
-        lam = prof.lam
-        pref = np.asarray(prof.prefix_products)[kv]
-        out[live] = (lam + xs[live]) ** ((1.0 - m) / m) / (p_i * m * pref ** (1.0 / m))
+        m = n - k[live]
+        pref = pc.prefix_rev[m]
+        out[live] = (pc.lam + xs[live]) ** ((1.0 - m) / m) / (p_i * m * pref ** (1.0 / m))
     return out
 
 
@@ -288,17 +317,15 @@ def quantile(config: AuctionConfig, i: int, u) -> float | np.ndarray:
     on the piece k whose CDF range contains u, and 0 for u at or below the
     last bidder's atom mass.  Raises ValidationError for u outside [0, 1].
     """
-    prof = equilibrium_profile(config)
+    pc = _pieces(config)
     _check_bidder(config, i)
     us = np.asarray(u, dtype=float)
     if np.any((us < 0.0) | (us > 1.0) | np.isnan(us)):
         raise ValidationError("quantile level must lie in [0, 1]")
-    return _scalar_or_array(lambda levels: _quantile_array(config, prof, i, levels), us)
+    return _scalar_or_array(lambda levels: _quantile_array(pc, i, levels), us)
 
 
-def _quantile_array(
-    config: AuctionConfig, prof: EquilibriumProfile, i: int | np.ndarray, us: np.ndarray
-) -> np.ndarray:
+def _quantile_array(pc: _Pieces, i: int | np.ndarray, us: np.ndarray) -> np.ndarray:
     """Quantile kernel for bidders ``i`` (1-based, scalar or array broadcast
     against ``us``) at levels ``us`` in [0, 1].
 
@@ -310,11 +337,10 @@ def _quantile_array(
     for the last bidder's atom, where the exponent 0 and prefix_n == lam make
     the formula exactly 0.
     """
-    p_i = np.asarray(config.probabilities)[np.asarray(i) - 1]
+    p_i = pc.probs[np.asarray(i) - 1]
     shape = np.broadcast_shapes(np.shape(p_i), np.shape(us))
     return _quantile_into(
-        config,
-        prof,
+        pc,
         p_i,
         us,
         np.empty(shape),
@@ -325,8 +351,7 @@ def _quantile_array(
 
 
 def _quantile_into(
-    config: AuctionConfig,
-    prof: EquilibriumProfile,
+    pc: _Pieces,
     p_i: np.ndarray,
     us: np.ndarray,
     out: np.ndarray,
@@ -346,64 +371,36 @@ def _quantile_into(
     """
     np.subtract(1.0, us, out=scratch)
     scratch *= p_i
-    k = _piece_search(np.asarray(config.probabilities), scratch, index, out, mask)
-    exponent = np.subtract(config.n - 1, k, out=k)  # n - k for 1-based k
+    k = _piece_search(pc, scratch, index, out, mask)
+    exponent = np.subtract(pc.n - 1, k, out=k)  # n - k for 1-based k
     np.multiply(p_i, us, out=out)
     out += 1.0
     out -= p_i
     power = np.power(out, exponent, out=scratch)
-    # prefix_k is entry n - k of the reversed prefix products.  mode="clip":
-    # the exponent is in range, and the default "raise" buffers ``out``.
-    reversed_prefix = np.asarray(prof.prefix_products)[::-1]
-    np.take(reversed_prefix, exponent, out=out, mode="clip")
+    # prefix_k is entry n - k of prefix_rev.  mode="clip": the exponent is in
+    # range, and the default "raise" buffers ``out``.
+    np.take(pc.prefix_rev, exponent, out=out, mode="clip")
     out *= power
-    out -= prof.lam
+    out -= pc.lam
     return np.maximum(out, 0.0, out=out)
 
 
-class _Guide(NamedTuple):
-    """Guide table of sorted probabilities p in (0, 1] for levels v in [0, 1]
-    (indexed search: Chen & Asau 1974; Devroye 1986, section III.2.4).
-
-    [0, 1) is cut into ``cells`` cells [b/G, (b+1)/G), G the smallest power
-    of two >= 4n, so that v G and b/G are exact; v = 1 alone makes cell G.
-    ``edges[b]`` counts the p_j below b/G for b = 0..G, so the count below any
-    v in cell b lies in [edges[b], edges[b + 1]], and in cell G it is
-    edges[G]: a p_j = 1 is below no level and lies in no cell.  ``rounds`` is
-    the bit length of the largest cell occupancy, at most ceil(log2(n + 1)).
-    ``pad`` is p followed by 2**rounds copies of +inf, so every probe is in
-    range."""
-
-    cells: int
-    edges: np.ndarray
-    rounds: int
-    pad: np.ndarray
-
-
-def _guide(p: np.ndarray) -> _Guide:
-    cells = 1 << (4 * len(p) - 1).bit_length()
-    edges = np.searchsorted(p, np.arange(cells + 1) / cells, side="left")
-    rounds = int((edges[1:] - edges[:-1]).max()).bit_length()
-    return _Guide(cells, edges, rounds, np.concatenate((p, np.full(1 << rounds, np.inf))))
-
-
 def _piece_search(
-    p: np.ndarray, v: np.ndarray, k: np.ndarray, scratch: np.ndarray, mask: np.ndarray
+    pc: _Pieces, v: np.ndarray, k: np.ndarray, scratch: np.ndarray, mask: np.ndarray
 ) -> np.ndarray:
-    """searchsorted(p, v, "left"), the count of the sorted probabilities p
+    """searchsorted(pc.probs, v, "left"), the count of the sorted probabilities
     below each level v in [0, 1], written into the int64 ``k``; the float
     ``scratch`` and the bool ``mask`` have v's shape.  Each level starts at
     its guide cell's lower count and takes rounds fixed branchless steps of
     2**(rounds-1), ..., 1, advancing by a step where the probe below it is
     still below v, so ties and p = 1 come out as searchsorted's, bit for bit.
-    The guide table is cheap next to the search and is built per call."""
-    guide = _guide(p)
+    The guide table is built once per config, with the rest of ``pc``."""
     # mode="clip": every index is in range, and "raise" buffers ``out``
-    cell = np.multiply(v, guide.cells, out=scratch.view(np.int64), casting="unsafe")
-    np.take(guide.edges, cell, out=k, mode="clip")
-    for r in reversed(range(guide.rounds)):
+    cell = np.multiply(v, pc.cells, out=scratch.view(np.int64), casting="unsafe")
+    np.take(pc.edges, cell, out=k, mode="clip")
+    for r in reversed(range(pc.rounds)):
         step = 1 << r
-        probe = np.take(guide.pad[step - 1 :], k, out=scratch, mode="clip")
+        probe = np.take(pc.pad[step - 1 :], k, out=scratch, mode="clip")
         np.less(probe, v, out=mask)
         # A masked add is quick on long runs of equal mask values, which the
         # coarse steps mostly give, but some 15x slower than a plain add of
@@ -423,40 +420,37 @@ def payoff(config: AuctionConfig, i: int, x) -> float | np.ndarray:
     Equals lam everywhere on bidder i's support and falls below lam off it.
     """
     _check_bidder(config, i)
-    return _scalar_or_array(lambda xs: _opponent_product(config, xs, skip=i) - xs, x)
+    return _scalar_or_array(lambda xs: _opponent_product(_pieces(config), xs, skip=i) - xs, x)
 
 
 _BLOCK_ENTRIES = 2**13  # factor-matrix entries per row block
 
 
 def _factor_blocks(
-    config: AuctionConfig, xs: np.ndarray, cdfs=None, p=None
+    pc: _Pieces, xs: np.ndarray, cdfs=None, p=None
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """The factor kernel: over row blocks of about _BLOCK_ENTRIES entries of
     the 1-d bids ``xs``, yield each block's slice and rows x n matrix of
     p_j F_j(x) + 1 - p_j, the chance that bidder j does not outbid x.  F_j is
     the equilibrium CDF unless ``cdfs`` gives one callable per sorted bidder,
     each called once on all of ``xs``; ``p`` overrides the probabilities."""
-    prof = equilibrium_profile(config)
-    p = np.asarray(config.probabilities if p is None else p, dtype=float)
+    p = pc.probs if p is None else np.asarray(p, dtype=float)
     given = None if cdfs is None else np.array([c(xs) for c in cdfs], dtype=float)
-    step = max(1, _BLOCK_ENTRIES // config.n)
+    step = max(1, _BLOCK_ENTRIES // pc.n)
     for start in range(0, len(xs), step):
         rows = slice(start, start + step)
         if given is None:
-            f = _cdf_array(config, prof, np.arange(1, config.n + 1), xs[rows, None])
+            f = _cdf_array(pc, np.arange(1, pc.n + 1), xs[rows, None])
         else:
             f = given[:, rows].T
         yield rows, p * f + 1.0 - p
 
 
-def _opponent_product(
-    config: AuctionConfig, xs: np.ndarray, skip: int = 0, cdfs=None, p=None
-) -> np.ndarray:
+def _opponent_product(pc: _Pieces, xs: np.ndarray, skip: int = 0, cdfs=None, p=None) -> np.ndarray:
     """prod_j (p_j F_j(x) + 1 - p_j) in bidder order over every j but ``skip``
     (1-based; 0 skips none); ``cdfs`` and ``p`` as in _factor_blocks."""
     out = np.empty(len(xs))
-    for rows, f in _factor_blocks(config, xs, cdfs, p):
+    for rows, f in _factor_blocks(pc, xs, cdfs, p):
         if skip:
             f[:, skip - 1] = 1.0
         out[rows] = f.prod(axis=1)

@@ -82,7 +82,7 @@ def winning_bid_cdf(config: AuctionConfig, x) -> float | np.ndarray:
     with G(0) the probability that the winning bid is 0 (nobody outbids the
     atom, or nobody shows up at all).
     """
-    return _scalar_or_array(lambda xs: _opponent_product(config, xs), x)
+    return _scalar_or_array(lambda xs: _opponent_product(_pieces(config), xs), x)
 
 
 def max_profit(config: AuctionConfig) -> float:
@@ -244,17 +244,17 @@ def _integrate_support(f, config: AuctionConfig, i: int) -> float:
 
 def expected_bid_quadrature(config: AuctionConfig, i: int) -> float:
     """E[bid_i] by quadrature of x * f_i(x) piece by piece (an atom at 0 adds 0)."""
-    prof = equilibrium_profile(config)
+    pc = _pieces(config)
     _check_bidder(config, i)
-    return _integrate_support(lambda x: x * _pdf_array(config, prof, i, x), config, i)
+    return _integrate_support(lambda x: x * _pdf_array(pc, i, x), config, i)
 
 
 def distribution_mass_quadrature(config: AuctionConfig, i: int) -> float:
     """Total probability mass of bidder i: atom plus quadrature of the density."""
-    prof = equilibrium_profile(config)
+    pc = _pieces(config)
     _check_bidder(config, i)
-    atom = prof.atom_n if i == config.n else 0.0
-    return atom + _integrate_support(lambda x: _pdf_array(config, prof, i, x), config, i)
+    atom = equilibrium_profile(config).atom_n if i == config.n else 0.0
+    return atom + _integrate_support(lambda x: _pdf_array(pc, i, x), config, i)
 
 
 def max_profit_quadrature(config: AuctionConfig) -> float:

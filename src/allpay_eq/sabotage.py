@@ -120,7 +120,8 @@ def sabotaged_payoff(scenario: SabotageScenario, x) -> float | np.ndarray:
         raise ValidationError(f"bid outside [0, {s0}]")
     p = list(cfg.probabilities)
     p[scenario.target - 1] = scenario.true_target_probability
-    return _scalar_or_array(lambda xs: _opponent_product(cfg, xs, scenario.saboteur, p=p) - xs, x)
+    pc = _pieces(cfg)
+    return _scalar_or_array(lambda xs: _opponent_product(pc, xs, scenario.saboteur, p=p) - xs, x)
 
 
 def joint_support_profit(scenario: SabotageScenario, k: int, x) -> float | np.ndarray:

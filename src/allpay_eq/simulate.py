@@ -45,6 +45,7 @@ from .equilibrium import (
     _check_bidder,
     _factor_blocks,
     _opponent_product,
+    _pieces,
     _quantile_array,
     _quantile_into,
     cdf,
@@ -93,7 +94,7 @@ def run_auction(config: AuctionConfig, randomness) -> AuctionOutcome:
             bids[0] = 0.0
     elif active:
         u = np.asarray([draw() for _ in active])
-        values = _quantile_array(config, equilibrium_profile(config), np.asarray(active), u)
+        values = _quantile_array(_pieces(config), np.asarray(active), u)
         for i, b in zip(active, values):
             bids[i - 1] = float(b)
     return _settle(participated, bids)
@@ -390,10 +391,9 @@ def _simulate_block(
             p_i[stop : stop + count] = p_j
             stop += count
         scratch = arena.words[n * m : n * m + k]
-        prof = equilibrium_profile(config)
         index = arena.pos.view(np.int64)[:k]  # the positions are dead after the gather
         values = _quantile_into(
-            config, prof, p_i, us, arena.levels[:k], scratch, index, arena.win[:k]
+            _pieces(config), p_i, us, arena.levels[:k], scratch, index, arena.win[:k]
         )
         bids.fill(0.0)
         bids.ravel()[flat] = values
@@ -406,10 +406,9 @@ def _simulate_block(
     np.divide(1.0, share, out=share, where=np.greater(share, 0.0, out=arena.nonempty[:m]))
     utilities = np.multiply(winners, share, out=_view(arena.pos, n, m))
     utilities -= bids
-    sum_rev = arena.sum_rev[:m]
-    np.copyto(sum_rev, bids[0])
-    for row in bids[1:]:  # bidders in index order, as run_auction adds them
-        sum_rev += row
+    # numpy reduces axis 0 of a C-contiguous array row by row, in bidder index
+    # order, as run_auction adds the bids
+    sum_rev = np.sum(bids, axis=0, out=arena.sum_rev[:m])
     return part, bids, utilities, sum_rev, top
 
 
@@ -543,10 +542,10 @@ def best_response_audit(
     if cdfs is None:
         return _equilibrium_audits(config, grid_size)[i - 1]
     grid = np.union1d(np.linspace(0.0, prof.breakpoints[0], grid_size), prof.breakpoints)
-    payoff_grid = _opponent_product(config, grid, i, cdfs) - grid
+    payoff_grid = _opponent_product(_pieces(config), grid, i, cdfs) - grid
     best = int(np.argmax(payoff_grid))
     mids = 0.5 * (grid[1:] + grid[:-1])
-    payoff_mids = _opponent_product(config, mids, i, cdfs) - mids
+    payoff_mids = _opponent_product(_pieces(config), mids, i, cdfs) - mids
     f_grid = np.asarray(cdfs[i - 1](grid), dtype=float)
     baseline = float(f_grid[0] * payoff_grid[0] + np.sum(payoff_mids * np.diff(f_grid)))
     return AuditResult(
@@ -569,7 +568,7 @@ def _equilibrium_audits(config: AuctionConfig, grid_size: int) -> tuple[AuditRes
     grid = np.union1d(np.linspace(0.0, prof.breakpoints[0], grid_size), prof.breakpoints)
     best = np.full(config.n, -np.inf)
     argmax = np.zeros(config.n)
-    for rows, f in _factor_blocks(config, grid):
+    for rows, f in _factor_blocks(_pieces(config), grid):
         ones = np.ones((len(f), 1))
         below = np.cumprod(np.hstack([ones, f[:, :-1]]), axis=1)
         above = np.cumprod(np.hstack([ones, f[:, :0:-1]]), axis=1)[:, ::-1]

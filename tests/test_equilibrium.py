@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import allpay_eq as ap
-from allpay_eq.equilibrium import _guide, _piece_search, _quantile_array
+from allpay_eq.equilibrium import _pieces, _piece_search, _quantile_array
 from conftest import edge_prob_lists, example1_explicit_cdfs, prob_lists, random_configs
 
 S0, S1, S2 = 11 / 12, 23 / 108, 1 / 12
@@ -318,7 +318,6 @@ def test_quantile_kernel_matches_per_bidder_reference(case):
     closed forms differ by their rounding, so there the bid must match some
     piece's closed form to EDGE_TOL (only the pieces meeting there come close)."""
     cfg, seed = case
-    prof = ap.equilibrium_profile(cfg)
     p = np.asarray(cfg.probabilities)
     rng = np.random.default_rng(seed)
     bidders, levels_all, bids_each = [], [], []
@@ -327,7 +326,7 @@ def test_quantile_kernel_matches_per_bidder_reference(case):
         edges = edges[edges >= 0.0]
         near_edges = [edges, np.nextafter(edges, 2.0), np.nextafter(edges, -1.0)]
         us = np.clip(np.concatenate([rng.random(32), *near_edges, [0.0, 1.0]]), 0.0, 1.0)
-        got = _quantile_array(cfg, prof, i, us)
+        got = _quantile_array(_pieces(cfg), i, us)
         assert np.array_equal(got, ap.quantile(cfg, i, us))
         ref, levels, k_max = reference_quantile(cfg, i, us)
         table = np.concatenate([levels, edges])
@@ -343,7 +342,7 @@ def test_quantile_kernel_matches_per_bidder_reference(case):
         levels_all.append(us)
         bids_each.append(got)
     # one call over every bidder at once, as the simulator makes it
-    fused = _quantile_array(cfg, prof, np.concatenate(bidders), np.concatenate(levels_all))
+    fused = _quantile_array(_pieces(cfg), np.concatenate(bidders), np.concatenate(levels_all))
     assert np.array_equal(fused, np.concatenate(bids_each))
 
 
@@ -352,17 +351,17 @@ def assert_piece_search_exact(probs, seed):
     levels, at every cell edge b/G, at every p_j and both of its float
     neighbours, and at 0 and 1; its round count is the bit length of the
     largest cell occupancy, counting no p_j = 1, and at most ceil(log2(n+1))."""
-    p = np.asarray(ap.build_config(probs).probabilities)
-    guide = _guide(p)
+    pc = _pieces(ap.build_config(probs))
+    p = pc.probs
     below_one = p[p < 1.0]
-    occupancy = np.bincount((below_one * guide.cells).astype(int), minlength=1)
-    assert guide.rounds == int(occupancy.max()).bit_length()
-    assert guide.rounds <= math.ceil(math.log2(p.size + 1))
+    occupancy = np.bincount((below_one * pc.cells).astype(int), minlength=1)
+    assert pc.rounds == int(occupancy.max()).bit_length()
+    assert pc.rounds <= math.ceil(math.log2(p.size + 1))
     rng = np.random.default_rng(seed)
-    cell_edges = np.arange(guide.cells + 1) / guide.cells
+    cell_edges = np.arange(pc.cells + 1) / pc.cells
     near = [p, np.nextafter(p, 2.0), np.nextafter(p, -1.0)]
     v = np.clip(np.concatenate([rng.random(256), cell_edges, *near, [0.0, 1.0]]), 0.0, 1.0)
-    k = _piece_search(p, v, np.empty(v.size, np.int64), np.empty(v.size), np.empty(v.size, bool))
+    k = _piece_search(pc, v, np.empty(v.size, np.int64), np.empty(v.size), np.empty(v.size, bool))
     assert np.array_equal(k, np.searchsorted(p, v, side="left"))
 
 
@@ -382,8 +381,20 @@ def test_piece_search_clustered_worst_case():
     its most rounds, ceil(log2(65)) = 7, and stays exact."""
     probs = list(0.5 + np.arange(64) * 1e-14)
     assert len(set(probs)) == 64
-    assert _guide(np.asarray(probs)).rounds == 7
+    assert _pieces(ap.build_config(probs)).rounds == 7
     assert_piece_search_exact(probs, 3)
+
+
+def test_piece_table_is_built_once_and_read_only(example4):
+    """The table is cached per config and shared between calls, so none of its
+    arrays may be written through."""
+    pc = _pieces(example4)
+    assert _pieces(ap.build_config(list(example4.probabilities))) is pc
+    arrays = [field for field in pc if isinstance(field, np.ndarray)]
+    assert len(arrays) == 12
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -465,3 +476,33 @@ def test_bidder_index_validation(example4):
     for bad in (0, 5, -1):
         with pytest.raises(ap.ValidationError):
             ap.cdf(example4, bad, 0.5)
+
+
+def _scenario(cfg):
+    return ap.SabotageScenario(cfg, 2, 1, cfg.probabilities[0] / 2)
+
+
+NAN = float("nan")
+NAN_ENTRY_POINTS = {
+    "cdf": lambda cfg, x: ap.cdf(cfg, 1, x),
+    "pdf": lambda cfg, x: ap.pdf(cfg, 1, x),
+    "quantile": lambda cfg, x: ap.quantile(cfg, 1, x),
+    "payoff": lambda cfg, x: ap.payoff(cfg, 1, x),
+    "winning_bid_cdf": ap.winning_bid_cdf,
+    "sabotaged_payoff": lambda cfg, x: ap.sabotaged_payoff(_scenario(cfg), x),
+    "joint_support_profit": lambda cfg, x: ap.joint_support_profit(_scenario(cfg), 1, x),
+    "no_failure_cdf": lambda cfg, x: ap.no_failure_cdf(cfg.n, x),
+    "h_value": lambda cfg, x: ap.h_value(cfg, 1, x),
+}
+NAN_CASES = [(name, NAN) for name in NAN_ENTRY_POINTS] + [
+    (name, [0.1, NAN]) for name in NAN_ENTRY_POINTS if name != "h_value"  # h_value is scalar
+]
+
+
+@pytest.mark.parametrize(
+    "name, x", NAN_CASES, ids=[f"{n}-{np.ndim(x) and 'array' or 'scalar'}" for n, x in NAN_CASES]
+)
+def test_nan_bid_raises(example4, name, x):
+    """A NaN bid (or level) is refused, never answered with a number."""
+    with pytest.raises(ap.ValidationError):
+        NAN_ENTRY_POINTS[name](example4, x)

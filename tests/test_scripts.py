@@ -1,4 +1,4 @@
-"""The README's runnable scripts, run as a user runs them."""
+"""The README's runnable scripts and its library tour, run as a user runs them."""
 
 import csv
 import io
@@ -6,7 +6,8 @@ from pathlib import Path
 
 from conftest import run_python
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def test_worked_example_script():
@@ -24,3 +25,12 @@ def test_uniform_sweep_script():
     header, *rows = csv.reader(io.StringIO(done.stdout))
     assert header[:3] == ["n", "p", "lambda"]
     assert len(rows) == 3 and all(len(row) == len(header) for row in rows)
+
+
+def test_readme_library_block():
+    """The python block of the README's Library section runs as written."""
+    library = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1]
+    code = library.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "ap.monte_carlo(cfg" in code
+    done = run_python("-c", code)
+    assert done.returncode == 0, done.stderr
