@@ -4,132 +4,117 @@ Closed-form symmetric equilibrium (piecewise CDFs, expected bids, revenue
 under the sum-profit and max-profit models), a shared-probability calculator,
 an optimal-bid planner against a sabotaged rival, and a seeded Monte Carlo
 engine plus best-response auditor that verify the closed forms independently.
+
+Importing the package loads none of its modules: each public name is imported
+from its module on first use (PEP 562), so a caller that never touches the
+Monte Carlo engine never loads it, nor numpy's random module.
 """
 
-from .config import (
-    AuctionConfig,
-    AuctionError,
-    DegenerateAuctionError,
-    ValidationError,
-    build_config,
-    config_from_json,
-)
-from .equilibrium import (
-    BidDistribution,
-    DistributionPiece,
-    EquilibriumProfile,
-    atom_at_zero,
-    bid_distribution,
-    breakpoints,
-    cdf,
-    equilibrium_profile,
-    expected_utility,
-    h_value,
-    lambda_value,
-    no_failure_cdf,
-    payoff,
-    pdf,
-    quantile,
-    support,
-)
-from .metrics import (
-    NoFailureBaseline,
-    RevenueReport,
-    distribution_mass_quadrature,
-    expected_bid,
-    expected_bid_quadrature,
-    expected_bids,
-    max_profit,
-    max_profit_quadrature,
-    no_failure_baseline,
-    revenue_report,
-    sum_profit,
-    winning_bid_cdf,
-)
-from .sabotage import (
-    SabotageCandidate,
-    SabotagePlan,
-    SabotageScenario,
-    joint_support_profit,
-    optimal_sabotage_bid,
-    sabotaged_payoff,
-)
-from .simulate import (
-    AuctionOutcome,
-    AuditResult,
-    BidderStats,
-    RevenueStats,
-    SimulationReport,
-    best_response_audit,
-    equilibrium_cdf_callables,
-    monte_carlo,
-    run_auction,
-)
-from .uniform import (
-    UniformCase,
-    uniform_bid_moments,
-    uniform_bidder_profit,
-    uniform_max_profit,
-    uniform_sum_profit,
-    uniform_sum_revenue_variance,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuctionConfig",
-    "AuctionError",
-    "AuctionOutcome",
-    "AuditResult",
-    "BidDistribution",
-    "BidderStats",
-    "DegenerateAuctionError",
-    "DistributionPiece",
-    "EquilibriumProfile",
-    "NoFailureBaseline",
-    "RevenueReport",
-    "RevenueStats",
-    "SabotageCandidate",
-    "SabotagePlan",
-    "SabotageScenario",
-    "SimulationReport",
-    "UniformCase",
-    "ValidationError",
-    "atom_at_zero",
-    "best_response_audit",
-    "bid_distribution",
-    "breakpoints",
-    "build_config",
-    "cdf",
-    "config_from_json",
-    "distribution_mass_quadrature",
-    "equilibrium_cdf_callables",
-    "equilibrium_profile",
-    "expected_bid",
-    "expected_bid_quadrature",
-    "expected_bids",
-    "expected_utility",
-    "h_value",
-    "joint_support_profit",
-    "lambda_value",
-    "max_profit",
-    "max_profit_quadrature",
-    "monte_carlo",
-    "no_failure_baseline",
-    "no_failure_cdf",
-    "optimal_sabotage_bid",
-    "payoff",
-    "pdf",
-    "quantile",
-    "revenue_report",
-    "run_auction",
-    "sabotaged_payoff",
-    "sum_profit",
-    "support",
-    "uniform_bid_moments",
-    "uniform_bidder_profit",
-    "uniform_max_profit",
-    "uniform_sum_profit",
-    "uniform_sum_revenue_variance",
-    "winning_bid_cdf",
-]
+# public name -> the module that defines it
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "AuctionConfig",
+            "AuctionError",
+            "DegenerateAuctionError",
+            "ValidationError",
+            "build_config",
+            "config_from_json",
+        ),
+        "config",
+    ),
+    **dict.fromkeys(
+        (
+            "BidDistribution",
+            "DistributionPiece",
+            "EquilibriumProfile",
+            "atom_at_zero",
+            "bid_distribution",
+            "breakpoints",
+            "cdf",
+            "equilibrium_profile",
+            "expected_utility",
+            "h_value",
+            "lambda_value",
+            "no_failure_cdf",
+            "payoff",
+            "pdf",
+            "quantile",
+            "support",
+        ),
+        "equilibrium",
+    ),
+    **dict.fromkeys(
+        (
+            "NoFailureBaseline",
+            "RevenueReport",
+            "distribution_mass_quadrature",
+            "expected_bid",
+            "expected_bid_quadrature",
+            "expected_bids",
+            "max_profit",
+            "max_profit_quadrature",
+            "no_failure_baseline",
+            "revenue_report",
+            "sum_profit",
+            "winning_bid_cdf",
+        ),
+        "metrics",
+    ),
+    **dict.fromkeys(
+        (
+            "SabotageCandidate",
+            "SabotagePlan",
+            "SabotageScenario",
+            "joint_support_profit",
+            "optimal_sabotage_bid",
+            "sabotaged_payoff",
+        ),
+        "sabotage",
+    ),
+    **dict.fromkeys(
+        (
+            "AuctionOutcome",
+            "AuditResult",
+            "BidderStats",
+            "RevenueStats",
+            "SimulationReport",
+            "best_response_audit",
+            "equilibrium_cdf_callables",
+            "monte_carlo",
+            "run_auction",
+        ),
+        "simulate",
+    ),
+    **dict.fromkeys(
+        (
+            "UniformCase",
+            "uniform_bid_moments",
+            "uniform_bidder_profit",
+            "uniform_max_profit",
+            "uniform_sum_profit",
+            "uniform_sum_revenue_variance",
+        ),
+        "uniform",
+    ),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return __all__

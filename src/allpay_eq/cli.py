@@ -4,6 +4,11 @@ Subcommands: equilibrium, table, simulate, sabotage, uniform, audit.  Each is
 a thin adapter over the library: stdout carries only the serialized module
 result (JSON or CSV with 12 significant digits), stderr carries diagnostics.
 Exit codes: 0 success, 2 invalid input, 1 internal error.
+
+Each handler parses its input first and then imports the library code it
+calls, so a call loads only what it runs: ``uniform`` and input that fails to
+parse never load numpy, and only ``simulate`` and ``audit`` load the Monte
+Carlo engine.
 """
 
 from __future__ import annotations
@@ -15,21 +20,7 @@ import json
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from .config import AuctionConfig, ValidationError, build_config, config_from_json
-from .equilibrium import cdf, equilibrium_profile, pdf
-from .metrics import revenue_report
-from .sabotage import SabotageScenario, optimal_sabotage_bid
-from .simulate import best_response_audit, monte_carlo
-from .uniform import (
-    UniformCase,
-    uniform_bid_moments,
-    uniform_bidder_profit,
-    uniform_max_profit,
-    uniform_sum_profit,
-    uniform_sum_revenue_variance,
-)
 
 _SIG_DIGITS = 12
 
@@ -121,6 +112,8 @@ def _load_config(args: argparse.Namespace) -> AuctionConfig:
 
 def _cmd_equilibrium(args: argparse.Namespace):
     config = _load_config(args)
+    from .metrics import revenue_report
+
     report = revenue_report(config)
     payload = report.to_dict()
     rows = [
@@ -145,6 +138,10 @@ def _cmd_table(args: argparse.Namespace):
     config.require_competition()
     if args.grid < 2:
         raise ValidationError("--grid must be >= 2")
+    import numpy as np
+
+    from .equilibrium import cdf, equilibrium_profile, pdf
+
     prof = equilibrium_profile(config)
     xs = np.linspace(0.0, prof.breakpoints[0], args.grid)
     rows = []
@@ -171,6 +168,9 @@ def _cmd_table(args: argparse.Namespace):
 
 def _cmd_simulate(args: argparse.Namespace):
     config = _load_config(args)
+    from .metrics import revenue_report
+    from .simulate import monte_carlo
+
     report = monte_carlo(config, args.trials, seed=args.seed)
     payload = report.to_dict()
     if config.n >= 2:
@@ -197,6 +197,8 @@ def _cmd_simulate(args: argparse.Namespace):
 
 def _cmd_sabotage(args: argparse.Namespace):
     config = _load_config(args)
+    from .sabotage import SabotageScenario, optimal_sabotage_bid
+
     scenario = SabotageScenario(
         config=config,
         saboteur=args.i,
@@ -209,6 +211,15 @@ def _cmd_sabotage(args: argparse.Namespace):
 
 
 def _cmd_uniform(args: argparse.Namespace):
+    from .uniform import (
+        UniformCase,
+        uniform_bid_moments,
+        uniform_bidder_profit,
+        uniform_max_profit,
+        uniform_sum_profit,
+        uniform_sum_revenue_variance,
+    )
+
     case = UniformCase(n=args.n, p=args.p)
     bid = uniform_bid_moments(case)
     profit = uniform_bidder_profit(case)
@@ -237,6 +248,9 @@ def _cmd_uniform(args: argparse.Namespace):
 
 def _cmd_audit(args: argparse.Namespace):
     config = _load_config(args)
+    from .equilibrium import equilibrium_profile
+    from .simulate import best_response_audit
+
     bidders = range(1, config.n + 1) if args.i is None else [args.i]
     results = [best_response_audit(config, i, args.grid) for i in bidders]
     payload = {

@@ -8,6 +8,7 @@ the config so reports can be emitted in either order.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,6 +23,16 @@ class ValidationError(AuctionError, ValueError):
 
 class DegenerateAuctionError(ValidationError):
     """Single-bidder auction: equilibrium quantities are undefined (n >= 2 required)."""
+
+
+def _check_integer(name: str, value) -> int:
+    """``value`` as a Python int: anything with ``__index__`` but a bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

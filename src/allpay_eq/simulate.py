@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .config import AuctionConfig, ValidationError
+from .config import AuctionConfig, ValidationError, _check_integer
 from .equilibrium import (
     _check_bidder,
     _factor_blocks,
@@ -79,10 +79,12 @@ def run_auction(config: AuctionConfig, randomness) -> AuctionOutcome:
     """Play one auction.
 
     ``randomness`` is either a numpy Generator or an iterable of uniforms in
-    [0, 1).  Draws are consumed in the documented order (participation flags
-    for bidders 1..n, then bids for participants in index order), so a replay
-    from a recorded stream is exact.  A single-bidder auction needs no bid
-    draw: the sole bidder bids 0 and wins whenever present.
+    [0, 1); a replayed uniform that is NaN or outside [0, 1) raises
+    ``ValidationError``.  Draws are consumed in the documented order
+    (participation flags for bidders 1..n, then bids for participants in
+    index order), so a replay from a recorded stream is exact.  A
+    single-bidder auction needs no bid draw: the sole bidder bids 0 and wins
+    whenever present.
     """
     n = config.n
     draw = _make_drawer(randomness)
@@ -104,7 +106,14 @@ def _make_drawer(randomness) -> Callable[[], float]:
     if isinstance(randomness, Generator):
         return lambda: float(randomness.random())
     iterator = iter(randomness)
-    return lambda: float(next(iterator))
+
+    def draw() -> float:
+        u = float(next(iterator))
+        if not 0.0 <= u < 1.0:  # also refuses NaN
+            raise ValidationError(f"replayed uniforms must lie in [0, 1), got {u!r}")
+        return u
+
+    return draw
 
 
 def _settle(participated: Sequence[bool], bids: Sequence[float | None]) -> AuctionOutcome:
@@ -267,16 +276,6 @@ def _default_chunk_size(n: int) -> int:
     """Trials per chunk: a budget of 2**19 Philox words at 2n words a trial,
     rounded down to an even count (whole 4-word Philox blocks) and at least 2."""
     return max(2, _CHUNK_WORDS // (2 * n) // 2 * 2)
-
-
-def _check_integer(name: str, value) -> int:
-    """``value`` as a Python int: anything with ``__index__`` but a bool."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def _resolve_threads(threads: int | None, chunks: int) -> int:

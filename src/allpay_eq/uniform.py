@@ -18,21 +18,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import ValidationError
+from .config import ValidationError, _check_integer
 
 
 @dataclass(frozen=True)
 class UniformCase:
-    """n >= 2 bidders, each participating with the same probability p in (0, 1]."""
+    """n >= 2 bidders, each participating with the same probability p in (0, 1].
+
+    n is an integer; neither n nor p may be a bool.
+    """
 
     n: int
     p: float
 
     def __post_init__(self) -> None:
-        if self.n < 2:
+        if _check_integer("n", self.n) < 2:
             raise ValidationError(f"uniform case needs n >= 2, got n={self.n}")
-        if not 0.0 < self.p <= 1.0:
-            raise ValidationError(f"common probability must lie in (0, 1], got {self.p}")
+        if isinstance(self.p, bool) or not 0.0 < self.p <= 1.0:
+            raise ValidationError(f"common probability must lie in (0, 1], got {self.p!r}")
 
     @property
     def lam(self) -> float:

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 
@@ -295,3 +296,51 @@ def test_import_and_equilibrium_leave_scipy_unloaded():
     )
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
+
+
+_ENGINE = ("allpay_eq.simulate", "numpy.random", "concurrent.futures")
+
+
+@pytest.mark.parametrize(
+    "argv, code, unloaded, loaded",
+    [
+        (["uniform", "--n", "3", "--p", "0.5"], 0, ("numpy",), ()),
+        (["equilibrium", "--probs", "abc"], 2, ("numpy",), ()),
+        (["equilibrium", *EXAMPLE_ARGS], 0, _ENGINE, ()),
+        (["table", *EXAMPLE_ARGS, "--grid", "5"], 0, _ENGINE, ()),
+        (["sabotage", *EXAMPLE_ARGS, "--i", "2", "--r", "3", "--p-prime", "0.5"], 0, _ENGINE, ()),
+        (["simulate", *EXAMPLE_ARGS, "--trials", "100"], 0, (), _ENGINE),
+    ],
+    ids=["uniform", "bad_probs", "equilibrium", "table", "sabotage", "simulate"],
+)
+def test_cli_loads_only_what_it_runs(argv, code, unloaded, loaded):
+    """A fresh ``python -m allpay_eq.cli`` call imports only the modules its
+    subcommand needs: ``uniform`` and unparsable input run without numpy,
+    and only ``simulate`` loads the Monte Carlo engine."""
+    script = (
+        "import runpy, sys\n"
+        f"sys.argv = ['allpay-eq', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('allpay_eq.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        f"assert code == {code}, code\n"
+        f"assert not [m for m in {unloaded!r} if m in sys.modules], {unloaded!r}\n"
+        f"assert all(m in sys.modules for m in {loaded!r}), {loaded!r}\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_exports_resolve_lazily():
+    """Every public name is its defining module's object, listed by dir(),
+    and bound by a star import; an unknown name raises AttributeError."""
+    for name in ap.__all__:
+        module = importlib.import_module(f"allpay_eq.{ap._EXPORTS[name]}")
+        assert getattr(ap, name) is getattr(module, name), name
+    assert set(ap.__all__) <= set(dir(ap))
+    namespace: dict = {}
+    exec("from allpay_eq import *", namespace)
+    assert all(namespace[name] is getattr(ap, name) for name in ap.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ap.no_such_name

@@ -80,6 +80,22 @@ def test_run_auction_accepts_generator(example4):
     assert len(out.bids) == 4
 
 
+@pytest.mark.parametrize(
+    "stream",
+    [
+        [0.0] * 4 + [math.nan, 0.5, 0.5, 0.5],  # NaN bid: no winner in _settle
+        [0.0] * 4 + [1.5, 0.5, 0.5, 0.5],  # bid 1.505, above s_0 = 0.917
+        [0.0] * 4 + [-0.5, 0.5, 0.5, 0.5],  # bid 0.083
+        [math.nan, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5],  # counted as absent
+        [1.0, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5],
+    ],
+    ids=["nan_bid", "bid_above_1", "negative_bid", "nan_participation", "participation_1"],
+)
+def test_run_auction_rejects_uniforms_outside_unit_interval(example4, stream):
+    with pytest.raises(ap.ValidationError, match=r"\[0, 1\)"):
+        ap.run_auction(example4, stream)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo engine
 # ---------------------------------------------------------------------------

@@ -18,6 +18,12 @@ def test_validation():
         case(3, 0.0)
     with pytest.raises(ap.ValidationError):
         case(3, 1.2)
+    # n must be an integer: n = 2.5 would give lam = (1 - p) ** 1.5
+    for n in (4.0, 2.5, True):
+        with pytest.raises(ap.ValidationError, match="n must be an integer"):
+            case(n, 0.5)
+    with pytest.raises(ap.ValidationError):
+        case(3, True)
 
 
 def test_bid_moments_examples():
