@@ -3,29 +3,29 @@
 Two revenue models are covered: the sum-profit auctioneer collects every
 submitted bid, the max-profit auctioneer collects only the winning bid.  Both
 the closed forms and their quadrature routes read piece k from the
-equilibrium's one piece table, as the interval [1 - p_k, 1 - p_{k-1}] swept by
-the level h = H_k(x), in which bids and CDFs are polynomials.  The routes (of
-the bid densities or of the winning-bid CDF, used by the test suite) never
-integrate across a breakpoint, and in h one fixed Gauss-Legendre rule of n
-nodes over all pieces is exact up to rounding: no tolerance, no adaptivity,
-and no dependency beyond numpy.  Their integrands are still evaluated in x,
-through the bid density and the winning-bid CDF, so the routes stay
-independent of the closed forms.
+equilibrium's one cached table (EquilibriumProfile), as the interval
+[1 - p_k, 1 - p_{k-1}] swept by the level h = H_k(x), in which bids and CDFs
+are polynomials.  The routes (of the bid densities or of the winning-bid CDF,
+used by the test suite) never integrate across a breakpoint, and in h one
+fixed Gauss-Legendre rule of n nodes over all pieces is exact up to rounding:
+no tolerance, no adaptivity, and no dependency beyond numpy.  Their
+integrands are still evaluated in x, through the bid density and the
+winning-bid CDF, so the routes stay independent of the closed forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .config import AuctionConfig, AuctionError, DegenerateAuctionError
 from .equilibrium import (
+    EquilibriumProfile,
     _check_bidder,
     _opponent_product,
     _pdf_array,
-    _pieces,
     _scalar_or_array,
     equilibrium_profile,
 )
@@ -56,9 +56,10 @@ def expected_bids(config: AuctionConfig) -> tuple[float, ...]:
     and the last bidder scales the second most reliable one:
     E[bid_n] = (p_{n-1}/p_n) * E[bid_{n-1}].
     """
-    pc = _pieces(config)
-    terms = pc.c * (pc.hi ** (pc.m + 1) - pc.lo ** (pc.m + 1)) / (pc.m + 1) - pc.lam * pc.width
-    bids = (np.cumsum(terms) / pc.p).tolist()
+    prof = equilibrium_profile(config)
+    m = prof.m
+    terms = prof.c * (prof.hi ** (m + 1) - prof.lo ** (m + 1)) / (m + 1) - prof.lam * prof.width
+    bids = (np.cumsum(terms) / prof.p).tolist()
     p = config.probabilities
     return (*bids, p[-2] / p[-1] * bids[-1])
 
@@ -82,7 +83,7 @@ def winning_bid_cdf(config: AuctionConfig, x) -> float | np.ndarray:
     with G(0) the probability that the winning bid is 0 (nobody outbids the
     atom, or nobody shows up at all).
     """
-    return _scalar_or_array(lambda xs: _opponent_product(_pieces(config), xs), x)
+    return _scalar_or_array(partial(_opponent_product, equilibrium_profile(config)), x)
 
 
 def max_profit(config: AuctionConfig) -> float:
@@ -95,10 +96,10 @@ def max_profit(config: AuctionConfig) -> float:
     which telescopes to the paper's n/(2n-1) - lam + sum_{k=1}^{n-1}
     (1-p_k)**(2n-2k-1) * prod_{j<=k}(1-p_j)**2 / (4(n-k)**2 - 1).
     """
-    pc = _pieces(config)
-    m = pc.m
-    top = pc.c * (m + 1) / (2 * m + 1) * (pc.hi ** (2 * m + 1) - pc.lo ** (2 * m + 1))
-    return float(np.sum(pc.c * (top - pc.lam * (pc.hi ** (m + 1) - pc.lo ** (m + 1)))))
+    prof = equilibrium_profile(config)
+    m = prof.m
+    top = prof.c * (m + 1) / (2 * m + 1) * (prof.hi ** (2 * m + 1) - prof.lo ** (2 * m + 1))
+    return float(np.sum(prof.c * (top - prof.lam * (prof.hi ** (m + 1) - prof.lo ** (m + 1)))))
 
 
 @dataclass(frozen=True)
@@ -167,19 +168,18 @@ class RevenueReport:
             }
             for i in range(1, cfg.n + 1)
         ]
-        caller_rows = sorted(sorted_rows, key=lambda r: r["caller_position"])
-        caller_rows = [dict(r) for r in caller_rows]
-        for pos in cfg.dropped:
-            caller_rows.append(
-                {
-                    "bidder": None,
-                    "caller_position": pos,
-                    "probability": 0.0,
-                    "expected_bid": None,
-                    "expected_utility": 0.0,
-                    "atom_at_zero": 0.0,
-                }
-            )
+        caller_rows = [dict(r) for r in sorted_rows]
+        caller_rows += (
+            {
+                "bidder": None,
+                "caller_position": pos,
+                "probability": 0.0,
+                "expected_bid": None,
+                "expected_utility": 0.0,
+                "atom_at_zero": 0.0,
+            }
+            for pos in cfg.dropped
+        )
         caller_rows.sort(key=lambda r: r["caller_position"])
         return {
             "n": cfg.n,
@@ -219,7 +219,7 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _integrate_support(f, config: AuctionConfig, i: int) -> float:
+def _integrate_support(f, prof: EquilibriumProfile, i: int) -> float:
     """Integral of the vectorized f over bidder i's support (bidder n's holds
     every piece) by one fixed Gauss-Legendre rule in the piece variable
     h = H_k(x) over [lo, hi] = [1 - p_k, 1 - p_{k-1}], all pieces of positive
@@ -227,13 +227,12 @@ def _integrate_support(f, config: AuctionConfig, i: int) -> float:
     dx = m C_k h**(m-1) dh and the oracles' integrands x f_i dx, f_i dx and
     G dx are polynomials in h of degree m, 0 and 2m <= 2n - 2, which n nodes
     integrate exactly.  Raises AuctionError if the result is not finite."""
-    pc = _pieces(config)
-    k = np.flatnonzero(pc.width[: min(i, config.n - 1)] > 0.0)[:, None]  # row per piece
-    m, c = pc.m[k], pc.c[k]
-    t, w = _gauss_legendre(config.n)  # one column per node
-    half = pc.width[k] / 2.0
-    h = pc.lo[k] + half * (t + 1.0)
-    x = c * h**m - pc.lam
+    k = np.flatnonzero(prof.width[: min(i, prof.n - 1)] > 0.0)[:, None]  # row per piece
+    m, c = prof.m[k], prof.c[k]
+    t, w = _gauss_legendre(prof.n)  # one column per node
+    half = prof.width[k] / 2.0
+    h = prof.lo[k] + half * (t + 1.0)
+    x = c * h**m - prof.lam
     dx = m * c * h ** (m - 1) * half
     with np.errstate(divide="ignore", invalid="ignore"):  # the guard below reports it
         total = float(np.sum(f(x.ravel()).reshape(x.shape) * dx * w))
@@ -244,22 +243,22 @@ def _integrate_support(f, config: AuctionConfig, i: int) -> float:
 
 def expected_bid_quadrature(config: AuctionConfig, i: int) -> float:
     """E[bid_i] by quadrature of x * f_i(x) piece by piece (an atom at 0 adds 0)."""
-    pc = _pieces(config)
+    prof = equilibrium_profile(config)
     _check_bidder(config, i)
-    return _integrate_support(lambda x: x * _pdf_array(pc, i, x), config, i)
+    return _integrate_support(lambda x: x * _pdf_array(prof, i, x), prof, i)
 
 
 def distribution_mass_quadrature(config: AuctionConfig, i: int) -> float:
     """Total probability mass of bidder i: atom plus quadrature of the density."""
-    pc = _pieces(config)
+    prof = equilibrium_profile(config)
     _check_bidder(config, i)
-    atom = equilibrium_profile(config).atom_n if i == config.n else 0.0
-    return atom + _integrate_support(lambda x: _pdf_array(pc, i, x), config, i)
+    atom = prof.atom_n if i == config.n else 0.0
+    return atom + _integrate_support(lambda x: _pdf_array(prof, i, x), prof, i)
 
 
 def max_profit_quadrature(config: AuctionConfig) -> float:
     """E of the winning bid by Stieltjes integration of x dG over [0, s_0],
     integrated by parts so only G itself is ever evaluated: s_0 G(s_0) minus
     the piecewise quadrature of G, with G(s_0) = 1 (an atom at 0 adds 0)."""
-    s0 = equilibrium_profile(config).breakpoints[0]
-    return s0 - _integrate_support(lambda x: winning_bid_cdf(config, x), config, config.n)
+    prof = equilibrium_profile(config)
+    return prof.breakpoints[0] - _integrate_support(partial(_opponent_product, prof), prof, prof.n)

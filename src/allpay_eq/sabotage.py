@@ -13,8 +13,8 @@ On pieces shared by both supports (k <= min(i, r)) this reduces to
 
 with theta = (p_r - p'_r)/p_r and C_k = prod_{j<k}(1 - p_j), which is concave
 per piece.  The optimum over the whole bid range therefore lives at one of at
-most min(i, r) candidates, one per nonempty piece of the equilibrium's piece
-table: in the level q = 1 - H_k(x), which sweeps [p_{k-1}, p_k], it is the
+most min(i, r) candidates, one per nonempty piece of the equilibrium's table:
+in the level q = 1 - H_k(x), which sweeps [p_{k-1}, p_k], it is the
 stationary point q = 1/(n-k) clipped to that interval.
 Candidate locations do not depend on p'_r (only the profit scale theta does),
 and every candidate profit is lam plus a nonnegative term, so sabotage never
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import AuctionConfig, ValidationError
-from .equilibrium import _opponent_product, _pieces, _scalar_or_array, equilibrium_profile
+from .equilibrium import _opponent_product, _scalar_or_array, equilibrium_profile
 
 _TIE_TOL = 1e-12
 
@@ -114,14 +114,14 @@ def sabotaged_payoff(scenario: SabotageScenario, x) -> float | np.ndarray:
     probability while everyone still plays the announced equilibrium.  x must
     lie in [0, s_0]."""
     cfg = scenario.config
-    s0 = equilibrium_profile(cfg).breakpoints[0]
+    prof = equilibrium_profile(cfg)
+    s0 = prof.breakpoints[0]
     x = np.asarray(x, dtype=float)
     if np.any((x < 0.0) | (x > s0)):
         raise ValidationError(f"bid outside [0, {s0}]")
     p = list(cfg.probabilities)
     p[scenario.target - 1] = scenario.true_target_probability
-    pc = _pieces(cfg)
-    return _scalar_or_array(lambda xs: _opponent_product(pc, xs, scenario.saboteur, p=p) - xs, x)
+    return _scalar_or_array(lambda xs: _opponent_product(prof, xs, scenario.saboteur, p=p) - xs, x)
 
 
 def joint_support_profit(scenario: SabotageScenario, k: int, x) -> float | np.ndarray:
@@ -157,17 +157,17 @@ def optimal_sabotage_bid(scenario: SabotageScenario) -> SabotagePlan:
     "lower_endpoint" (q = p_k, the piece bottom s_k).  Profit ties within
     1e-12 resolve to the cheaper bid.
     """
-    pc = _pieces(scenario.config)
+    prof = equilibrium_profile(scenario.config)
     top = min(scenario.saboteur, scenario.target)
     candidates: list[SabotageCandidate] = []
-    rows = zip(*(a[:top].tolist() for a in (pc.m, pc.c, pc.p_prev, pc.p)))
+    rows = zip(*(a[:top].tolist() for a in (prof.m, prof.c, prof.p_prev, prof.p)))
     for k, (m, c_k, p_lo, p_hi) in enumerate(rows, start=1):
         if p_lo == p_hi:  # empty piece, nothing to bid on
             continue
         q = min(max(1.0 / m, p_lo), p_hi)
         branch = "interior" if q == 1.0 / m else "upper_endpoint" if q == p_lo else "lower_endpoint"
-        bid = (1.0 - q) ** m * c_k - pc.lam
-        profit = q * (1.0 - q) ** (m - 1) * c_k * scenario.theta + pc.lam
+        bid = (1.0 - q) ** m * c_k - prof.lam
+        profit = q * (1.0 - q) ** (m - 1) * c_k * scenario.theta + prof.lam
         candidates.append(SabotageCandidate(piece=k, bid=bid, profit=profit, branch=branch))
     best = candidates[0]
     for cand in candidates[1:]:

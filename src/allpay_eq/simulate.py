@@ -45,7 +45,6 @@ from .equilibrium import (
     _check_bidder,
     _factor_blocks,
     _opponent_product,
-    _pieces,
     _quantile_array,
     _quantile_into,
     cdf,
@@ -79,12 +78,12 @@ def run_auction(config: AuctionConfig, randomness) -> AuctionOutcome:
     """Play one auction.
 
     ``randomness`` is either a numpy Generator or an iterable of uniforms in
-    [0, 1); a replayed uniform that is NaN or outside [0, 1) raises
-    ``ValidationError``.  Draws are consumed in the documented order
-    (participation flags for bidders 1..n, then bids for participants in
-    index order), so a replay from a recorded stream is exact.  A
-    single-bidder auction needs no bid draw: the sole bidder bids 0 and wins
-    whenever present.
+    [0, 1); anything else, a replayed uniform that is not a number, is NaN or
+    lies outside [0, 1), and a stream that runs out raise ``ValidationError``.
+    Draws are consumed in the documented order (participation flags for
+    bidders 1..n, then bids for participants in index order), so a replay from
+    a recorded stream is exact.  A single-bidder auction needs no bid draw: the
+    sole bidder bids 0 and wins whenever present.
     """
     n = config.n
     draw = _make_drawer(randomness)
@@ -96,7 +95,7 @@ def run_auction(config: AuctionConfig, randomness) -> AuctionOutcome:
             bids[0] = 0.0
     elif active:
         u = np.asarray([draw() for _ in active])
-        values = _quantile_array(_pieces(config), np.asarray(active), u)
+        values = _quantile_array(equilibrium_profile(config), np.asarray(active), u)
         for i, b in zip(active, values):
             bids[i - 1] = float(b)
     return _settle(participated, bids)
@@ -105,10 +104,20 @@ def run_auction(config: AuctionConfig, randomness) -> AuctionOutcome:
 def _make_drawer(randomness) -> Callable[[], float]:
     if isinstance(randomness, Generator):
         return lambda: float(randomness.random())
-    iterator = iter(randomness)
+    try:
+        iterator = iter(randomness)
+    except TypeError:
+        raise ValidationError(f"randomness is no Generator or iterable: {randomness!r}") from None
 
     def draw() -> float:
-        u = float(next(iterator))
+        try:
+            u = next(iterator)
+        except StopIteration:
+            raise ValidationError("the replayed uniform stream ran out") from None
+        try:
+            u = float(u)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"replayed uniforms must be numbers: {exc}") from None
         if not 0.0 <= u < 1.0:  # also refuses NaN
             raise ValidationError(f"replayed uniforms must lie in [0, 1), got {u!r}")
         return u
@@ -392,7 +401,7 @@ def _simulate_block(
         scratch = arena.words[n * m : n * m + k]
         index = arena.pos.view(np.int64)[:k]  # the positions are dead after the gather
         values = _quantile_into(
-            _pieces(config), p_i, us, arena.levels[:k], scratch, index, arena.win[:k]
+            equilibrium_profile(config), p_i, us, arena.levels[:k], scratch, index, arena.win[:k]
         )
         bids.fill(0.0)
         bids.ravel()[flat] = values
@@ -541,10 +550,10 @@ def best_response_audit(
     if cdfs is None:
         return _equilibrium_audits(config, grid_size)[i - 1]
     grid = np.union1d(np.linspace(0.0, prof.breakpoints[0], grid_size), prof.breakpoints)
-    payoff_grid = _opponent_product(_pieces(config), grid, i, cdfs) - grid
+    payoff_grid = _opponent_product(prof, grid, i, cdfs) - grid
     best = int(np.argmax(payoff_grid))
     mids = 0.5 * (grid[1:] + grid[:-1])
-    payoff_mids = _opponent_product(_pieces(config), mids, i, cdfs) - mids
+    payoff_mids = _opponent_product(prof, mids, i, cdfs) - mids
     f_grid = np.asarray(cdfs[i - 1](grid), dtype=float)
     baseline = float(f_grid[0] * payoff_grid[0] + np.sum(payoff_mids * np.diff(f_grid)))
     return AuditResult(
@@ -567,7 +576,7 @@ def _equilibrium_audits(config: AuctionConfig, grid_size: int) -> tuple[AuditRes
     grid = np.union1d(np.linspace(0.0, prof.breakpoints[0], grid_size), prof.breakpoints)
     best = np.full(config.n, -np.inf)
     argmax = np.zeros(config.n)
-    for rows, f in _factor_blocks(_pieces(config), grid):
+    for rows, f in _factor_blocks(prof, grid):
         ones = np.ones((len(f), 1))
         below = np.cumprod(np.hstack([ones, f[:, :-1]]), axis=1)
         above = np.cumprod(np.hstack([ones, f[:, :0:-1]]), axis=1)[:, ::-1]

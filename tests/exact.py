@@ -6,7 +6,7 @@ exact, and rounding it once gives the correctly rounded float.  Each function
 follows the paper's formulas as the package states them (the breakpoint
 definition in the ``allpay_eq.equilibrium`` docstring, the per-piece bid
 integral, the telescoped form quoted in ``metrics.max_profit``), not the
-package's piece table, so a bug in that table cannot hide in both.
+package's equilibrium table, so a bug in that table cannot hide in both.
 
 Every function takes ``p = exact_probabilities(probs)``: the list
 [p_0, p_1, ..., p_n] with the dummy p_0 = 0, then the positive probabilities

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import allpay_eq as ap
-from allpay_eq.equilibrium import _pieces, _piece_search, _quantile_array
+from allpay_eq.equilibrium import _piece_search, _quantile_array
 from conftest import edge_prob_lists, example1_explicit_cdfs, prob_lists, random_configs
 
 S0, S1, S2 = 11 / 12, 23 / 108, 1 / 12
@@ -326,7 +326,7 @@ def test_quantile_kernel_matches_per_bidder_reference(case):
         edges = edges[edges >= 0.0]
         near_edges = [edges, np.nextafter(edges, 2.0), np.nextafter(edges, -1.0)]
         us = np.clip(np.concatenate([rng.random(32), *near_edges, [0.0, 1.0]]), 0.0, 1.0)
-        got = _quantile_array(_pieces(cfg), i, us)
+        got = _quantile_array(ap.equilibrium_profile(cfg), i, us)
         assert np.array_equal(got, ap.quantile(cfg, i, us))
         ref, levels, k_max = reference_quantile(cfg, i, us)
         table = np.concatenate([levels, edges])
@@ -342,7 +342,8 @@ def test_quantile_kernel_matches_per_bidder_reference(case):
         levels_all.append(us)
         bids_each.append(got)
     # one call over every bidder at once, as the simulator makes it
-    fused = _quantile_array(_pieces(cfg), np.concatenate(bidders), np.concatenate(levels_all))
+    prof = ap.equilibrium_profile(cfg)
+    fused = _quantile_array(prof, np.concatenate(bidders), np.concatenate(levels_all))
     assert np.array_equal(fused, np.concatenate(bids_each))
 
 
@@ -351,17 +352,17 @@ def assert_piece_search_exact(probs, seed):
     levels, at every cell edge b/G, at every p_j and both of its float
     neighbours, and at 0 and 1; its round count is the bit length of the
     largest cell occupancy, counting no p_j = 1, and at most ceil(log2(n+1))."""
-    pc = _pieces(ap.build_config(probs))
-    p = pc.probs
+    prof = ap.equilibrium_profile(ap.build_config(probs))
+    p = prof.probs
     below_one = p[p < 1.0]
-    occupancy = np.bincount((below_one * pc.cells).astype(int), minlength=1)
-    assert pc.rounds == int(occupancy.max()).bit_length()
-    assert pc.rounds <= math.ceil(math.log2(p.size + 1))
+    occupancy = np.bincount((below_one * prof.cells).astype(int), minlength=1)
+    assert prof.rounds == int(occupancy.max()).bit_length()
+    assert prof.rounds <= math.ceil(math.log2(p.size + 1))
     rng = np.random.default_rng(seed)
-    cell_edges = np.arange(pc.cells + 1) / pc.cells
+    cell_edges = np.arange(prof.cells + 1) / prof.cells
     near = [p, np.nextafter(p, 2.0), np.nextafter(p, -1.0)]
     v = np.clip(np.concatenate([rng.random(256), cell_edges, *near, [0.0, 1.0]]), 0.0, 1.0)
-    k = _piece_search(pc, v, np.empty(v.size, np.int64), np.empty(v.size), np.empty(v.size, bool))
+    k = _piece_search(prof, v, np.empty(v.size, np.int64), np.empty(v.size), np.empty(v.size, bool))
     assert np.array_equal(k, np.searchsorted(p, v, side="left"))
 
 
@@ -381,20 +382,30 @@ def test_piece_search_clustered_worst_case():
     its most rounds, ceil(log2(65)) = 7, and stays exact."""
     probs = list(0.5 + np.arange(64) * 1e-14)
     assert len(set(probs)) == 64
-    assert _pieces(ap.build_config(probs)).rounds == 7
+    assert ap.equilibrium_profile(ap.build_config(probs)).rounds == 7
     assert_piece_search_exact(probs, 3)
 
 
 def test_piece_table_is_built_once_and_read_only(example4):
-    """The table is cached per config and shared between calls, so none of its
-    arrays may be written through."""
-    pc = _pieces(example4)
-    assert _pieces(ap.build_config(list(example4.probabilities))) is pc
-    arrays = [field for field in pc if isinstance(field, np.ndarray)]
+    """The equilibrium table is cached per config and shared between calls, so
+    none of its arrays may be written through.  Only lam, the breakpoints, the
+    prefix products and the atom take part in == and the repr, so a rebuild
+    after cache_clear equals the cached object it replaces."""
+    prof = ap.equilibrium_profile(example4)
+    assert ap.equilibrium_profile(ap.build_config(list(example4.probabilities))) is prof
+    arrays = [field for field in vars(prof).values() if isinstance(field, np.ndarray)]
     assert len(arrays) == 12
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 0.5
+    ap.equilibrium_profile.cache_clear()
+    rebuilt = ap.equilibrium_profile(example4)
+    assert rebuilt is not prof and rebuilt == prof and hash(rebuilt) == hash(prof)
+    assert repr(rebuilt) == repr(prof)
+    assert repr(prof) == (
+        f"EquilibriumProfile(lam={prof.lam!r}, breakpoints={prof.breakpoints!r}, "
+        f"prefix_products={prof.prefix_products!r}, atom_n={prof.atom_n!r})"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +477,14 @@ def test_bid_distribution_marks_empty_pieces():
     d = ap.bid_distribution(cfg, 2)
     assert [p.empty for p in d.pieces] == [False, True]
     # a piece is empty exactly where p_{k-1} == p_k, however long the tie
-    for probs, nonempty in (([0.8] * 20, [1]), ([0.7, 0.8, 0.9] * 6, [1, 7, 13])):
+    # 22 distinct p within 22 ulps of 1: the breakpoints of the low pieces
+    # underflow to equal subnormals (or 0.0), but every piece holds mass
+    near_one = [1 - k * 2**-53 for k in range(22, 0, -1)] + [1.0]
+    for probs, nonempty in (
+        ([0.8] * 20, [1]),
+        ([0.7, 0.8, 0.9] * 6, [1, 7, 13]),
+        (near_one, list(range(1, 23))),
+    ):
         cfg = ap.build_config(probs)
         d = ap.bid_distribution(cfg, cfg.n)
         assert [p.k for p in d.pieces if not p.empty] == nonempty

@@ -80,19 +80,36 @@ def test_run_auction_accepts_generator(example4):
     assert len(out.bids) == 4
 
 
+OUTSIDE = r"\[0, 1\)"
+
+
 @pytest.mark.parametrize(
-    "stream",
+    "stream, match",
     [
-        [0.0] * 4 + [math.nan, 0.5, 0.5, 0.5],  # NaN bid: no winner in _settle
-        [0.0] * 4 + [1.5, 0.5, 0.5, 0.5],  # bid 1.505, above s_0 = 0.917
-        [0.0] * 4 + [-0.5, 0.5, 0.5, 0.5],  # bid 0.083
-        [math.nan, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5],  # counted as absent
-        [1.0, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5],
+        ([0.0] * 4 + [math.nan, 0.5, 0.5, 0.5], OUTSIDE),  # NaN bid: no winner in _settle
+        ([0.0] * 4 + [1.5, 0.5, 0.5, 0.5], OUTSIDE),  # bid 1.505, above s_0 = 0.917
+        ([0.0] * 4 + [-0.5, 0.5, 0.5, 0.5], OUTSIDE),  # bid 0.083
+        ([math.nan, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5], OUTSIDE),  # counted as absent
+        ([1.0, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5], OUTSIDE),
+        ([0.0] * 4 + [0.5], "ran out"),  # a bare StopIteration before
+        ("abc", "must be numbers"),  # float("a"): a plain ValueError before
+        ([0.0, None], "must be numbers"),  # float(None): a TypeError before
+        (None, "no Generator or iterable"),  # iter(None): a TypeError before
     ],
-    ids=["nan_bid", "bid_above_1", "negative_bid", "nan_participation", "participation_1"],
+    ids=[
+        "nan_bid",
+        "bid_above_1",
+        "negative_bid",
+        "nan_participation",
+        "participation_1",
+        "stream_runs_out",
+        "not_a_number",
+        "none_uniform",
+        "none_stream",
+    ],
 )
-def test_run_auction_rejects_uniforms_outside_unit_interval(example4, stream):
-    with pytest.raises(ap.ValidationError, match=r"\[0, 1\)"):
+def test_run_auction_rejects_uniforms_outside_unit_interval(example4, stream, match):
+    with pytest.raises(ap.ValidationError, match=match):
         ap.run_auction(example4, stream)
 
 
