@@ -255,7 +255,8 @@ def _scalar_or_array(kernel, x) -> float | np.ndarray:
 def _cdf_array(prof: EquilibriumProfile, i: int | np.ndarray, xs: np.ndarray) -> np.ndarray:
     """CDF kernel for bidders ``i`` (1-based, scalar or array broadcast against
     ``xs``) at bids ``xs``.  Every bidder's CDF on piece k is built from the
-    same H_k(x), evaluated once per point; bidder i uses pieces 1..min(i, n-1)."""
+    same H_k(x), evaluated once per point; bidder i uses pieces 1..min(i, n-1).
+    The output is one array of the broadcast shape, built in place."""
     n = prof.n
     p_i = prof.probs[np.asarray(i) - 1]
     k = _piece_indices(prof, xs)
@@ -264,8 +265,14 @@ def _cdf_array(prof: EquilibriumProfile, i: int | np.ndarray, xs: np.ndarray) ->
     m = n - k[inner]
     h = np.zeros_like(xs, dtype=float)
     h[inner] = ((prof.lam + xs[inner]) / prof.prefix_rev[m]) ** (1.0 / m)
-    live = inner & (k <= k_max)
-    return np.where(live, np.clip((h + p_i - 1.0) / p_i, 0.0, 1.0), k == 0)
+    out = np.add(h, p_i)
+    out -= 1.0
+    out /= p_i
+    np.clip(out, 0.0, 1.0, out=out)
+    dead = k > k_max  # below bidder i's support, or on no piece at all
+    dead |= ~inner
+    np.copyto(out, k == 0, where=dead)
+    return out
 
 
 def pdf(config: AuctionConfig, i: int, x) -> float | np.ndarray:
@@ -411,39 +418,46 @@ def payoff(config: AuctionConfig, i: int, x) -> float | np.ndarray:
     return _scalar_or_array(lambda xs: _opponent_product(prof, xs, skip=i) - xs, x)
 
 
-_BLOCK_ENTRIES = 2**13  # factor-matrix entries per row block
+_BLOCK_ENTRIES = 2**16  # factor-matrix entries per column block
 
 
 def _factor_blocks(
-    prof: EquilibriumProfile, xs: np.ndarray, cdfs=None, p=None
+    prof: EquilibriumProfile, xs: np.ndarray, given=None, p=None
 ) -> Iterator[tuple[slice, np.ndarray]]:
-    """The factor kernel: over row blocks of about _BLOCK_ENTRIES entries of
-    the 1-d bids ``xs``, yield each block's slice and rows x n matrix of
-    p_j F_j(x) + 1 - p_j, the chance that bidder j does not outbid x.  F_j is
-    the equilibrium CDF unless ``cdfs`` gives one callable per sorted bidder,
-    each called once on all of ``xs``; ``p`` overrides the probabilities."""
-    p = prof.probs if p is None else np.asarray(p, dtype=float)
-    given = None if cdfs is None else np.array([c(xs) for c in cdfs], dtype=float)
+    """The factor kernel, bidder-major: over column blocks of about
+    _BLOCK_ENTRIES entries of the 1-d bids ``xs``, yield each block's slice
+    and C-contiguous n x cols matrix of p_j F_j(x) + 1 - p_j, the chance that
+    bidder j does not outbid x, one row per sorted bidder j.  F_j is the
+    equilibrium CDF unless ``given`` holds its values at ``xs``, one row per
+    bidder; ``p`` overrides the probabilities.  Bounding the entries, not the
+    columns, bounds the transient memory whatever n is."""
+    p = (prof.probs if p is None else np.asarray(p, dtype=float))[:, None]
+    bidders = np.arange(1, prof.n + 1)[:, None]
     step = max(1, _BLOCK_ENTRIES // prof.n)
     for start in range(0, len(xs), step):
-        rows = slice(start, start + step)
+        cols = slice(start, start + step)
         if given is None:
-            f = _cdf_array(prof, np.arange(1, prof.n + 1), xs[rows, None])
+            f = _cdf_array(prof, bidders, xs[None, cols])
         else:
-            f = given[:, rows].T
-        yield rows, p * f + 1.0 - p
+            f = given[:, cols].copy()
+        f *= p
+        f += 1.0
+        f -= p
+        yield cols, f
 
 
 def _opponent_product(
-    prof: EquilibriumProfile, xs: np.ndarray, skip: int = 0, cdfs=None, p=None
+    prof: EquilibriumProfile, xs: np.ndarray, skip: int = 0, given=None, p=None
 ) -> np.ndarray:
-    """prod_j (p_j F_j(x) + 1 - p_j) in bidder order over every j but ``skip``
-    (1-based; 0 skips none); ``cdfs`` and ``p`` as in _factor_blocks."""
+    """prod_j (p_j F_j(x) + 1 - p_j) over every bidder j but ``skip`` (1-based;
+    0 skips none), multiplying each block's rows into one in bidder order, so
+    each value is the plain left-to-right product; ``given`` and ``p`` as in
+    _factor_blocks."""
     out = np.empty(len(xs))
-    for rows, f in _factor_blocks(prof, xs, cdfs, p):
+    for cols, f in _factor_blocks(prof, xs, given, p):
         if skip:
-            f[:, skip - 1] = 1.0
-        out[rows] = f.prod(axis=1)
+            f[skip - 1] = 1.0  # exact: a factor of 1 leaves the product unchanged
+        np.multiply.reduce(f, axis=0, out=out[cols])
     return out
 
 

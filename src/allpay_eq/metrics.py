@@ -78,12 +78,22 @@ def sum_profit(config: AuctionConfig) -> float:
 def winning_bid_cdf(config: AuctionConfig, x) -> float | np.ndarray:
     """CDF of the winning (maximum submitted) bid,
 
-        G(x) = prod_i (p_i F_i(x) + 1 - p_i),
+        G(x) = prod_i (p_i F_i(x) + 1 - p_i)  on [0, s_0),
 
     with G(0) the probability that the winning bid is 0 (nobody outbids the
-    atom, or nobody shows up at all).
+    atom, or nobody shows up at all, which scores a winning bid of 0).  G is
+    0 below 0 and exactly 1 from s_0 up.
     """
-    return _scalar_or_array(partial(_opponent_product, equilibrium_profile(config)), x)
+    prof = equilibrium_profile(config)
+    s0 = prof.breakpoints[0]
+
+    def kernel(xs: np.ndarray) -> np.ndarray:
+        g = _opponent_product(prof, xs)
+        g[xs < 0.0] = 0.0
+        g[xs >= s0] = 1.0
+        return g
+
+    return _scalar_or_array(kernel, x)
 
 
 def max_profit(config: AuctionConfig) -> float:

@@ -62,6 +62,16 @@ prob_lists = st.lists(
 )
 
 
+# up to 80 bidders, with repeated values (ties) and probabilities of 1
+tied_prob_lists = st.integers(min_value=2, max_value=80).flatmap(
+    lambda n: st.lists(
+        st.one_of(st.sampled_from([0.3, 0.8, 1.0]), st.floats(min_value=0.01, max_value=1.0)),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
 @st.composite
 def edge_prob_lists(draw, max_n: int):
     """Probability lists at the edges of the domain: 2 <= n <= max_n values

@@ -7,8 +7,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import allpay_eq as ap
-from allpay_eq.equilibrium import _piece_search, _quantile_array
-from conftest import edge_prob_lists, example1_explicit_cdfs, prob_lists, random_configs
+from allpay_eq.equilibrium import _BLOCK_ENTRIES, _piece_search, _quantile_array
+from conftest import (
+    edge_prob_lists,
+    example1_explicit_cdfs,
+    prob_lists,
+    random_configs,
+    tied_prob_lists,
+)
 
 S0, S1, S2 = 11 / 12, 23 / 108, 1 / 12
 
@@ -447,6 +453,39 @@ def test_payoff_properties_randomized(probs):
         assert np.all(np.abs(vals - lam) <= 1e-9 * max(lam, 1e-3))
         off = np.linspace(1e-9, s0, 60)
         assert np.all(ap.payoff(cfg, i, off) <= lam + 1e-9)
+
+
+def _plain_product(cfg, xs, skip=0, p=None):
+    """prod_j (p_j F_j(x) + 1 - p_j) over j != skip, one bidder's cdf at a
+    time, multiplied left to right."""
+    p = cfg.probabilities if p is None else p
+    factors = [p[j - 1] * ap.cdf(cfg, j, xs) + 1 - p[j - 1] for j in range(1, cfg.n + 1)]
+    out = None
+    for j, f in enumerate(factors, start=1):
+        if j != skip:
+            out = f if out is None else out * f
+    return out
+
+
+@given(probs=tied_prob_lists, blocks=st.integers(1, 4), data=st.data())
+def test_factor_kernel_is_the_plain_product_bit_for_bit(probs, blocks, data):
+    """payoff, sabotaged_payoff and winning_bid_cdf on grids over [0, s_0]
+    that span one to four factor blocks equal the plain left-to-right
+    product of the per-bidder factors exactly, not to a tolerance."""
+    cfg = ap.build_config(probs)
+    n, s0 = cfg.n, ap.breakpoints(cfg)[0]
+    step = _BLOCK_ENTRIES // n
+    xs = np.linspace(0.0, s0, data.draw(st.integers((blocks - 1) * step + 1, blocks * step)))
+    i = data.draw(st.integers(1, n), label="bidder")
+    assert np.array_equal(ap.payoff(cfg, i, xs), _plain_product(cfg, xs, skip=i) - xs)
+    top = xs == s0
+    assert np.array_equal(ap.winning_bid_cdf(cfg, xs[~top]), _plain_product(cfg, xs[~top]))
+    assert np.all(ap.winning_bid_cdf(cfg, xs[top]) == 1.0)
+    r = data.draw(st.integers(1, n).filter(lambda r: r != i), label="target")
+    p = list(cfg.probabilities)
+    p[r - 1] *= data.draw(st.sampled_from([0.0, 0.5, 1 - 2**-52]), label="kept share")
+    sabotaged = ap.sabotaged_payoff(ap.SabotageScenario(cfg, i, r, p[r - 1]), xs)
+    assert np.array_equal(sabotaged, _plain_product(cfg, xs, skip=i, p=p) - xs)
 
 
 def test_expected_utility_worked_example(example4):

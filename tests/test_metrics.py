@@ -92,10 +92,18 @@ def test_winning_bid_cdf_values(example4):
 
 
 def test_winning_bid_cdf_monotone(example4):
-    xs = np.linspace(-0.01, 1.0, 3000)
-    vals = ap.winning_bid_cdf(example4, xs)
-    assert np.all(np.diff(vals) >= -1e-15)
-    assert vals[0] == 0.0 and vals[-1] == 1.0
+    """A CDF: 0 below 0, exactly 1 from s_0 up, nondecreasing between.  With
+    p_n < 1 nobody shows up with probability prod(1 - p_j) > 0, which G must
+    not carry below 0 (nobody showing up scores a winning bid of 0)."""
+    for cfg in (example4, ap.build_config([1 / 3, 1 / 2, 3 / 4, 0.9])):
+        s0 = ap.breakpoints(cfg)[0]
+        xs = np.linspace(-0.01, 1.0, 3000)
+        vals = ap.winning_bid_cdf(cfg, xs)
+        assert np.all(np.diff(vals) >= -1e-15)
+        assert vals[0] == 0.0 and vals[-1] == 1.0
+        assert ap.winning_bid_cdf(cfg, -0.1) == 0.0
+        assert ap.winning_bid_cdf(cfg, s0) == 1.0
+        assert ap.winning_bid_cdf(cfg, 0.0) >= np.prod(1.0 - np.asarray(cfg.probabilities))
 
 
 def test_max_profit_worked_example(example4):

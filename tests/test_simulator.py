@@ -22,6 +22,7 @@ from allpay_eq.simulate import (
     _simulate_block,
     _trial_block,
 )
+from conftest import tied_prob_lists
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +543,33 @@ def test_audit_with_explicit_equilibrium_callables(example4):
     assert res.baseline == pytest.approx(ap.lambda_value(example4), abs=1e-11)
 
 
+def _constant_cdf(value):
+    return lambda xs: np.full(np.shape(xs), value)
+
+
+MALFORMED_PROFILES = {
+    "three callables": lambda cdfs: cdfs[:3],
+    "five callables": lambda cdfs: [*cdfs, cdfs[0]],
+    "not callable": lambda cdfs: [*cdfs[:3], 0.5],
+    "scalar values": lambda cdfs: [*cdfs[:3], lambda xs: 0.5],
+    "wrong shape": lambda cdfs: [*cdfs[:3], lambda xs: np.zeros(len(xs) + 1)],
+    "nan values": lambda cdfs: [*cdfs[:3], _constant_cdf(np.nan)],
+    "infinite values": lambda cdfs: [*cdfs[:3], _constant_cdf(np.inf)],
+    "values above 1": lambda cdfs: [_constant_cdf(2.0)] * 4,
+    "values below 0": lambda cdfs: [_constant_cdf(-0.5), *cdfs[1:]],
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_PROFILES)
+def test_audit_rejects_malformed_profiles(example4, case):
+    """A perturbed profile must be n callables, each giving finite values in
+    [0, 1] of the grid's shape; anything else is a ValidationError, never a
+    numpy error or a silent NaN."""
+    cdfs = MALFORMED_PROFILES[case](ap.equilibrium_cdf_callables(example4))
+    with pytest.raises(ap.ValidationError, match="cdfs"):
+        ap.best_response_audit(example4, 2, 101, cdfs=cdfs)
+
+
 @pytest.mark.parametrize("bidder", [9, -1, 0, 5])
 def test_audit_rejects_bidder_outside_config(example4, bidder):
     with pytest.raises(ap.ValidationError, match="bidder index"):
@@ -552,17 +580,7 @@ def test_audit_rejects_bidder_outside_config(example4, bidder):
         )
 
 
-# up to 80 bidders, with repeated values (ties) and probabilities of 1
-audit_configs = st.integers(min_value=2, max_value=80).flatmap(
-    lambda n: st.lists(
-        st.one_of(st.sampled_from([0.3, 0.8, 1.0]), st.floats(min_value=0.01, max_value=1.0)),
-        min_size=n,
-        max_size=n,
-    )
-)
-
-
-@given(probs=audit_configs, blocks=st.integers(1, 3), extra=st.integers(0, 50), data=st.data())
+@given(probs=tied_prob_lists, blocks=st.integers(1, 3), extra=st.integers(0, 50), data=st.data())
 def test_all_bidder_audit_matches_per_bidder_product(probs, blocks, extra, data):
     """The one-pass audit (prefix and suffix products of the factor blocks)
     against the per-bidder product over the equilibrium CDF callables, on grids
@@ -578,6 +596,22 @@ def test_all_bidder_audit_matches_per_bidder_product(probs, blocks, extra, data)
         slow = ap.best_response_audit(cfg, i, grid, cdfs=cdfs)
         assert abs(fast.max_payoff - slow.max_payoff) <= 1e-15
         assert fast.baseline == ap.lambda_value(cfg)
+
+
+@pytest.mark.parametrize("n", [64, 300])
+def test_all_bidder_audit_memory_is_bounded(n):
+    """The audit holds a few blocks of about _BLOCK_ENTRIES entries at a
+    time, never a matrix over the whole grid, so its traced peak at grid
+    10,001 stays under a fixed bound whatever n is."""
+    cfg = ap.build_config(list(np.linspace(0.05, 0.99, n)))
+    ap.equilibrium_profile(cfg)  # the cached table is built outside the trace
+    tracemalloc.start()
+    try:
+        _equilibrium_audits.__wrapped__(cfg, 10_001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_audit_memo_holds_only_the_last_config_and_grid(example4):
