@@ -42,7 +42,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .config import AuctionConfig, DegenerateAuctionError, ValidationError
+from .config import AuctionConfig, DegenerateAuctionError, ValidationError, _check_integer
 
 
 _table = partial(field, compare=False, repr=False)
@@ -170,7 +170,7 @@ def breakpoints(config: AuctionConfig) -> list[float]:
 def atom_at_zero(config: AuctionConfig, i: int) -> float:
     """Probability mass at bid 0: zero except 1 - p_{n-1}/p_n for the last bidder."""
     prof = equilibrium_profile(config)
-    _check_bidder(config, i)
+    i = _check_bidder(config, i)
     return prof.atom_n if i == config.n else 0.0
 
 
@@ -195,7 +195,7 @@ def h_value(config: AuctionConfig, k: int, x: float) -> float:
 def support(config: AuctionConfig, i: int) -> tuple[float, float]:
     """Closed support [s_i, s_0] of bidder i's bid distribution (s_{n-1} for i = n)."""
     prof = equilibrium_profile(config)
-    _check_bidder(config, i)
+    i = _check_bidder(config, i)
     lo = prof.breakpoints[min(i, config.n - 1)]
     return lo, prof.breakpoints[0]
 
@@ -203,7 +203,7 @@ def support(config: AuctionConfig, i: int) -> tuple[float, float]:
 def bid_distribution(config: AuctionConfig, i: int) -> BidDistribution:
     """Materialize bidder i's piecewise distribution descriptor."""
     prof = equilibrium_profile(config)
-    _check_bidder(config, i)
+    i = _check_bidder(config, i)
     n = config.n
     k_max = min(i, n - 1)
     s = prof.breakpoints
@@ -219,9 +219,13 @@ def bid_distribution(config: AuctionConfig, i: int) -> BidDistribution:
     )
 
 
-def _check_bidder(config: AuctionConfig, i: int) -> None:
+def _check_bidder(config: AuctionConfig, i: int) -> int:
+    """``i`` as a Python int, or ValidationError unless it is an integer (not a
+    bool) in 1..n."""
+    i = _check_integer("bidder index", i)
     if not 1 <= i <= config.n:
         raise ValidationError(f"bidder index {i} outside 1..{config.n}")
+    return i
 
 
 def _piece_indices(prof: EquilibriumProfile, x: np.ndarray) -> np.ndarray:
@@ -238,7 +242,7 @@ def cdf(config: AuctionConfig, i: int, x) -> float | np.ndarray:
     [0, 1] against float drift at piece edges.
     """
     prof = equilibrium_profile(config)
-    _check_bidder(config, i)
+    i = _check_bidder(config, i)
     return _scalar_or_array(lambda xs: _cdf_array(prof, i, xs), x)
 
 
@@ -283,23 +287,26 @@ def pdf(config: AuctionConfig, i: int, x) -> float | np.ndarray:
     exist there.
     """
     prof = equilibrium_profile(config)
-    _check_bidder(config, i)
+    i = _check_bidder(config, i)
     if i == config.n and prof.atom_n > 0.0 and np.any(np.asarray(x, dtype=float) == 0.0):
         raise ValidationError("atom has no density: bidder n holds mass at bid 0")
     return _scalar_or_array(lambda xs: _pdf_array(prof, i, xs), x)
 
 
-def _pdf_array(prof: EquilibriumProfile, i: int, xs: np.ndarray) -> np.ndarray:
+def _pdf_array(prof: EquilibriumProfile, i: int | np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Density kernel for bidders ``i`` (1-based, scalar or array broadcast
+    against ``xs``) at bids ``xs``: on piece k <= min(i, n-1),
+    (lam + x)**((1-m)/m) / (p_i m C_k**(1/m)) with m = n - k, else 0."""
     n = prof.n
-    p_i = prof.probs[i - 1]
     k = _piece_indices(prof, xs)
-    out = np.zeros_like(xs, dtype=float)
-    k_max = n - 1 if i == n else i
-    live = (k >= 1) & (k <= k_max)
+    live = (k >= 1) & (k <= np.minimum(i, n - 1))
+    out = np.zeros(live.shape)
     if np.any(live):
-        m = n - k[live]
+        m = n - np.broadcast_to(k, live.shape)[live]
+        p_i = np.broadcast_to(prof.probs[np.asarray(i) - 1], live.shape)[live]
+        x = np.broadcast_to(xs, live.shape)[live]
         pref = prof.prefix_rev[m]
-        out[live] = (prof.lam + xs[live]) ** ((1.0 - m) / m) / (p_i * m * pref ** (1.0 / m))
+        out[live] = (prof.lam + x) ** ((1.0 - m) / m) / (p_i * m * pref ** (1.0 / m))
     return out
 
 
@@ -312,7 +319,7 @@ def quantile(config: AuctionConfig, i: int, u) -> float | np.ndarray:
     last bidder's atom mass.  Raises ValidationError for u outside [0, 1].
     """
     prof = equilibrium_profile(config)
-    _check_bidder(config, i)
+    i = _check_bidder(config, i)
     us = np.asarray(u, dtype=float)
     if np.any((us < 0.0) | (us > 1.0) | np.isnan(us)):
         raise ValidationError("quantile level must lie in [0, 1]")
@@ -413,7 +420,7 @@ def payoff(config: AuctionConfig, i: int, x) -> float | np.ndarray:
 
     Equals lam everywhere on bidder i's support and falls below lam off it.
     """
-    _check_bidder(config, i)
+    i = _check_bidder(config, i)
     prof = equilibrium_profile(config)
     return _scalar_or_array(lambda xs: _opponent_product(prof, xs, skip=i) - xs, x)
 
@@ -464,7 +471,7 @@ def _opponent_product(
 def expected_utility(config: AuctionConfig, i: int) -> float:
     """Overall expected equilibrium profit of bidder i: p_i * lam."""
     prof = equilibrium_profile(config)
-    _check_bidder(config, i)
+    i = _check_bidder(config, i)
     return config.probabilities[i - 1] * prof.lam
 
 

@@ -11,12 +11,20 @@ fixed Gauss-Legendre rule of n nodes over all pieces is exact up to rounding:
 no tolerance, no adaptivity, and no dependency beyond numpy.  Their
 integrands are still evaluated in x, through the bid density and the
 winning-bid CDF, so the routes stay independent of the closed forms.
+
+The bid and mass routes of all bidders come from one pass per config
+(_oracle_table), which rests on one identity: on piece k every bidder i >= k
+has p_i f_i(x) = p_k f_k(x).  So bidder k's own density, on piece k alone,
+serves every bidder, and a cumulative sum over the pieces gives each
+bidder's integrals.  The test suite holds that identity separately, through
+the public pdf of every bidder on every piece, and compares the pass with
+each bidder's own density integrated over its own pieces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,7 +49,7 @@ from .uniform import (
 def expected_bid(config: AuctionConfig, i: int) -> float:
     """Expected equilibrium bid of bidder i (see expected_bids)."""
     bids = expected_bids(config)
-    _check_bidder(config, i)
+    i = _check_bidder(config, i)
     return bids[i - 1]
 
 
@@ -229,46 +237,83 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _integrate_support(f, prof: EquilibriumProfile, i: int) -> float:
-    """Integral of the vectorized f over bidder i's support (bidder n's holds
-    every piece) by one fixed Gauss-Legendre rule in the piece variable
-    h = H_k(x) over [lo, hi] = [1 - p_k, 1 - p_{k-1}], all pieces of positive
-    width in one call of f.  On piece k, x = C_k h**m - lam with m = n - k, so
-    dx = m C_k h**(m-1) dh and the oracles' integrands x f_i dx, f_i dx and
-    G dx are polynomials in h of degree m, 0 and 2m <= 2n - 2, which n nodes
-    integrate exactly.  Raises AuctionError if the result is not finite."""
-    k = np.flatnonzero(prof.width[: min(i, prof.n - 1)] > 0.0)[:, None]  # row per piece
+def _piece_nodes(prof: EquilibriumProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The node table of every piece of positive width: its 1-based index k
+    (a column), and x and dx at the n nodes of one fixed Gauss-Legendre rule
+    in the piece variable h = H_k(x) over [lo, hi] = [1 - p_k, 1 - p_{k-1}]
+    (one row per piece), with the rule's weights w, so that the integral of g
+    over the piece is sum(g(x) * dx * w).  On piece k, x = C_k h**m - lam with
+    m = n - k, so dx = m C_k h**(m-1) dh and the oracles' integrands x f_i dx,
+    f_i dx and G dx are polynomials in h of degree m, 0 and 2m <= 2n - 2,
+    which n nodes integrate exactly."""
+    k = np.flatnonzero(prof.width > 0.0)[:, None]  # row per piece
     m, c = prof.m[k], prof.c[k]
     t, w = _gauss_legendre(prof.n)  # one column per node
     half = prof.width[k] / 2.0
     h = prof.lo[k] + half * (t + 1.0)
     x = c * h**m - prof.lam
     dx = m * c * h ** (m - 1) * half
-    with np.errstate(divide="ignore", invalid="ignore"):  # the guard below reports it
-        total = float(np.sum(f(x.ravel()).reshape(x.shape) * dx * w))
+    return k + 1, x, dx, w
+
+
+@lru_cache(maxsize=1)
+def _oracle_table(config: AuctionConfig) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Every bidder's expected bid and mass by quadrature, in one pass over the
+    pieces, as two tuples in sorted bidder order.
+
+    On piece k every bidder i >= k has p_i f_i(x) = p_k f_k(x), the slope of
+    H_k, so bidder k's own density, evaluated in x at the nodes of piece k
+    alone, gives p_k times every such bidder's density there.  One cumulative
+    sum over the pieces of p_k x f_k dx and p_k f_k dx then holds, at piece
+    min(i, n-1), p_i times bidder i's integrals over its support; bidder n's
+    mass adds its atom.  Entries that are not finite are kept, for the
+    per-bidder functions to report; the pass itself warns of nothing.  Only
+    the last config is memoized, as for the audits."""
+    prof = equilibrium_profile(config)
+    k, x, dx, w = _piece_nodes(prof)
+    bids, masses = np.zeros(prof.n - 1), np.zeros(prof.n - 1)
+    with np.errstate(all="ignore"):  # the per-bidder functions report it
+        weight = prof.probs[k - 1] * _pdf_array(prof, k, x) * dx * w  # p_k f_k dx w
+        bids[k[:, 0] - 1] = np.sum(x * weight, axis=1)
+        masses[k[:, 0] - 1] = np.sum(weight, axis=1)
+        piece = np.minimum(np.arange(prof.n), prof.n - 2)  # bidder i reads piece min(i, n-1)
+        bids = np.cumsum(bids)[piece] / prof.probs
+        masses = np.cumsum(masses)[piece] / prof.probs
+    masses[-1] += prof.atom_n
+    return tuple(bids.tolist()), tuple(masses.tolist())
+
+
+def _oracle_entry(config: AuctionConfig, i: int, column: int) -> float:
+    """Bidder i's entry of _oracle_table's column; AuctionError if not finite."""
+    equilibrium_profile(config)  # n >= 2 is checked before the index
+    i = _check_bidder(config, i)
+    total = _oracle_table(config)[column][i - 1]
     if not np.isfinite(total):
         raise AuctionError(f"quadrature over bidder {i}'s support is not finite: {total}")
     return total
 
 
 def expected_bid_quadrature(config: AuctionConfig, i: int) -> float:
-    """E[bid_i] by quadrature of x * f_i(x) piece by piece (an atom at 0 adds 0)."""
-    prof = equilibrium_profile(config)
-    _check_bidder(config, i)
-    return _integrate_support(lambda x: x * _pdf_array(prof, i, x), prof, i)
+    """E[bid_i] by quadrature of x * f_i(x) piece by piece (an atom at 0 adds
+    0), from the all-bidder pass.  Raises AuctionError if it is not finite."""
+    return _oracle_entry(config, i, 0)
 
 
 def distribution_mass_quadrature(config: AuctionConfig, i: int) -> float:
-    """Total probability mass of bidder i: atom plus quadrature of the density."""
-    prof = equilibrium_profile(config)
-    _check_bidder(config, i)
-    atom = prof.atom_n if i == config.n else 0.0
-    return atom + _integrate_support(lambda x: _pdf_array(prof, i, x), prof, i)
+    """Total probability mass of bidder i: atom plus quadrature of the density,
+    from the all-bidder pass.  Raises AuctionError if it is not finite."""
+    return _oracle_entry(config, i, 1)
 
 
 def max_profit_quadrature(config: AuctionConfig) -> float:
     """E of the winning bid by Stieltjes integration of x dG over [0, s_0],
     integrated by parts so only G itself is ever evaluated: s_0 G(s_0) minus
-    the piecewise quadrature of G, with G(s_0) = 1 (an atom at 0 adds 0)."""
+    the piecewise quadrature of G, with G(s_0) = 1 (an atom at 0 adds 0).
+    Raises AuctionError if the quadrature is not finite."""
     prof = equilibrium_profile(config)
-    return prof.breakpoints[0] - _integrate_support(partial(_opponent_product, prof), prof, prof.n)
+    _, x, dx, w = _piece_nodes(prof)
+    with np.errstate(all="ignore"):  # the guard below reports it
+        total = float(np.sum(_opponent_product(prof, x.ravel()).reshape(x.shape) * dx * w))
+    if not np.isfinite(total):
+        raise AuctionError(f"quadrature over bidder {prof.n}'s support is not finite: {total}")
+    return prof.breakpoints[0] - total

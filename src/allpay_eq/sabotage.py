@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import AuctionConfig, ValidationError
+from .config import AuctionConfig, ValidationError, _check_integer
 from .equilibrium import _opponent_product, _scalar_or_array, equilibrium_profile
 
 _TIE_TOL = 1e-12
@@ -46,9 +46,11 @@ class SabotageScenario:
     def __post_init__(self) -> None:
         self.config.require_competition()
         n = self.config.n
-        for name, idx in (("saboteur", self.saboteur), ("target", self.target)):
+        for name in ("saboteur", "target"):
+            idx = _check_integer(f"{name} index", getattr(self, name))
             if not 1 <= idx <= n:
                 raise ValidationError(f"{name} index {idx} outside 1..{n}")
+            object.__setattr__(self, name, idx)  # a plain int, e.g. for to_dict's JSON
         if self.saboteur == self.target:
             raise ValidationError("saboteur and target must differ")
         p_r = self.config.probabilities[self.target - 1]

@@ -548,7 +548,7 @@ def best_response_audit(
     if grid_size < 2:
         raise ValidationError("grid_size must be >= 2")
     prof = equilibrium_profile(config)
-    _check_bidder(config, i)
+    i = _check_bidder(config, i)
     if cdfs is None:
         return _equilibrium_audits(config, grid_size)[i - 1]
     if len(cdfs) != config.n or not all(map(callable, cdfs)):

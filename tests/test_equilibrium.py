@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from conftest import (
 )
 
 S0, S1, S2 = 11 / 12, 23 / 108, 1 / 12
+EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +535,65 @@ def test_bidder_index_validation(example4):
     for bad in (0, 5, -1):
         with pytest.raises(ap.ValidationError):
             ap.cdf(example4, bad, 0.5)
+
+
+PER_BIDDER_ROUTES = {
+    "cdf": lambda cfg, i: ap.cdf(cfg, i, 0.3),
+    "pdf": lambda cfg, i: ap.pdf(cfg, i, 0.3),
+    "quantile": lambda cfg, i: ap.quantile(cfg, i, 0.3),
+    "payoff": lambda cfg, i: ap.payoff(cfg, i, 0.3),
+    "support": ap.support,
+    "bid_distribution": ap.bid_distribution,
+    "atom_at_zero": ap.atom_at_zero,
+    "expected_utility": ap.expected_utility,
+    "expected_bid": ap.expected_bid,
+    "expected_bid_quadrature": ap.expected_bid_quadrature,
+    "distribution_mass_quadrature": ap.distribution_mass_quadrature,
+    "best_response_audit": lambda cfg, i: ap.best_response_audit(cfg, i, 101),
+    "saboteur": lambda cfg, i: ap.SabotageScenario(cfg, i, 3, 0.1),
+    "target": lambda cfg, i: ap.SabotageScenario(cfg, 3, i, 0.1),
+}
+
+
+@pytest.mark.parametrize("route", PER_BIDDER_ROUTES.values(), ids=PER_BIDDER_ROUTES.keys())
+@pytest.mark.parametrize("bad", [1.5, "2", True, None], ids=repr)
+def test_bidder_index_must_be_an_integer(example4, route, bad):
+    with pytest.raises(ap.ValidationError, match=f"index must be an integer, got {bad!r}"):
+        route(example4, bad)
+
+
+@pytest.mark.parametrize("route", PER_BIDDER_ROUTES.values(), ids=PER_BIDDER_ROUTES.keys())
+def test_bidder_index_accepts_numpy_integers(example4, route):
+    assert route(example4, np.int64(2)) == route(example4, 2)
+
+
+def test_sabotage_indices_stored_as_int(example4):
+    scenario = ap.SabotageScenario(example4, np.int64(2), np.int64(3), 0.1)
+    assert type(scenario.saboteur) is int and type(scenario.target) is int
+    json.dumps(ap.optimal_sabotage_bid(scenario).to_dict())
+
+
+def _piece_interiors(cfg):
+    """(k, xs) for every piece k of positive width in x: points strictly
+    inside [s_k, s_{k-1})."""
+    s = ap.breakpoints(cfg)
+    for k in range(1, cfg.n):
+        xs = s[k] + np.array([0.01, 0.3, 0.5, 0.7, 0.99]) * (s[k - 1] - s[k])
+        xs = xs[(xs > s[k]) & (xs < s[k - 1])]
+        if len(xs):
+            yield k, xs
+
+
+@given(st.one_of(prob_lists, edge_prob_lists(max_n=12)))
+def test_scaled_densities_agree_on_each_piece(probs):
+    """The identity the all-bidder oracle pass rests on: on piece k every
+    bidder i >= k has p_i f_i(x) = p_k f_k(x), here within a few ulps."""
+    cfg = ap.build_config(probs)
+    p = cfg.probabilities
+    for k, xs in _piece_interiors(cfg):
+        want = p[k - 1] * ap.pdf(cfg, k, xs)
+        for i in range(k, cfg.n + 1):
+            assert_allclose(p[i - 1] * ap.pdf(cfg, i, xs), want, rtol=4 * EPS, atol=0)
 
 
 def _scenario(cfg):

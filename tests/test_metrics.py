@@ -9,6 +9,8 @@ from numpy.testing import assert_allclose
 
 import allpay_eq as ap
 import exact
+from allpay_eq.equilibrium import _pdf_array
+from allpay_eq.metrics import _oracle_table
 from conftest import EXAMPLE_BIDS, EXAMPLE_MAX_PROFIT, prob_lists, random_configs
 
 
@@ -235,6 +237,72 @@ def test_quadrature_raises_when_the_result_is_not_finite():
             oracle(cfg, 1)
     # G dx vanishes there instead, so the max-profit oracle stays exact
     assert ap.max_profit_quadrature(cfg) == pytest.approx(ap.max_profit(cfg), abs=1e-10)
+
+
+def _per_bidder_oracles(cfg, i):
+    """Bidder i's expected bid and mass by its own density, integrated over
+    its own pieces with the n-node Gauss-Legendre rule in the level h: the
+    plain per-bidder route that the all-bidder pass replaces."""
+    prof = ap.equilibrium_profile(cfg)
+    n = cfg.n
+    k = np.flatnonzero(prof.width[: min(i, n - 1)] > 0.0)[:, None]
+    m, c = prof.m[k], prof.c[k]
+    t, w = np.polynomial.legendre.leggauss(n)
+    half = prof.width[k] / 2.0
+    h = prof.lo[k] + half * (t + 1.0)
+    x = c * h**m - prof.lam
+    f = _pdf_array(prof, i, x) * (m * c * h ** (m - 1) * half) * w
+    atom = prof.atom_n if i == n else 0.0
+    return float(np.sum(x * f)), atom + float(np.sum(f))
+
+
+ALL_BIDDER_CASES = {
+    **ORACLE_EDGE_CONFIGS,
+    **{f"random_{j}": list(cfg.probabilities)
+       for j, cfg in enumerate(random_configs(seed=29, count=6, n_hi=40))},
+}
+
+
+@pytest.mark.parametrize("probs", ALL_BIDDER_CASES.values(), ids=ALL_BIDDER_CASES.keys())
+def test_all_bidder_pass_matches_per_bidder_route(probs):
+    cfg = ap.build_config(probs)
+    for i in range(1, cfg.n + 1):
+        bid, mass = _per_bidder_oracles(cfg, i)
+        assert ap.expected_bid_quadrature(cfg, i) == pytest.approx(bid, rel=1e-14, abs=1e-15)
+        assert ap.distribution_mass_quadrature(cfg, i) == pytest.approx(mass, abs=4e-15)
+
+
+def test_oracles_at_n300():
+    """Every bidder's oracles at n = 300, p evenly spaced over [0.05, 0.99]."""
+    cfg = ap.build_config(list(np.linspace(0.05, 0.99, 300)))
+    bids = ap.expected_bids(cfg)
+    for i in range(1, cfg.n + 1):
+        assert ap.expected_bid_quadrature(cfg, i) == pytest.approx(bids[i - 1], rel=1e-12)
+        assert ap.distribution_mass_quadrature(cfg, i) == pytest.approx(1.0, abs=1e-13)
+
+
+def test_oracles_raise_only_the_typed_error_where_the_density_overflows():
+    """At n = 1000, p evenly spaced over [0.05, 0.99], lam underflows to 0 and
+    the density overflows from piece 674 on.  Bidder 673 still gets
+    finite oracles; bidder 674 gets AuctionError and no RuntimeWarning
+    (the suite turns warnings into errors)."""
+    cfg = ap.build_config(list(np.linspace(0.05, 0.99, 1000)))
+    for oracle in (ap.expected_bid_quadrature, ap.distribution_mass_quadrature):
+        assert math.isfinite(oracle(cfg, 673))
+        with pytest.raises(ap.AuctionError, match="bidder 674's support is not finite"):
+            oracle(cfg, 674)
+
+
+def test_oracle_memo_holds_only_the_last_config(example4):
+    """Interleaved configs each read their own oracles, equal to those
+    computed cold, and only the last config stays memoized."""
+    other = ap.build_config([0.2, 0.4, 0.4, 0.9, 1.0, 1.0])
+    cold = {cfg: _oracle_table.__wrapped__(cfg) for cfg in (example4, other)}
+    for cfg in (example4, other, other, example4, other):
+        for i in range(1, cfg.n + 1):
+            assert ap.expected_bid_quadrature(cfg, i) == cold[cfg][0][i - 1]
+            assert ap.distribution_mass_quadrature(cfg, i) == cold[cfg][1][i - 1]
+        assert _oracle_table.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize(
