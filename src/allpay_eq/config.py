@@ -35,6 +35,14 @@ def _check_integer(name: str, value) -> int:
     raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_real(name: str, value) -> float:
+    """``value`` as a float: anything with ``__float__`` but a bool, so no
+    string."""
+    if not isinstance(value, bool) and hasattr(type(value), "__float__"):
+        return float(value)
+    raise ValidationError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AuctionConfig:
     """Participation probabilities sorted ascending, plus caller-order bookkeeping.

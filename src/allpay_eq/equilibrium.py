@@ -174,22 +174,68 @@ def atom_at_zero(config: AuctionConfig, i: int) -> float:
     return prof.atom_n if i == config.n else 0.0
 
 
-def h_value(config: AuctionConfig, k: int, x: float) -> float:
-    """Evaluate H_k(x) = ((lam + x)/prefix_k) ** (1/(n-k)).
+def h_value(config: AuctionConfig, k: int, x) -> float | np.ndarray:
+    """The level H_k(x) of bid x (scalar or array) on piece k, by _level_of_bid.
 
-    Raises ValidationError for k outside 1..n-1, for a vanished prefix product
-    (such pieces are never used), or for x < -lam or NaN.
+    Raises ValidationError unless k is an integer (not a bool) in 1..n-1, for
+    a vanished prefix product (such pieces are never used), or for x < -lam
+    or NaN.
     """
     prof = equilibrium_profile(config)
-    n = config.n
-    if not 1 <= k <= n - 1:
-        raise ValidationError(f"piece index k={k} outside 1..{n - 1}")
-    c = prof.prefix_products[k]
-    if c == 0.0:
+    k = _check_piece(k, config.n - 1)
+    if prof.prefix_products[k] == 0.0:
         raise ValidationError(f"unused piece: prefix product vanishes at k={k}")
-    if not prof.lam + x >= 0.0:  # also catches a NaN x
-        raise ValidationError(f"H_{k} undefined for x={x}: needs x >= -lam={-prof.lam}")
-    return ((prof.lam + x) / c) ** (1.0 / (n - k))
+
+    def level(xs: np.ndarray) -> np.ndarray:
+        if np.any(prof.lam + xs < 0.0):
+            raise ValidationError(f"H_{k} undefined below x = -lam = {-prof.lam}")
+        return _level_of_bid(prof, xs, config.n - k)
+
+    return _scalar_or_array(level, x)
+
+
+def _check_piece(k: int, top: int) -> int:
+    """``k`` as a Python int, or ValidationError unless it is an integer (not
+    a bool) in 1..top."""
+    k = _check_integer("piece index", k)
+    if not 1 <= k <= top:
+        raise ValidationError(f"piece index k={k} outside 1..{top}")
+    return k
+
+
+def _bid_of_level(
+    prof: EquilibriumProfile,
+    h: np.ndarray,
+    m: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """The bid x = C h**m - lam at level h on the piece of exponent m = n - k,
+    an integer array of h's shape, with C = C_k = prof.prefix_rev[m]: the one
+    place this map is evaluated.  At m = 0, bidder n's atom, it is
+    lam - lam = 0 exactly.
+
+    ``out`` and ``scratch`` (float, for the power) take the result when
+    given: both C-contiguous of h's shape, not overlapping each other or m;
+    h may be ``out`` itself.  The power is taken first and never in place
+    (numpy rounds an in-place power of a single element differently from its
+    vector loop), then C is gathered into ``out`` and multiplied by it, so no
+    temporary is allocated."""
+    power = np.power(h, m, out=scratch)
+    if out is None:
+        out = np.empty_like(power)
+    # mode="clip": every exponent is in range, and the default "raise" buffers ``out``
+    np.take(prof.prefix_rev, m, out=out, mode="clip")
+    out *= power
+    out -= prof.lam
+    return out
+
+
+def _level_of_bid(prof: EquilibriumProfile, x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The level h = ((lam + x)/C)**(1/m) of bid x >= -lam on the piece of
+    exponent m = n - k >= 1, with C = prof.prefix_rev[m]: the inverse of
+    _bid_of_level, and the one place it is evaluated."""
+    return ((prof.lam + x) / prof.prefix_rev[m]) ** (1.0 / m)
 
 
 def support(config: AuctionConfig, i: int) -> tuple[float, float]:
@@ -266,9 +312,8 @@ def _cdf_array(prof: EquilibriumProfile, i: int | np.ndarray, xs: np.ndarray) ->
     k = _piece_indices(prof, xs)
     k_max = np.minimum(i, n - 1)  # bidder i's piece of lowest bids
     inner = (k >= 1) & (k <= np.max(k_max))  # on a piece of some requested bidder
-    m = n - k[inner]
     h = np.zeros_like(xs, dtype=float)
-    h[inner] = ((prof.lam + xs[inner]) / prof.prefix_rev[m]) ** (1.0 / m)
+    h[inner] = _level_of_bid(prof, xs[inner], n - k[inner])
     out = np.add(h, p_i)
     out -= 1.0
     out /= p_i
@@ -311,12 +356,10 @@ def _pdf_array(prof: EquilibriumProfile, i: int | np.ndarray, xs: np.ndarray) ->
 
 
 def quantile(config: AuctionConfig, i: int, u) -> float | np.ndarray:
-    """Inverse CDF of bidder i: the piecewise closed-form inversion
-
-        x = (p_i u + 1 - p_i)**(n-k) * prefix_k - lam
-
-    on the piece k whose CDF range contains u, and 0 for u at or below the
-    last bidder's atom mass.  Raises ValidationError for u outside [0, 1].
+    """Inverse CDF of bidder i: the bid of level h = p_i u + 1 - p_i
+    (_bid_of_level) on the piece k whose CDF range contains u, and 0 for u
+    at or below the last bidder's atom mass.  Raises ValidationError for u
+    outside [0, 1].
     """
     prof = equilibrium_profile(config)
     i = _check_bidder(config, i)
@@ -365,10 +408,10 @@ def _quantile_into(
     ``mask`` (bool) as its temporaries; all four are C-contiguous with the
     broadcast shape, and none may overlap another or ``p_i`` or ``us``.
 
-    Computes max((p_i u + 1 - p_i)**(n-k) * prefix_k - lam, 0) with k - 1 the
-    count of probabilities below p_i (1 - u), found by _piece_search, in that
-    order of operations.  The power is never taken in place: numpy rounds an
-    in-place power of a single element differently from its vector loop.
+    Computes the bid of level h = p_i u + 1 - p_i by _bid_of_level, in
+    ``out`` with the power in ``scratch``, on the piece k whose k - 1 is the
+    count of probabilities below p_i (1 - u), found by _piece_search, and
+    clips it at 0.
     """
     np.subtract(1.0, us, out=scratch)
     scratch *= p_i
@@ -376,13 +419,8 @@ def _quantile_into(
     exponent = np.subtract(prof.n - 1, k, out=k)  # n - k for 1-based k
     np.multiply(p_i, us, out=out)
     out += 1.0
-    out -= p_i
-    power = np.power(out, exponent, out=scratch)
-    # prefix_k is entry n - k of prefix_rev.  mode="clip": the exponent is in
-    # range, and the default "raise" buffers ``out``.
-    np.take(prof.prefix_rev, exponent, out=out, mode="clip")
-    out *= power
-    out -= prof.lam
+    out -= p_i  # the level h
+    _bid_of_level(prof, out, exponent, out, scratch)
     return np.maximum(out, 0.0, out=out)
 
 
@@ -451,6 +489,7 @@ def _factor_blocks(
         f += 1.0
         f -= p
         yield cols, f
+        del f  # the block is released before the next one is built
 
 
 def _opponent_product(
@@ -465,6 +504,7 @@ def _opponent_product(
         if skip:
             f[skip - 1] = 1.0  # exact: a factor of 1 leaves the product unchanged
         np.multiply.reduce(f, axis=0, out=out[cols])
+        del f  # the block is released before the next one is built
     return out
 
 
@@ -476,7 +516,9 @@ def expected_utility(config: AuctionConfig, i: int) -> float:
 
 
 def no_failure_cdf(n: int, x) -> float | np.ndarray:
-    """Classic fully-reliable symmetric equilibrium CDF, x ** (1/(n-1)) on [0, 1]."""
+    """Classic fully-reliable symmetric equilibrium CDF, x ** (1/(n-1)) on [0, 1].
+    n must be an integer (not a bool) of at least 2."""
+    n = _check_integer("n", n)
     if n < 2:
         raise DegenerateAuctionError("degenerate auction: n >= 2 required")
     return _scalar_or_array(lambda xs: np.clip(xs, 0.0, 1.0) ** (1.0 / (n - 1)), x)

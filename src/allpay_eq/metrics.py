@@ -28,9 +28,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import AuctionConfig, AuctionError, DegenerateAuctionError
+from .config import AuctionConfig, AuctionError, DegenerateAuctionError, _check_integer
 from .equilibrium import (
     EquilibriumProfile,
+    _bid_of_level,
     _check_bidder,
     _opponent_product,
     _pdf_array,
@@ -139,7 +140,9 @@ def no_failure_baseline(n: int) -> NoFailureBaseline:
     """Benchmark table for the classic auction where everyone always shows up:
     expected bid 1/n, bidder utility 0, sum revenue 1, max revenue n/(2n-1),
     with the matching variances.  These are the uniform closed forms at p = 1,
-    where the sum revenue carries no participation noise."""
+    where the sum revenue carries no participation noise.  n must be an
+    integer (not a bool) of at least 2."""
+    n = _check_integer("n", n)
     if n < 2:
         raise DegenerateAuctionError("degenerate auction: n >= 2 required")
     case = UniformCase(n=n, p=1.0)
@@ -242,16 +245,17 @@ def _piece_nodes(prof: EquilibriumProfile) -> tuple[np.ndarray, np.ndarray, np.n
     (a column), and x and dx at the n nodes of one fixed Gauss-Legendre rule
     in the piece variable h = H_k(x) over [lo, hi] = [1 - p_k, 1 - p_{k-1}]
     (one row per piece), with the rule's weights w, so that the integral of g
-    over the piece is sum(g(x) * dx * w).  On piece k, x = C_k h**m - lam with
-    m = n - k, so dx = m C_k h**(m-1) dh and the oracles' integrands x f_i dx,
-    f_i dx and G dx are polynomials in h of degree m, 0 and 2m <= 2n - 2,
-    which n nodes integrate exactly."""
+    over the piece is sum(g(x) * dx * w).  x is the bid of level h, from
+    equilibrium._bid_of_level, and dx = m C_k h**(m-1) dh is its slope, so
+    the oracles' integrands x f_i dx, f_i dx and G dx are polynomials in h of
+    degree m, 0 and 2m <= 2n - 2 (m = n - k), which n nodes integrate
+    exactly."""
     k = np.flatnonzero(prof.width > 0.0)[:, None]  # row per piece
     m, c = prof.m[k], prof.c[k]
     t, w = _gauss_legendre(prof.n)  # one column per node
     half = prof.width[k] / 2.0
     h = prof.lo[k] + half * (t + 1.0)
-    x = c * h**m - prof.lam
+    x = _bid_of_level(prof, h, np.broadcast_to(m, h.shape))
     dx = m * c * h ** (m - 1) * half
     return k + 1, x, dx, w
 

@@ -7,15 +7,17 @@ equilibrium is
 
     pi(x) = (p'_r F_r(x) + 1 - p'_r) * prod_{j != i, r} (p_j F_j(x) + 1 - p_j) - x.
 
-On pieces shared by both supports (k <= min(i, r)) this reduces to
+On pieces shared by both supports (k <= min(i, r)) it is, in the level
+q = 1 - H_k(x) of x, which sweeps [p_{k-1}, p_k],
 
-    pi(x) = theta * (lam + x) * ((C_k / (lam + x))**(1/(n-k)) - 1) + lam,
+    pi = theta C_k q (1 - q)**(n-k-1) + lam,
 
-with theta = (p_r - p'_r)/p_r and C_k = prod_{j<k}(1 - p_j), which is concave
-per piece.  The optimum over the whole bid range therefore lives at one of at
-most min(i, r) candidates, one per nonempty piece of the equilibrium's table:
-in the level q = 1 - H_k(x), which sweeps [p_{k-1}, p_k], it is the
-stationary point q = 1/(n-k) clipped to that interval.
+with theta = (p_r - p'_r)/p_r and C_k = prod_{j<k}(1 - p_j).  Bids and
+levels are converted by equilibrium's one kernel pair, _bid_of_level and
+_level_of_bid (through h_value).  pi is concave per piece in the bid, so the
+optimum over the whole bid range lives at one of at most min(i, r)
+candidates, one per nonempty piece of the equilibrium's table: the
+stationary point q = 1/(n-k) clipped to that piece's interval.
 Candidate locations do not depend on p'_r (only the profit scale theta does),
 and every candidate profit is lam plus a nonnegative term, so sabotage never
 hurts the saboteur.
@@ -27,8 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import AuctionConfig, ValidationError, _check_integer
-from .equilibrium import _opponent_product, _scalar_or_array, equilibrium_profile
+from .config import AuctionConfig, ValidationError, _check_integer, _check_real
+from .equilibrium import (
+    _bid_of_level,
+    _check_piece,
+    _opponent_product,
+    _scalar_or_array,
+    equilibrium_profile,
+    h_value,
+)
 
 _TIE_TOL = 1e-12
 
@@ -54,7 +63,7 @@ class SabotageScenario:
         if self.saboteur == self.target:
             raise ValidationError("saboteur and target must differ")
         p_r = self.config.probabilities[self.target - 1]
-        if not 0.0 <= self.true_target_probability < p_r:
+        if not 0.0 <= _check_real("true target probability", self.true_target_probability) < p_r:
             raise ValidationError(
                 f"true target probability must lie in [0, {p_r}), "
                 f"got {self.true_target_probability}"
@@ -127,31 +136,33 @@ def sabotaged_payoff(scenario: SabotageScenario, x) -> float | np.ndarray:
 
 
 def joint_support_profit(scenario: SabotageScenario, k: int, x) -> float | np.ndarray:
-    """Closed form of the sabotaged payoff on a joint-support piece
-    k <= min(i, r):  theta (lam+x) ((C_k/(lam+x))**(1/(n-k)) - 1) + lam."""
+    """Closed form of the sabotaged payoff at bid x (scalar or array) on a
+    joint-support piece k <= min(i, r): the candidates' profit of
+    optimal_sabotage_bid at the level q = 1 - H_k(x) of x, from h_value.
+    Raises ValidationError unless k is an integer (not a bool) in
+    1..min(i, r), or for x < -lam or NaN."""
     cfg = scenario.config
-    prof = equilibrium_profile(cfg)
-    n = cfg.n
-    if not 1 <= k <= min(scenario.saboteur, scenario.target):
-        raise ValidationError(f"piece {k} outside the joint support range")
-    theta, c_k, lam = scenario.theta, prof.prefix_products[k], prof.lam
-    return _scalar_or_array(
-        lambda xs: theta * (lam + xs) * ((c_k / (lam + xs)) ** (1.0 / (n - k)) - 1.0) + lam, x
-    )
+    k = _check_piece(k, min(scenario.saboteur, scenario.target))
+    m = cfg.n - k
+    return _scalar_or_array(lambda xs: _level_profit(scenario, 1.0 - h_value(cfg, k, xs), m), x)
+
+
+def _level_profit(scenario: SabotageScenario, q, m):
+    """The sabotaged payoff q (1 - q)**(m-1) C theta + lam at the level
+    q = 1 - h of the piece of exponent m, C = prefix_rev[m]."""
+    prof = equilibrium_profile(scenario.config)
+    return q * (1.0 - q) ** (m - 1) * prof.prefix_rev[m] * scenario.theta + prof.lam
 
 
 def optimal_sabotage_bid(scenario: SabotageScenario) -> SabotagePlan:
     """Enumerate the per-piece optima of the sabotaged payoff and pick the best.
 
     On piece k the level h = 1 - q sweeps q over [p_{k-1}, p_k] (dummy
-    p_0 = 0), and with m = n - k and C = prod_{j<k}(1-p_j) the bid and the
-    payoff there are
-
-        bid    = (1 - q)**m * C - lam
-        profit = q (1 - q)**(m-1) * C * theta + lam,
-
-    which rises up to q = 1/m and falls after it.  Each nonempty joint-support
-    piece k = 1..min(i, r) therefore offers q = min(max(1/m, p_{k-1}), p_k).
+    p_0 = 0).  With m = n - k the bid there is equilibrium._bid_of_level at
+    h, and the payoff (_level_profit) q (1 - q)**(m-1) C_k theta + lam rises
+    up to q = 1/m and falls after it.  Each nonempty joint-support piece
+    k = 1..min(i, r) therefore offers q = min(max(1/m, p_{k-1}), p_k), all
+    pieces at once.
 
     The branch is "interior" when q == 1/m, so boundary ties of 1/m with
     p_{k-1} or p_k stay interior (the endpoint agrees there algebraically),
@@ -161,16 +172,18 @@ def optimal_sabotage_bid(scenario: SabotageScenario) -> SabotagePlan:
     """
     prof = equilibrium_profile(scenario.config)
     top = min(scenario.saboteur, scenario.target)
-    candidates: list[SabotageCandidate] = []
-    rows = zip(*(a[:top].tolist() for a in (prof.m, prof.c, prof.p_prev, prof.p)))
-    for k, (m, c_k, p_lo, p_hi) in enumerate(rows, start=1):
-        if p_lo == p_hi:  # empty piece, nothing to bid on
-            continue
-        q = min(max(1.0 / m, p_lo), p_hi)
-        branch = "interior" if q == 1.0 / m else "upper_endpoint" if q == p_lo else "lower_endpoint"
-        bid = (1.0 - q) ** m * c_k - prof.lam
-        profit = q * (1.0 - q) ** (m - 1) * c_k * scenario.theta + prof.lam
-        candidates.append(SabotageCandidate(piece=k, bid=bid, profit=profit, branch=branch))
+    k = np.flatnonzero(prof.width[:top] > 0.0)  # nonempty pieces, 0-based
+    m, p_lo, p_hi = prof.m[k], prof.p_prev[k], prof.p[k]
+    stationary = 1.0 / m
+    q = np.minimum(np.maximum(stationary, p_lo), p_hi)
+    bids = _bid_of_level(prof, 1.0 - q, m)
+    profits = _level_profit(scenario, q, m)
+    endpoint = np.where(q == p_lo, "upper_endpoint", "lower_endpoint")
+    branch = np.where(q == stationary, "interior", endpoint)
+    candidates = [
+        SabotageCandidate(*row)
+        for row in zip((k + 1).tolist(), bids.tolist(), profits.tolist(), branch.tolist())
+    ]
     best = candidates[0]
     for cand in candidates[1:]:
         if cand.profit > best.profit + _TIE_TOL:

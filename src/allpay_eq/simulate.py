@@ -595,22 +595,31 @@ def _equilibrium_audits(config: AuctionConfig, grid_size: int) -> tuple[AuditRes
     best = np.full(config.n, -np.inf)
     argmax = np.zeros(config.n)
     for cols, f in _factor_blocks(prof, grid):
-        # row by row: np.cumprod(axis=0) gives the same bits, several times slower at n <= 64
-        payoffs = np.empty_like(f)  # row i: prod_{j<i} f_j
-        payoffs[0] = 1.0
-        for below, f_j, out in zip(payoffs, f, payoffs[1:]):
-            np.multiply(below, f_j, out=out)
-        for above, f_j in zip(f[:0:-1], f[-2:0:-1]):  # row j of f becomes prod_{l>=j} f_l
-            f_j *= above
-        payoffs[:-1] *= f[1:]
+        payoffs = _exclusive_products(f)
         payoffs -= grid[cols]
         values = payoffs.max(axis=1)
         argmax = np.where(values > best, grid[cols][payoffs.argmax(axis=1)], argmax)
         best = np.maximum(values, best)
+        del f, payoffs  # release this block before the next one is built
     return tuple(
         AuditResult(i, float(m), float(x), prof.lam, float(m - prof.lam))
         for i, m, x in zip(range(1, config.n + 1), best, argmax)
     )
+
+
+def _exclusive_products(f: np.ndarray) -> np.ndarray:
+    """Row i of the result is prod_{j != i} f_j over the rows of the factor
+    block ``f``, which is overwritten.  Row by row: np.cumprod(axis=0) gives
+    the same bits, several times slower at n <= 64.  The row views die with
+    this frame, so they keep no block alive."""
+    payoffs = np.empty_like(f)  # row i: prod_{j<i} f_j
+    payoffs[0] = 1.0
+    for below, f_j, out in zip(payoffs, f, payoffs[1:]):
+        np.multiply(below, f_j, out=out)
+    for above, f_j in zip(f[:0:-1], f[-2:0:-1]):  # row j of f becomes prod_{l>=j} f_l
+        f_j *= above
+    payoffs[:-1] *= f[1:]
+    return payoffs
 
 
 def equilibrium_cdf_callables(config: AuctionConfig) -> list[Callable[[np.ndarray], np.ndarray]]:

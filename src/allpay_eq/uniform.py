@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import ValidationError, _check_integer
+from .config import ValidationError, _check_integer, _check_real
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class UniformCase:
     def __post_init__(self) -> None:
         if _check_integer("n", self.n) < 2:
             raise ValidationError(f"uniform case needs n >= 2, got n={self.n}")
-        if isinstance(self.p, bool) or not 0.0 < self.p <= 1.0:
+        if not 0.0 < _check_real("common probability", self.p) <= 1.0:
             raise ValidationError(f"common probability must lie in (0, 1], got {self.p!r}")
 
     @property

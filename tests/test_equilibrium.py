@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import allpay_eq as ap
-from allpay_eq.equilibrium import _BLOCK_ENTRIES, _piece_search, _quantile_array
+from allpay_eq.equilibrium import (
+    _BLOCK_ENTRIES,
+    _bid_of_level,
+    _level_of_bid,
+    _piece_search,
+    _quantile_array,
+)
 from conftest import (
     edge_prob_lists,
     example1_explicit_cdfs,
@@ -101,6 +107,27 @@ def test_h_value(example4):
     assert math.isclose(ap.h_value(example4, 1, S1), 2 / 3, rel_tol=1e-14)
     assert math.isclose(ap.h_value(example4, 1, S0), 1.0, rel_tol=1e-15)
     assert math.isclose(ap.h_value(ap.build_config([0.5, 1.0]), 1, 0.0), 0.5, rel_tol=1e-15)
+
+
+def test_h_value_of_an_array_is_the_scalar_route(example4):
+    xs = np.array([S1, 0.5, S0])
+    assert ap.h_value(example4, 1, xs).tolist() == [ap.h_value(example4, 1, x) for x in xs]
+    with pytest.raises(ap.ValidationError, match="undefined"):
+        ap.h_value(example4, 1, [0.5, -0.5])
+
+
+def test_level_and_bid_kernels_invert_each_other():
+    """_level_of_bid undoes _bid_of_level on every nonempty piece, and the
+    piece ends map to the breakpoints."""
+    for cfg in random_configs(seed=71, count=20, n_hi=16):
+        prof = ap.equilibrium_profile(cfg)
+        for k in np.flatnonzero(prof.width > 0.0):
+            h = np.linspace(prof.lo[k], prof.hi[k], 9)
+            m = np.full(h.shape, prof.m[k])
+            x = _bid_of_level(prof, h, m)
+            assert_allclose(_level_of_bid(prof, x, m), h, rtol=1e-12)
+            s = prof.breakpoints
+            assert_allclose(x[[0, -1]], [s[k + 1], s[k]], rtol=1e-12, atol=1e-15)
 
 
 def test_h_value_errors(example4):
@@ -567,6 +594,26 @@ def test_bidder_index_accepts_numpy_integers(example4, route):
     assert route(example4, np.int64(2)) == route(example4, 2)
 
 
+PIECE_ROUTES = {
+    "h_value": lambda cfg, k: ap.h_value(cfg, k, 0.3),
+    "joint_support_profit": lambda cfg, k: ap.joint_support_profit(
+        ap.SabotageScenario(cfg, 3, 4, 0.5), k, 0.3
+    ),
+}
+
+
+@pytest.mark.parametrize("route", PIECE_ROUTES.values(), ids=PIECE_ROUTES.keys())
+@pytest.mark.parametrize("bad", [1.5, "2", True, None], ids=repr)
+def test_piece_index_must_be_an_integer(example4, route, bad):
+    with pytest.raises(ap.ValidationError, match=f"piece index must be an integer, got {bad!r}"):
+        route(example4, bad)
+
+
+@pytest.mark.parametrize("route", PIECE_ROUTES.values(), ids=PIECE_ROUTES.keys())
+def test_piece_index_accepts_numpy_integers(example4, route):
+    assert route(example4, np.int64(2)) == route(example4, 2)
+
+
 def test_sabotage_indices_stored_as_int(example4):
     scenario = ap.SabotageScenario(example4, np.int64(2), np.int64(3), 0.1)
     assert type(scenario.saboteur) is int and type(scenario.target) is int
@@ -612,9 +659,7 @@ NAN_ENTRY_POINTS = {
     "no_failure_cdf": lambda cfg, x: ap.no_failure_cdf(cfg.n, x),
     "h_value": lambda cfg, x: ap.h_value(cfg, 1, x),
 }
-NAN_CASES = [(name, NAN) for name in NAN_ENTRY_POINTS] + [
-    (name, [0.1, NAN]) for name in NAN_ENTRY_POINTS if name != "h_value"  # h_value is scalar
-]
+NAN_CASES = [(name, x) for x in (NAN, [0.1, NAN]) for name in NAN_ENTRY_POINTS]
 
 
 @pytest.mark.parametrize(

@@ -48,6 +48,12 @@ def test_scenario_validation():
         scenario([0.5], 1, 1, 0.1)
 
 
+@pytest.mark.parametrize("bad", ["0.1", None, [0.1]], ids=repr)
+def test_true_target_probability_must_be_a_number(bad):
+    with pytest.raises(ap.ValidationError, match="true target probability must be a real number"):
+        scenario([0.5, 0.5, 0.5], 2, 1, bad)
+
+
 def test_payoff_range_check():
     sc = scenario([0.5, 0.5, 0.5], 2, 1, 0.25)
     s0 = ap.breakpoints(sc.config)[0]
@@ -104,6 +110,25 @@ def test_joint_support_piece_range_check():
     sc = scenario([1 / 3, 1 / 2, 3 / 4, 1.0], 3, 2, 0.2)
     with pytest.raises(ap.ValidationError):
         ap.joint_support_profit(sc, 3, 0.1)
+
+
+def test_joint_support_profit_at_the_bottom_of_a_piece_with_lam_zero():
+    """With lam = 0, x = 0 is the bottom of piece 2, where the level is 0:
+    the profit is its limit theta C_2 = 0.25, without a warning."""
+    sc = scenario([0.5, 1.0, 1.0], 3, 2, 0.5)
+    with np.errstate(all="raise"):
+        assert ap.joint_support_profit(sc, 2, 0.0) == 0.25
+        assert_allclose(ap.joint_support_profit(sc, 2, np.array([0.0, 1e-300])), 0.25)
+    s = ap.breakpoints(sc.config)
+    xs = np.linspace(s[2], s[1], 7)
+    assert_allclose(ap.joint_support_profit(sc, 2, xs), ap.sabotaged_payoff(sc, xs), atol=1e-15)
+
+
+@pytest.mark.parametrize("x", [-1.0, [0.1, -1.0]], ids=["scalar", "array"])
+def test_joint_support_profit_below_minus_lam_raises(x):
+    sc = scenario([0.5, 1.0, 1.0], 3, 2, 0.5)
+    with pytest.raises(ap.ValidationError, match="undefined"):
+        ap.joint_support_profit(sc, 2, x)
 
 
 # ---------------------------------------------------------------------------

@@ -34,3 +34,14 @@ def test_readme_library_block():
     assert "ap.monte_carlo(cfg" in code
     done = run_python("-c", code)
     assert done.returncode == 0, done.stderr
+
+
+def test_output_digest_script():
+    """One digest line per family, the same on a second run."""
+    runs = [run_python(str(SCRIPTS / "output_digest.py")) for _ in range(2)]
+    assert all(done.returncode == 0 for done in runs), runs[0].stderr
+    lines = runs[0].stdout.splitlines()
+    names = [line.split()[0] for line in lines]
+    assert names[:3] == ["quantile", "cdf", "pdf"] and len(names) == len(set(names)) == 14
+    assert all(len(line.split()[1]) == 64 for line in lines)
+    assert runs[1].stdout == runs[0].stdout

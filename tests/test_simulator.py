@@ -600,9 +600,11 @@ def test_all_bidder_audit_matches_per_bidder_product(probs, blocks, extra, data)
 
 @pytest.mark.parametrize("n", [64, 300])
 def test_all_bidder_audit_memory_is_bounded(n):
-    """The audit holds a few blocks of about _BLOCK_ENTRIES entries at a
-    time, never a matrix over the whole grid, so its traced peak at grid
-    10,001 stays under a fixed bound whatever n is."""
+    """The audit holds one factor block of about _BLOCK_ENTRIES entries, its
+    payoff block and the CDF kernel's temporaries at a time, never a matrix
+    over the whole grid, and releases each block before the next one is
+    built, so its traced peak at grid 10,001 stays under three blocks of
+    float64 whatever n is."""
     cfg = ap.build_config(list(np.linspace(0.05, 0.99, n)))
     ap.equilibrium_profile(cfg)  # the cached table is built outside the trace
     tracemalloc.start()
@@ -611,7 +613,7 @@ def test_all_bidder_audit_memory_is_bounded(n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert peak < 3 * _BLOCK_ENTRIES * 8
 
 
 def test_audit_memo_holds_only_the_last_config_and_grid(example4):

@@ -18,12 +18,24 @@ def test_validation():
         case(3, 0.0)
     with pytest.raises(ap.ValidationError):
         case(3, 1.2)
-    # n must be an integer: n = 2.5 would give lam = (1 - p) ** 1.5
-    for n in (4.0, 2.5, True):
-        with pytest.raises(ap.ValidationError, match="n must be an integer"):
-            case(n, 0.5)
-    with pytest.raises(ap.ValidationError):
-        case(3, True)
+    for p in (True, "0.5", None):
+        with pytest.raises(ap.ValidationError, match="common probability must be a real number"):
+            case(3, p)
+
+
+N_ROUTES = {
+    "UniformCase": lambda n: case(n, 0.5),
+    "no_failure_cdf": lambda n: ap.no_failure_cdf(n, 0.5),
+    "no_failure_baseline": ap.no_failure_baseline,
+}
+
+
+@pytest.mark.parametrize("route", N_ROUTES.values(), ids=N_ROUTES.keys())
+@pytest.mark.parametrize("bad", [4.0, 2.5, "3", True, None], ids=repr)
+def test_n_must_be_an_integer(route, bad):
+    """n = 2.5 would give lam = (1 - p) ** 1.5, and a bool is no bidder count."""
+    with pytest.raises(ap.ValidationError, match="n must be an integer"):
+        route(bad)
 
 
 def test_bid_moments_examples():
