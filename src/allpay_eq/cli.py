@@ -7,8 +7,8 @@ Exit codes: 0 success, 2 invalid input, 1 internal error.
 
 Each handler parses its input first and then imports the library code it
 calls, so a call loads only what it runs: ``uniform`` and input that fails to
-parse never load numpy, and only ``simulate`` and ``audit`` load the Monte
-Carlo engine.
+parse or to validate as a seed, a trial count or ALLPAY_EQ_THREADS never load
+numpy, and only ``simulate`` and ``audit`` load the Monte Carlo engine.
 """
 
 from __future__ import annotations
@@ -20,7 +20,15 @@ import json
 import sys
 from typing import Sequence
 
-from .config import AuctionConfig, ValidationError, build_config, config_from_json
+from .config import (
+    AuctionConfig,
+    ValidationError,
+    _check_seed,
+    _check_trials,
+    _threads_cap,
+    build_config,
+    config_from_json,
+)
 
 _SIG_DIGITS = 12
 
@@ -168,10 +176,12 @@ def _cmd_table(args: argparse.Namespace):
 
 def _cmd_simulate(args: argparse.Namespace):
     config = _load_config(args)
+    trials, seed = _check_trials(args.trials), _check_seed(args.seed)
+    _threads_cap()  # a bad ALLPAY_EQ_THREADS exits 2 before numpy loads
     from .metrics import revenue_report
     from .simulate import monte_carlo
 
-    report = monte_carlo(config, args.trials, seed=args.seed)
+    report = monte_carlo(config, trials, seed=seed)
     payload = report.to_dict()
     if config.n >= 2:
         analytic = revenue_report(config).to_dict()

@@ -9,8 +9,13 @@ from __future__ import annotations
 
 import json
 import operator
+import os
 from dataclasses import dataclass
 from typing import Sequence
+
+
+_SEED_LIMIT = 2**128  # Philox keys are 128-bit
+_THREADS_ENV = "ALLPAY_EQ_THREADS"
 
 
 class AuctionError(Exception):
@@ -33,6 +38,37 @@ def _check_integer(name: str, value) -> int:
         except TypeError:
             pass
     raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_trials(trials) -> int:
+    """``trials`` as a positive Python int."""
+    trials = _check_integer("trials", trials)
+    if trials < 1:
+        raise ValidationError(f"trials must be a positive integer, got {trials}")
+    return trials
+
+
+def _check_seed(seed) -> int:
+    """``seed`` as a Python int in [0, 2**128)."""
+    seed = _check_integer("seed", seed)
+    if not 0 <= seed < _SEED_LIMIT:
+        raise ValidationError(f"seed must lie in [0, 2**128), got {seed}")
+    return seed
+
+
+def _threads_cap() -> int | None:
+    """The positive cap that ALLPAY_EQ_THREADS sets on the Monte Carlo
+    worker count, or None when the variable is unset or empty."""
+    cap = os.environ.get(_THREADS_ENV)
+    if not cap:
+        return None
+    try:
+        value = int(cap)
+    except ValueError:
+        raise ValidationError(f"{_THREADS_ENV} must be an integer, got {cap!r}") from None
+    if value < 1:
+        raise ValidationError(f"{_THREADS_ENV} must be a positive integer, got {cap!r}")
+    return value
 
 
 def _check_real(name: str, value) -> float:

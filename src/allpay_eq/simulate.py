@@ -7,12 +7,15 @@ order: participation uniforms for bidders 1..n first, then one bid uniform per
 participant in index order.  Reports are therefore bit-for-bit identical for a
 given (config, trials, seed, chunk_size) regardless of thread count.
 
-The default chunk follows from n: a fixed budget of 2**19 words per chunk
-(65,536 trials at n = 4, 4,096 at n = 64), so memory per worker stays bounded
-as n grows.  Each chunk of m trials is simulated bidder-major, as n x m
-arrays with one contiguous row per bidder: a single quantile call covers
-every participant, and each bidder's power sums are taken pairwise along its
-row, where a non-participant's zero bid and utility add nothing.
+The default chunk follows from n: a fixed budget of 2**18 words per chunk
+(32,768 trials at n = 4, 2,048 at n = 64, 436 at n = 300), so a worker's
+buffers hold about 5 MiB of floats at any n up to 2**16.  Each chunk of m
+trials is simulated bidder-major, as n x m arrays with one contiguous row per
+bidder, and its k participants are listed bidder-major as well: a single
+quantile call covers every participant, each participant's utility is taken
+from its trial's winners alone, and each bidder's power sums run pairwise
+over its contiguous segment of participants, since a non-participant's zero
+bid and utility would add nothing.
 
 With w workers, worker i runs the chunks i, i + w, i + 2w, ... in order
 through one buffer arena, which the calling thread allocates for it and which
@@ -35,12 +38,19 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .config import AuctionConfig, ValidationError, _check_integer
+from .config import (
+    AuctionConfig,
+    ValidationError,
+    _check_integer,
+    _check_seed,
+    _check_trials,
+    _threads_cap,
+)
 from .equilibrium import (
     _check_bidder,
     _factor_blocks,
@@ -51,9 +61,7 @@ from .equilibrium import (
     equilibrium_profile,
 )
 
-_CHUNK_WORDS = 2**19  # Philox words per default chunk
-_SEED_LIMIT = 2**128  # Philox keys are 128-bit
-_THREADS_ENV = "ALLPAY_EQ_THREADS"
+_CHUNK_WORDS = 2**18  # Philox words per default chunk
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +239,13 @@ def monte_carlo(
     Deterministic for fixed (config, trials, seed, chunk_size) under any
     thread count.  ``trials``, ``seed`` and ``chunk_size`` are integers (not
     bools), ``seed`` in [0, 2**128).  ``chunk_size`` defaults to a budget of
-    2**19 Philox words at 2n words a trial (65,536 trials at n = 4).
+    2**18 Philox words at 2n words a trial (32,768 trials at n = 4).
     ``threads`` is a positive integer (not a bool); it defaults to 1 and is
     capped by the ALLPAY_EQ_THREADS environment variable when that is set, by
     the CPU count and by the number of chunks.
     """
-    trials = _check_integer("trials", trials)
-    if trials < 1:
-        raise ValidationError(f"trials must be a positive integer, got {trials}")
-    seed = _check_integer("seed", seed)
-    if not 0 <= seed < _SEED_LIMIT:
-        raise ValidationError(f"seed must lie in [0, 2**128), got {seed}")
+    trials = _check_trials(trials)
+    seed = _check_seed(seed)
     if chunk_size is None:
         chunk_size = _default_chunk_size(config.n)
     else:
@@ -282,7 +286,7 @@ def monte_carlo(
 
 
 def _default_chunk_size(n: int) -> int:
-    """Trials per chunk: a budget of 2**19 Philox words at 2n words a trial,
+    """Trials per chunk: a budget of 2**18 Philox words at 2n words a trial,
     rounded down to an even count (whole 4-word Philox blocks) and at least 2."""
     return max(2, _CHUNK_WORDS // (2 * n) // 2 * 2)
 
@@ -290,18 +294,10 @@ def _default_chunk_size(n: int) -> int:
 def _resolve_threads(threads: int | None, chunks: int) -> int:
     """Worker count: ``threads`` (default 1, or the ALLPAY_EQ_THREADS value
     when that is set), capped by that variable, the CPU count and ``chunks``."""
-    cap = os.environ.get(_THREADS_ENV)
-    cap_value = None
-    if cap:
-        try:
-            cap_value = int(cap)
-        except ValueError:
-            raise ValidationError(f"{_THREADS_ENV} must be an integer, got {cap!r}") from None
-        if cap_value < 1:
-            raise ValidationError(f"{_THREADS_ENV} must be a positive integer, got {cap!r}")
-    requested = threads if threads is not None else (cap_value or 1)
-    if cap_value is not None:
-        requested = min(requested, cap_value)
+    cap = _threads_cap()
+    requested = threads if threads is not None else (cap or 1)
+    if cap is not None:
+        requested = min(requested, cap)
     return max(1, min(requested, os.cpu_count() or 1, chunks))
 
 
@@ -325,32 +321,33 @@ class _Arena:
 
     Every slot is flat: a chunk of m' <= m trials views a C-contiguous prefix
     of it, never a column slice, whose ravel would copy.  A slot is reused
-    once its first content is dead:
+    once its first content is dead (k is the chunk's participant count):
 
-    - ``words`` holds the Philox words, then the quantile's p_i and scratch,
-      then the power-sum temporaries.
+    - ``words`` (3nm entries) holds the Philox words in its first 2nm and
+      the gathered bid words in its last nm.  Then the first nm hold the
+      quantile's p_i, the next nm its scratch and the last nm the bids; then
+      the participants' trial indices; and last, the whole slot holds the
+      power-sum temporaries (3k).
     - ``pos`` holds the bid-word positions, then the quantile's piece
-      indices, then the utilities.
+      indices, then the participants' utilities.
     - ``levels`` holds the gathered positions, then the search's cell indices
-      and probes, then the quantiles.
-    - ``bids`` holds the gathered bid words, then the bids.
+      and probes, then the participants' bids.
     - ``win`` holds the search mask, then the winner mask, then the
-      nonzero-bid mask.
+      participants' winner flags.
+    - ``revenues`` holds each trial's sum and maximum of the bids.
     """
 
     def __init__(self, n: int, m: int):
         size = n * m
-        self.words = np.empty(2 * size)
+        self.words = np.empty(3 * size)
         self.part = np.empty(size, dtype=bool)
         self.win = np.empty(size, dtype=bool)
         self.pos = np.empty(size)
         self.levels = np.empty(size)
-        self.bids = np.empty(size)
         self.first_pos = np.arange(n - 1, 2 * n * m, 2 * n)  # bidder 1's bid word
-        self.top = np.empty(m)
+        self.revenues = np.empty(2 * m)
         self.share = np.empty(m)
         self.nonempty = np.empty(m, dtype=bool)
-        self.sum_rev = np.empty(m)
 
 
 def _view(slot: np.ndarray, *shape: int) -> np.ndarray:
@@ -358,27 +355,41 @@ def _view(slot: np.ndarray, *shape: int) -> np.ndarray:
     return slot[: math.prod(shape)].reshape(shape)
 
 
-def _simulate_block(
-    config: AuctionConfig, seed: int, t0: int, m: int, arena: _Arena | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized trials, bidder-major: (participation, bids, utilities,
-    sum_rev, max_rev).
+class _Chunk(NamedTuple):
+    """One simulated chunk of m trials, bidder-major; every array is a view
+    into the arena, valid until its next chunk.
 
-    The first three are C-contiguous n x m arrays, row j - 1 holding bidder
-    j's value in each trial; the revenues have one entry per trial.
-    Non-participants hold bid 0 and utility 0, so every reduction runs over
-    whole rows without a mask.  All five are views into ``arena`` (a fresh
-    one when not given), valid until its next chunk.
+    ``part`` and ``bids`` are C-contiguous n x m arrays, row j - 1 holding
+    bidder j's participation and bid (0 when absent) in each trial.  The k
+    participants are listed bidder-major: ``flat`` holds each one's index
+    into the n x m arrays, ``values`` its bid and ``utilities`` its utility,
+    so bidder j's participants are the ``counts[j - 1]`` consecutive entries
+    that follow those of bidders 1..j-1.  ``revenues`` is 2 x m: each trial's
+    sum and maximum of the bids.
     """
+
+    part: np.ndarray
+    counts: np.ndarray
+    flat: np.ndarray
+    bids: np.ndarray
+    values: np.ndarray
+    utilities: np.ndarray
+    revenues: np.ndarray
+
+
+def _play_chunk(config: AuctionConfig, seed: int, t0: int, m: int, arena: _Arena) -> _Chunk:
+    """Trials t0..t0+m-1, vectorized and settled through ``arena``."""
     n = config.n
-    if arena is None:
-        arena = _Arena(n, m)
+    size = n * m
     p = np.asarray(config.probabilities)
     words = _trial_block(config, seed, t0, m, out=_view(arena.words, m, 2 * n))
     part = _view(arena.part, n, m)  # C order; the transposed view's would be F
     np.less(words[:, :n].T, p[:, None], out=part)
-    bids = _view(arena.bids, n, m)
-    if n > 1:  # a sole bidder bids 0 when present
+    counts = np.count_nonzero(part, axis=1)
+    flat = np.flatnonzero(part)  # participants, bidder-major
+    k = flat.size
+    values = arena.levels[:k]
+    if n > 1:
         # Participants take bid words in index order from each trial's back
         # half: pos[j, t] is the flat index of the word bidder j + 1 takes in
         # trial t when present.  It is a cumulative count down axis 0, added
@@ -387,70 +398,125 @@ def _simulate_block(
         np.add(arena.first_pos[:m], part[0], out=pos[0])
         for j in range(1, n):
             np.add(pos[j - 1], part[j], out=pos[j])
-        flat = np.flatnonzero(part)  # participants, bidder-major
-        k = flat.size
         # mode="clip": the indices are in range, and "raise" buffers ``out``
         at = np.take(pos.ravel(), flat, out=arena.levels.view(np.int64)[:k], mode="clip")
-        us = np.take(words.ravel(), at, out=arena.bids[:k], mode="clip")
+        us = np.take(words.ravel(), at, out=arena.words[2 * size : 2 * size + k], mode="clip")
         # the words are dead: their block holds p_i and the quantile scratch
         p_i = arena.words[:k]
         stop = 0
-        for p_j, count in zip(p, np.count_nonzero(part, axis=1).tolist()):
+        for p_j, count in zip(p, counts.tolist()):
             p_i[stop : stop + count] = p_j
             stop += count
-        scratch = arena.words[n * m : n * m + k]
+        scratch = arena.words[size : size + k]
         index = arena.pos.view(np.int64)[:k]  # the positions are dead after the gather
-        values = _quantile_into(
-            equilibrium_profile(config), p_i, us, arena.levels[:k], scratch, index, arena.win[:k]
-        )
-        bids.fill(0.0)
-        bids.ravel()[flat] = values
-    else:
-        bids.fill(0.0)
-    top = np.max(bids, axis=0, out=arena.top[:m])  # bids are >= 0: 0 when nobody shows up
+        _quantile_into(equilibrium_profile(config), p_i, us, values, scratch, index, arena.win[:k])
+    else:  # a sole bidder bids 0 when present
+        values.fill(0.0)
+    bids = _view(arena.words[2 * size :], n, m)
+    bids.fill(0.0)
+    bids.ravel()[flat] = values
+    revenues = _view(arena.revenues, 2, m)
+    sum_rev, top = revenues
+    np.max(bids, axis=0, out=top)  # bids are >= 0: 0 when nobody shows up
     winners = np.equal(bids, top, out=_view(arena.win, n, m))
     winners &= part
     share = np.sum(winners, axis=0, dtype=float, out=arena.share[:m])  # winner counts
     np.divide(1.0, share, out=share, where=np.greater(share, 0.0, out=arena.nonempty[:m]))
-    utilities = np.multiply(winners, share, out=_view(arena.pos, n, m))
-    utilities -= bids
     # numpy reduces axis 0 of a C-contiguous array row by row, in bidder index
     # order, as run_auction adds the bids
-    sum_rev = np.sum(bids, axis=0, out=arena.sum_rev[:m])
-    return part, bids, utilities, sum_rev, top
+    np.sum(bids, axis=0, out=sum_rev)
+    # A participant's utility is its trial's share when its bid is the top
+    # one, less its bid: the rounding of the dense winners * share - bids.
+    # Its trial is flat mod m, taken as flat - (flat // m) m, since numpy
+    # divides integers by a scalar several times faster than it takes a
+    # remainder.
+    trial = np.floor_divide(flat, m, out=arena.words.view(np.int64)[:k])
+    trial *= m
+    np.subtract(flat, trial, out=trial)
+    utilities = np.take(top, trial, out=arena.pos[:k], mode="clip")
+    won = np.equal(values, utilities, out=arena.win[:k])
+    np.take(share, trial, out=utilities, mode="clip")
+    utilities *= won
+    utilities -= values
+    return _Chunk(part, counts, flat, bids, values, utilities, revenues)
 
 
-def _power_sums(values: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Power sums s1..s4 along the last axis, stacked on a new last axis.
-    Each sum runs over a contiguous row, which numpy adds pairwise.  v^2 and
-    v^3, then v^4 over v^3, are written into the flat ``scratch``, which
-    holds at least twice the entries of ``values``."""
-    v2 = np.multiply(values, values, out=_view(scratch, *values.shape))
-    powers = _view(scratch[values.size :], *values.shape)
-    sums = [values.sum(axis=-1), v2.sum(axis=-1)]
-    sums.append(np.multiply(v2, values, out=powers).sum(axis=-1))
-    sums.append(np.multiply(v2, v2, out=powers).sum(axis=-1))
-    return np.stack(sums, axis=-1)
+def _simulate_block(
+    config: AuctionConfig, seed: int, t0: int, m: int, arena: _Arena | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A chunk as dense arrays, for checking trial by trial: (participation,
+    bids, utilities, sum_rev, max_rev).
+
+    The first three are C-contiguous n x m arrays, row j - 1 holding bidder
+    j's value in each trial, with bid 0 and utility 0 for a non-participant;
+    the revenues have one entry per trial.  All five are views into ``arena``
+    (a fresh one when not given), valid until its next chunk.  The moments
+    are taken from the participants alone (_chunk_sums), which build no
+    dense utilities.
+    """
+    n = config.n
+    if arena is None:
+        arena = _Arena(n, m)
+    chunk = _play_chunk(config, seed, t0, m, arena)
+    utilities = _view(arena.words, n, m)  # the trial indices are dead
+    utilities.fill(0.0)
+    utilities.ravel()[chunk.flat] = chunk.utilities
+    sum_rev, max_rev = chunk.revenues
+    return chunk.part, chunk.bids, utilities, sum_rev, max_rev
+
+
+def _segment_sums(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sums of consecutive segments along the last axis of ``rows``, segment j
+    holding counts[j] entries, as an array of shape rows.shape[:-1] +
+    counts.shape.  np.add.reduceat adds each segment pairwise, as a sum over
+    a contiguous row does; an empty segment, which reduceat cannot express,
+    sums to 0."""
+    sums = np.zeros(rows.shape[:-1] + counts.shape)
+    full = counts > 0
+    starts = (np.cumsum(counts) - counts)[full]
+    if starts.size:
+        sums[..., full] = np.add.reduceat(rows, starts, axis=-1)
+    return sums
+
+
+def _power_sums(values: np.ndarray, counts: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Power sums s1..s4 of each segment of ``values`` (see _segment_sums),
+    one row per segment.  v^2, v^3 and v^4 are written as three rows into
+    the flat ``scratch``, which holds at least three times the entries of
+    ``values``."""
+    powers = _view(scratch, 3, values.size)
+    np.multiply(values, values, out=powers[0])
+    np.multiply(powers[0], values, out=powers[1])
+    np.multiply(powers[0], powers[0], out=powers[2])
+    return np.column_stack([_segment_sums(values, counts), _segment_sums(powers, counts).T])
 
 
 def _chunk_sums(
     config: AuctionConfig, seed: int, t0: int, m: int, arena: _Arena | None = None
 ) -> dict:
     """One chunk's counts and power sums, as fresh arrays that do not alias
-    ``arena`` (a fresh one when not given)."""
+    ``arena`` (a fresh one when not given).  Each bidder's sums run over its
+    participants alone: a non-participant's zero bid and utility add
+    nothing."""
     if arena is None:
         arena = _Arena(config.n, m)
-    part, bids, utilities, sum_rev, max_rev = _simulate_block(config, seed, t0, m, arena)
-    participations = np.count_nonzero(part, axis=1)
-    nonzero = np.not_equal(bids, 0.0, out=_view(arena.win, *bids.shape))
+    chunk = _play_chunk(config, seed, t0, m, arena)
+    counts = chunk.counts
+    scratch = arena.words  # dead once the chunk is settled
+    # positive bids as exact 0/1 floats: summing a bool mask as floats
+    # would copy it whole
+    positive = np.greater(chunk.values, 0.0, out=scratch[: chunk.values.size])
+    zero_counts = counts - _segment_sums(positive, counts)
+    sum_rev, max_rev = chunk.revenues
+    whole = np.array([m])
     return {
         "trials": m,
-        "participations": participations.astype(float),
-        "bid_moments": _power_sums(bids, arena.words),
-        "zero_counts": (participations - np.count_nonzero(nonzero, axis=1)).astype(float),
-        "util_moments": _power_sums(utilities, arena.words),
-        "sum_rev": _power_sums(sum_rev, arena.words),
-        "max_rev": _power_sums(max_rev, arena.words),
+        "participations": counts.astype(float),
+        "bid_moments": _power_sums(chunk.values, counts, scratch),
+        "zero_counts": zero_counts,
+        "util_moments": _power_sums(chunk.utilities, counts, scratch),
+        "sum_rev": _power_sums(sum_rev, whole, scratch)[0],
+        "max_rev": _power_sums(max_rev, whole, scratch)[0],
     }
 
 

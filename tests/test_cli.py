@@ -332,6 +332,29 @@ def test_cli_loads_only_what_it_runs(argv, code, unloaded, loaded):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize(
+    "extra, env",
+    [(["--seed", "-1"], None), (["--trials", "0"], None), ([], "abc")],
+    ids=["seed_negative", "trials_zero", "threads_env_abc"],
+)
+def test_simulate_bad_input_exits_before_numpy(extra, env, monkeypatch):
+    """A bad seed, trial count or ALLPAY_EQ_THREADS exits 2 from a fresh
+    process that has loaded neither numpy nor the Monte Carlo engine."""
+    monkeypatch.delenv("ALLPAY_EQ_THREADS", raising=False)
+    if env is not None:
+        monkeypatch.setenv("ALLPAY_EQ_THREADS", env)
+    argv = ["simulate", *EXAMPLE_ARGS, "--trials", "100", *extra]
+    script = (
+        "import sys\n"
+        "from allpay_eq import cli\n"
+        f"assert cli.main({argv!r}) == 2\n"
+        "assert not [m for m in ('numpy', 'allpay_eq.simulate') if m in sys.modules]\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert "error:" in proc.stderr
+
+
 def test_package_exports_resolve_lazily():
     """Every public name is its defining module's object, listed by dir(),
     and bound by a star import; an unknown name raises AttributeError."""

@@ -225,12 +225,13 @@ def test_seed_range_ends(example4):
 
 
 def test_default_chunk_size():
-    assert _default_chunk_size(4) == 65536
-    assert _default_chunk_size(64) == 4096
-    for n in (1, 2, 3, 5, 7, 63, 65, 100, 999, 2**17, 2**18, 2**18 + 1, 10**7):
+    assert _default_chunk_size(4) == 32768
+    assert _default_chunk_size(64) == 2048
+    assert _default_chunk_size(300) == 436
+    for n in (1, 2, 3, 5, 7, 63, 65, 100, 999, 2**16, 2**17, 2**17 + 1, 10**7):
         chunk = _default_chunk_size(n)
         assert chunk >= 2 and chunk % 2 == 0
-        assert chunk == 2 or chunk * 2 * n <= 2**19
+        assert chunk == 2 or chunk * 2 * n <= 2**18
 
 
 def test_thread_count_does_not_change_wide_report():
@@ -332,13 +333,17 @@ def test_traced_memory_peak_bound(example4):
 def test_traced_memory_peak_bound_wide():
     """At n = 64 on two threads, each worker holds the arena that the call
     allocated for it, one participant-index array (np.flatnonzero) and a few
-    of numpy's casting buffers; the piece search allocates nothing
-    chunk-sized."""
+    of numpy's casting buffers.  Neither the piece search nor the moments
+    allocate anything chunk-sized: one dense n x m float array more per
+    worker (1 MiB) would break the bound, as would the 4,096-trial chunks of
+    a 2**19-word budget."""
     probs = np.linspace(0.05, 1.0, 63)
     cfg = ap.build_config([*probs, probs[31]])  # one tied pair
     m, trials = _default_chunk_size(cfg.n), 2**15
-    assert m == 4096
-    arena_bytes = sum(a.nbytes for a in vars(_Arena(cfg.n, m)).values())
+    assert m == 2048
+    arena = _Arena(cfg.n, m)
+    arena_bytes = sum(a.nbytes for a in vars(arena).values())
+    assert arena.words.size + arena.pos.size + arena.levels.size == 5 * cfg.n * m
     participants = max(
         np.count_nonzero(_simulate_block(cfg, 1, t0, m)[0]) for t0 in range(0, trials, m)
     )
@@ -386,6 +391,57 @@ def test_chunk_sums_match_masked_per_column_sums():
             )
     for key, v in (("sum_rev", srev), ("max_rev", mrev)):
         np.testing.assert_allclose(got[key], [np.sum(v**q) for q in (1, 2, 3, 4)], rtol=1e-12)
+
+
+def _chunk_with(cfg, m, wanted):
+    """The first seed whose trials 0..m-1 give participation counts for
+    which ``wanted`` holds, with those counts."""
+    for seed in range(2000):
+        counts = np.count_nonzero(_trial_block(cfg, seed, 0, m)[:, : cfg.n] < cfg.probabilities, axis=0)
+        if wanted(counts):
+            return seed, counts
+    raise AssertionError("no such chunk")
+
+
+def _assert_power_sums(got, v):
+    """got holds s1..s4 of v, each within the rounding error bound of a sum
+    of len(v) terms, so exactly where v is empty."""
+    for s, q in zip(got, _powers(v)):
+        assert abs(s - math.fsum(q)) <= len(v) * np.finfo(float).eps * math.fsum(abs(q))
+
+
+@pytest.mark.parametrize(
+    "probs, wanted",
+    [
+        ((0.2, 0.5, 0.9), lambda c: c[0] == 0 and c[1:].all()),
+        ((0.1, 0.15, 0.7, 0.9), lambda c: c[1] == 0 and c[0] and c[2:].all()),
+        ((0.2, 0.2, 0.3), lambda c: c[2] == 0 and c[:2].all()),
+        ((0.02, 0.03, 0.04), lambda c: not c.any()),
+        ((0.6,), lambda c: 0 < c[0] < 8),
+    ],
+    ids=["first_absent", "middle_absent", "last_absent", "nobody", "sole_bidder"],
+)
+def test_chunk_sums_with_empty_segments(probs, wanted):
+    """A bidder who takes part in no trial of the chunk, first, in the middle
+    or last, a chunk without any participant, and a sole bidder: the
+    participant segments give the dense masked sums, and exactly 0 for an
+    empty one."""
+    cfg = ap.build_config(list(probs))
+    m = 8
+    seed, counts = _chunk_with(cfg, m, wanted)
+    part, bids, utils, srev, mrev = _simulate_block(cfg, seed, 0, m)
+    got = _chunk_sums(cfg, seed, 0, m)
+    assert got["participations"].tolist() == counts.tolist()
+    for j in range(cfg.n):
+        b = bids[j, part[j]]
+        _assert_power_sums(got["bid_moments"][j], b)
+        _assert_power_sums(got["util_moments"][j], utils[j, part[j]])
+        assert got["zero_counts"][j] == np.count_nonzero(b == 0.0)
+        assert not utils[j, ~part[j]].any()
+    for key, v in (("sum_rev", srev), ("max_rev", mrev)):
+        _assert_power_sums(got[key], v)
+    if cfg.n == 1:
+        assert got["zero_counts"][0] == counts[0] and got["util_moments"][0][0] == counts[0]
 
 
 def test_philox_blocks_are_stream_slices(example4):
