@@ -10,7 +10,8 @@ The config set is fixed and seeded: the worked example, ties, p = 1 below
 and at the top, tiny probabilities down to 1e-12, and random configs up to
 n = 64.  Every value is hashed from its exact bits (arrays by their bytes,
 other floats by their shortest round-trip repr); a call that raises is
-hashed as the name of its exception class.
+hashed as the name of its exception class.  ``monte_carlo_threads`` runs
+two threads over twelve 256-trial chunks, so it covers the threaded fold.
 """
 
 import hashlib
@@ -33,6 +34,7 @@ FAMILIES = (
     "winning_bid_cdf",
     "audits",
     "monte_carlo",
+    "monte_carlo_threads",
     "sabotage_plans",
     "h_value",
     "joint_support_profit",
@@ -96,6 +98,7 @@ def main() -> None:
         record("max_profit", ap.max_profit, cfg)
         record("winning_bid_cdf", ap.winning_bid_cdf, cfg, xs)
         record("monte_carlo", ap.monte_carlo, cfg, 3_000, SEED, 1, 1_000)
+        record("monte_carlo_threads", ap.monte_carlo, cfg, 3_000, SEED, 2, 256)  # 12 chunks
         bidders = sorted({1, 2, n // 2, n - 1, n} - {0})
         for i in bidders:
             for r in bidders:

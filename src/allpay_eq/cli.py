@@ -126,12 +126,7 @@ def _cmd_equilibrium(args: argparse.Namespace):
     payload = report.to_dict()
     rows = [
         {
-            "bidder": row["bidder"],
-            "caller_position": row["caller_position"],
-            "probability": row["probability"],
-            "expected_bid": row["expected_bid"],
-            "expected_utility": row["expected_utility"],
-            "atom_at_zero": row["atom_at_zero"],
+            **row,
             "lambda": payload["lambda"],
             "sum_profit": payload["sum_profit"],
             "max_profit": payload["max_profit"],
@@ -153,24 +148,16 @@ def _cmd_table(args: argparse.Namespace):
     prof = equilibrium_profile(config)
     xs = np.linspace(0.0, prof.breakpoints[0], args.grid)
     rows = []
-    for i in range(1, config.n + 1):
-        c = cdf(config, i, xs)
-        atom_here = i == config.n and prof.atom_n > 0.0
-        d = pdf(config, i, xs[1:] if atom_here else xs)
-        for j, x in enumerate(xs):
-            if atom_here and j == 0:
-                density = None  # atom at 0: no density exists there
-            else:
-                density = float(d[j - 1 if atom_here else j])
-            rows.append(
-                {
-                    "bidder": config.caller_position(i),
-                    "x": float(x),
-                    "cdf": float(c[j]),
-                    "pdf": density,
-                }
-            )
-    rows.sort(key=lambda r: (r["bidder"], r["x"]))
+    for i in sorted(range(1, config.n + 1), key=config.caller_position):
+        if i == config.n and prof.atom_n > 0.0:  # atom at 0: no density exists there
+            densities = [None, *pdf(config, i, xs[1:]).tolist()]
+        else:
+            densities = pdf(config, i, xs).tolist()
+        bidder = config.caller_position(i)
+        rows += (
+            {"bidder": bidder, "x": x, "cdf": c, "pdf": d}
+            for x, c, d in zip(xs.tolist(), cdf(config, i, xs).tolist(), densities)
+        )
     return rows, rows
 
 

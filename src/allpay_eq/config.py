@@ -40,6 +40,15 @@ def _check_integer(name: str, value) -> int:
     raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_index(name: str, value, top: int) -> int:
+    """``value`` as a Python int, or ValidationError unless it is an integer
+    (not a bool) in 1..top; ``name`` names the index in the messages."""
+    value = _check_integer(f"{name} index", value)
+    if not 1 <= value <= top:
+        raise ValidationError(f"{name} index {value} outside 1..{top}")
+    return value
+
+
 def _check_trials(trials) -> int:
     """``trials`` as a positive Python int."""
     trials = _check_integer("trials", trials)

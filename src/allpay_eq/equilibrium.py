@@ -42,7 +42,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .config import AuctionConfig, DegenerateAuctionError, ValidationError, _check_integer
+from .config import (
+    AuctionConfig,
+    DegenerateAuctionError,
+    ValidationError,
+    _check_index,
+    _check_integer,
+)
 
 
 _table = partial(field, compare=False, repr=False)
@@ -182,7 +188,7 @@ def h_value(config: AuctionConfig, k: int, x) -> float | np.ndarray:
     or NaN.
     """
     prof = equilibrium_profile(config)
-    k = _check_piece(k, config.n - 1)
+    k = _check_index("piece", k, config.n - 1)
     if prof.prefix_products[k] == 0.0:
         raise ValidationError(f"unused piece: prefix product vanishes at k={k}")
 
@@ -192,15 +198,6 @@ def h_value(config: AuctionConfig, k: int, x) -> float | np.ndarray:
         return _level_of_bid(prof, xs, config.n - k)
 
     return _scalar_or_array(level, x)
-
-
-def _check_piece(k: int, top: int) -> int:
-    """``k`` as a Python int, or ValidationError unless it is an integer (not
-    a bool) in 1..top."""
-    k = _check_integer("piece index", k)
-    if not 1 <= k <= top:
-        raise ValidationError(f"piece index k={k} outside 1..{top}")
-    return k
 
 
 def _bid_of_level(
@@ -268,10 +265,7 @@ def bid_distribution(config: AuctionConfig, i: int) -> BidDistribution:
 def _check_bidder(config: AuctionConfig, i: int) -> int:
     """``i`` as a Python int, or ValidationError unless it is an integer (not a
     bool) in 1..n."""
-    i = _check_integer("bidder index", i)
-    if not 1 <= i <= config.n:
-        raise ValidationError(f"bidder index {i} outside 1..{config.n}")
-    return i
+    return _check_index("bidder", i, config.n)
 
 
 def _piece_indices(prof: EquilibriumProfile, x: np.ndarray) -> np.ndarray:

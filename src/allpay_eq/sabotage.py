@@ -29,10 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import AuctionConfig, ValidationError, _check_integer, _check_real
+from .config import AuctionConfig, ValidationError, _check_index, _check_real
 from .equilibrium import (
     _bid_of_level,
-    _check_piece,
     _opponent_product,
     _scalar_or_array,
     equilibrium_profile,
@@ -54,11 +53,8 @@ class SabotageScenario:
 
     def __post_init__(self) -> None:
         self.config.require_competition()
-        n = self.config.n
         for name in ("saboteur", "target"):
-            idx = _check_integer(f"{name} index", getattr(self, name))
-            if not 1 <= idx <= n:
-                raise ValidationError(f"{name} index {idx} outside 1..{n}")
+            idx = _check_index(name, getattr(self, name), self.config.n)
             object.__setattr__(self, name, idx)  # a plain int, e.g. for to_dict's JSON
         if self.saboteur == self.target:
             raise ValidationError("saboteur and target must differ")
@@ -142,7 +138,7 @@ def joint_support_profit(scenario: SabotageScenario, k: int, x) -> float | np.nd
     Raises ValidationError unless k is an integer (not a bool) in
     1..min(i, r), or for x < -lam or NaN."""
     cfg = scenario.config
-    k = _check_piece(k, min(scenario.saboteur, scenario.target))
+    k = _check_index("piece", k, min(scenario.saboteur, scenario.target))
     m = cfg.n - k
     return _scalar_or_array(lambda xs: _level_profit(scenario, 1.0 - h_value(cfg, k, xs), m), x)
 

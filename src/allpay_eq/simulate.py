@@ -17,13 +17,12 @@ from its trial's winners alone, and each bidder's power sums run pairwise
 over its contiguous segment of participants, since a non-participant's zero
 bid and utility would add nothing.
 
-With w workers, worker i runs the chunks i, i + w, i + 2w, ... in order
-through one buffer arena, which the calling thread allocates for it and which
-is dropped when the call returns; every array of a chunk is written into a
-C-contiguous prefix of an arena slot, so chunks after a worker's first
-allocate almost nothing.  The per-chunk sums are put back in chunk order and
-reduced sequentially in that order, never in completion order, which keeps
-the float accumulation deterministic under parallel execution.
+Each chunk is a task that borrows one of the w buffer arenas the calling
+thread allocates for w workers, writes every array into C-contiguous prefixes
+of its slots and returns one small statistics table.  The tables are added
+up in chunk order as they arrive, never in completion order, which keeps the
+float accumulation deterministic under parallel execution; on one worker a
+call's memory does not grow with the number of trials.
 
 The best-response audit against the equilibrium covers every bidder in one
 blocked pass over its grid, and memoizes the last (config, grid_size), since
@@ -35,6 +34,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
@@ -256,33 +256,30 @@ def monte_carlo(
         threads = _check_integer("threads", threads)
         if threads < 1:
             raise ValidationError(f"threads must be a positive integer, got {threads}")
-    starts = list(range(0, trials, chunk_size))
+    starts = range(0, trials, chunk_size)
     workers = _resolve_threads(threads, len(starts))
     # allocated here, not in the workers: a worker thread's allocations can
     # land in a malloc arena of its own, and the peak RSS of a process at
     # n = 64 on two threads then flipped between about 61 and 73 MB
-    arenas = [_Arena(config.n, min(chunk_size, trials)) for _ in range(workers)]
+    arenas: queue.SimpleQueue[_Arena] = queue.SimpleQueue()
+    for _ in range(workers):
+        arenas.put(_Arena(config.n, min(chunk_size, trials)))
 
-    def lane(w: int) -> list[dict]:
-        """Worker w's chunks, starts[w::workers], in order through arena w."""
-        arena = arenas[w]
-        return [
-            _chunk_sums(config, seed, t0, min(chunk_size, trials - t0), arena)
-            for t0 in starts[w::workers]
-        ]
+    def task(t0: int) -> np.ndarray:
+        """Chunk t0's table; at most ``workers`` tasks run, so an arena is free."""
+        arena = arenas.get()
+        try:
+            return _chunk_sums(config, seed, t0, min(chunk_size, trials - t0), arena)
+        finally:
+            arenas.put(arena)
 
+    # both maps yield in chunk order, not completion order
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            lanes = list(pool.map(lane, range(workers)))
+            table = reduce(operator.add, pool.map(task, starts))
     else:
-        lanes = [lane(0)]
-    chunks: list[dict] = [{}] * len(starts)
-    for w, sums in enumerate(lanes):
-        chunks[w::workers] = sums
-    total = chunks[0]
-    for part in chunks[1:]:  # fixed order: chunk index, not completion order
-        total = _merge(total, part)
-    return _finalize(config, trials, seed, total)
+        table = reduce(operator.add, map(task, starts))
+    return _finalize(config, trials, seed, table)
 
 
 def _default_chunk_size(n: int) -> int:
@@ -493,35 +490,32 @@ def _power_sums(values: np.ndarray, counts: np.ndarray, scratch: np.ndarray) -> 
 
 def _chunk_sums(
     config: AuctionConfig, seed: int, t0: int, m: int, arena: _Arena | None = None
-) -> dict:
-    """One chunk's counts and power sums, as fresh arrays that do not alias
-    ``arena`` (a fresh one when not given).  Each bidder's sums run over its
-    participants alone: a non-participant's zero bid and utility add
-    nothing."""
+) -> np.ndarray:
+    """One chunk's statistics, a fresh (2n + 2) x 6 table that does not alias
+    ``arena`` (a fresh one when not given).  Rows: the bids of bidders 1..n,
+    their utilities, the sum and the max revenue.  Columns: the count (of
+    participations on bid rows, else of trials), s1..s4, and on bid rows the
+    count of zero bids.  Each bidder's sums run over its participants alone:
+    a non-participant's zero bid and utility add nothing."""
+    n = config.n
     if arena is None:
-        arena = _Arena(config.n, m)
+        arena = _Arena(n, m)
     chunk = _play_chunk(config, seed, t0, m, arena)
     counts = chunk.counts
     scratch = arena.words  # dead once the chunk is settled
+    table = np.zeros((2 * n + 2, 6))
+    table[:, 0] = m
+    table[:n, 0] = counts
     # positive bids as exact 0/1 floats: summing a bool mask as floats
     # would copy it whole
     positive = np.greater(chunk.values, 0.0, out=scratch[: chunk.values.size])
-    zero_counts = counts - _segment_sums(positive, counts)
-    sum_rev, max_rev = chunk.revenues
+    table[:n, 5] = counts - _segment_sums(positive, counts)
+    table[:n, 1:5] = _power_sums(chunk.values, counts, scratch)
+    table[n : 2 * n, 1:5] = _power_sums(chunk.utilities, counts, scratch)
     whole = np.array([m])
-    return {
-        "trials": m,
-        "participations": counts.astype(float),
-        "bid_moments": _power_sums(chunk.values, counts, scratch),
-        "zero_counts": zero_counts,
-        "util_moments": _power_sums(chunk.utilities, counts, scratch),
-        "sum_rev": _power_sums(sum_rev, whole, scratch)[0],
-        "max_rev": _power_sums(max_rev, whole, scratch)[0],
-    }
-
-
-def _merge(a: dict, b: dict) -> dict:
-    return {key: a[key] + b[key] for key in a}
+    for row, revenues in zip(table[2 * n :], chunk.revenues):
+        row[1:5] = _power_sums(revenues, whole, scratch)[0]
+    return table
 
 
 def _mean_var_se(moments: np.ndarray, count: float) -> tuple[float, float, float, float]:
@@ -542,39 +536,28 @@ def _mean_var_se(moments: np.ndarray, count: float) -> tuple[float, float, float
     return mean, variance, se_mean, se_var
 
 
-def _finalize(config: AuctionConfig, trials: int, seed: int, tot: dict) -> SimulationReport:
+def _finalize(
+    config: AuctionConfig, trials: int, seed: int, table: np.ndarray
+) -> SimulationReport:
+    """The report from the sum of the chunks' tables (see _chunk_sums)."""
+    n = config.n
+    stats = [_mean_var_se(row[1:5], float(row[0])) for row in table]
     bidders = []
-    for j in range(config.n):
-        cnt = float(tot["participations"][j])
-        b_mean, b_var, b_se, b_var_se = _mean_var_se(tot["bid_moments"][j], cnt)
-        u_mean, u_var, u_se, u_var_se = _mean_var_se(tot["util_moments"][j], float(trials))
+    for j in range(n):
+        cnt = float(table[j, 0])
         if cnt:
-            zero_rate = float(tot["zero_counts"][j]) / cnt
+            zero_rate = float(table[j, 5]) / cnt
             zero_se = math.sqrt(max(zero_rate * (1 - zero_rate), 0.0) / cnt)
         else:
             zero_rate, zero_se = float("nan"), float("nan")
-        bidders.append(
-            BidderStats(
-                participations=int(cnt),
-                bid_mean=b_mean,
-                bid_variance=b_var,
-                bid_mean_se=b_se,
-                bid_variance_se=b_var_se,
-                zero_bid_rate=zero_rate,
-                zero_bid_rate_se=zero_se,
-                utility_mean=u_mean,
-                utility_variance=u_var,
-                utility_mean_se=u_se,
-                utility_variance_se=u_var_se,
-            )
-        )
+        bidders.append(BidderStats(int(cnt), *stats[j], zero_rate, zero_se, *stats[n + j]))
     return SimulationReport(
         config=config,
         trials=trials,
         seed=seed,
         bidders=tuple(bidders),
-        sum_revenue=RevenueStats(*_mean_var_se(tot["sum_rev"], float(trials))),
-        max_revenue=RevenueStats(*_mean_var_se(tot["max_rev"], float(trials))),
+        sum_revenue=RevenueStats(*stats[2 * n]),
+        max_revenue=RevenueStats(*stats[2 * n + 1]),
     )
 
 

@@ -105,9 +105,26 @@ def test_table_csv(capsys):
     last_of_first = rows[4]
     assert float(last_of_first["x"]) == pytest.approx(0.5)
     assert float(last_of_first["cdf"]) == 1.0
-    # the unreliable bidder's atom row carries an empty density
+    # the reliable last bidder holds the atom: its row at 0 has an empty density
     atom_rows = [r for r in rows if r["pdf"] == ""]
     assert len(atom_rows) == 1 and float(atom_rows[0]["x"]) == 0.0
+
+
+def test_table_rows_in_caller_order(capsys):
+    """Caller position 1 (p = 1, sorted last, with the atom) comes first; the
+    dropped zero at position 2 has no rows.  lam = s_0 = 1/2, so every value
+    is exact."""
+    code, out, err = run_cli(capsys, "table", "--probs", "1,0,0.5", "--grid", "3")
+    assert code == 0 and err == ""
+    assert out == (
+        "bidder,x,cdf,pdf\n"
+        "1,0,0.5,\n"
+        "1,0.25,0.75,1\n"
+        "1,0.5,1,0\n"
+        "3,0,0,2\n"
+        "3,0.25,0.5,2\n"
+        "3,0.5,1,0\n"
+    )
 
 
 def test_table_grid_validation(capsys):

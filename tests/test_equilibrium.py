@@ -610,6 +610,14 @@ def test_piece_index_must_be_an_integer(example4, route, bad):
 
 
 @pytest.mark.parametrize("route", PIECE_ROUTES.values(), ids=PIECE_ROUTES.keys())
+@pytest.mark.parametrize("bad", [0, -1, 4])
+def test_piece_index_outside_range(example4, route, bad):
+    """Both routes allow pieces 1..3 here: n - 1 = 3, and min(i, r) = 3."""
+    with pytest.raises(ap.ValidationError, match=f"^piece index {bad} outside 1\\.\\.3$"):
+        route(example4, bad)
+
+
+@pytest.mark.parametrize("route", PIECE_ROUTES.values(), ids=PIECE_ROUTES.keys())
 def test_piece_index_accepts_numpy_integers(example4, route):
     assert route(example4, np.int64(2)) == route(example4, 2)
 

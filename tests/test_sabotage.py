@@ -48,6 +48,20 @@ def test_scenario_validation():
         scenario([0.5], 1, 1, 0.1)
 
 
+@pytest.mark.parametrize(
+    "i, r, message",
+    [
+        (0, 1, "saboteur index 0"),
+        (4, 1, "saboteur index 4"),
+        (2, 0, "target index 0"),
+        (2, 4, "target index 4"),
+    ],
+)
+def test_scenario_indices_outside_range(i, r, message):
+    with pytest.raises(ap.ValidationError, match=f"^{message} outside 1\\.\\.3$"):
+        scenario([0.5, 0.5, 0.5], i, r, 0.1)
+
+
 @pytest.mark.parametrize("bad", ["0.1", None, [0.1]], ids=repr)
 def test_true_target_probability_must_be_a_number(bad):
     with pytest.raises(ap.ValidationError, match="true target probability must be a real number"):

@@ -1,4 +1,5 @@
 import math
+import operator
 import os
 import tracemalloc
 from functools import reduce
@@ -17,7 +18,6 @@ from allpay_eq.simulate import (
     _default_chunk_size,
     _equilibrium_audits,
     _finalize,
-    _merge,
     _resolve_threads,
     _simulate_block,
     _trial_block,
@@ -246,16 +246,16 @@ def test_thread_count_does_not_change_wide_report():
 
 @pytest.mark.parametrize("full_chunks", [4, 5], ids=["odd_count", "even_count"])
 def test_uneven_lanes_match_fresh_arena_merge(monkeypatch, full_chunks):
-    """Full 256-trial chunks and a 130-trial tail, dealt round-robin to two
-    lanes of unequal trials (and, with 5 chunks in all, of unequal chunk
-    counts): threads 1 and 2 give one report, equal bit for bit to the
-    chunk-order merge of _chunk_sums calls that each use a fresh arena."""
+    """Full 256-trial chunks and a 130-trial tail, an odd or an even number
+    of chunks in all, run as tasks that borrow whichever arena is free:
+    threads 1 and 2 give one report, equal bit for bit to the chunk-order
+    sum of the tables of _chunk_sums calls that each use a fresh arena."""
     monkeypatch.delenv("ALLPAY_EQ_THREADS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     cfg = ap.build_config(list(np.linspace(0.05, 1.0, 7)) + [0.5])
     trials, chunk = full_chunks * 256 + 130, 256
     parts = [_chunk_sums(cfg, 17, t0, min(chunk, trials - t0)) for t0 in range(0, trials, chunk)]
-    want = repr(_finalize(cfg, trials, 17, reduce(_merge, parts)).to_dict())
+    want = repr(_finalize(cfg, trials, 17, reduce(operator.add, parts)).to_dict())
     for threads in (1, 2):
         got = ap.monte_carlo(cfg, trials, seed=17, threads=threads, chunk_size=chunk)
         assert repr(got.to_dict()) == want
@@ -265,10 +265,9 @@ def test_chunk_sums_do_not_alias_the_arena():
     cfg = ap.build_config(list(np.linspace(0.05, 1.0, 7)) + [0.5])
     arena = _Arena(cfg.n, 512)
     first = _chunk_sums(cfg, 3, 0, 512, arena)
-    kept = {key: np.copy(value) for key, value in first.items()}
+    kept = np.copy(first)
     _chunk_sums(cfg, 3, 512, 512, arena)
-    for key, value in first.items():
-        assert np.array_equal(value, kept[key]), key
+    assert np.array_equal(first, kept)
 
 
 def _assert_chunk_equal(got, want):
@@ -315,6 +314,24 @@ def test_tail_chunk_views_are_contiguous_prefixes():
         assert a.shape == (cfg.n, 130) and a.flags.c_contiguous
     _assert_chunk_equal(got, _simulate_block(cfg, 9, 256, 130))
     assert got[1].any()
+
+
+def test_traced_memory_does_not_grow_with_trials(example4):
+    """On one thread a call holds one arena and the running sum of the chunk
+    tables: with 64-trial chunks, 256 chunks instead of 16 raise the traced
+    peak by less than 32 KiB."""
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            ap.monte_carlo(example4, trials, seed=1, threads=1, chunk_size=64)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    ap.monte_carlo(example4, 64, seed=1, threads=1, chunk_size=64)  # imports and caches
+    few = peak(2**10)
+    assert peak(2**14) < few + 32 * 1024
 
 
 def test_traced_memory_peak_bound(example4):
@@ -369,28 +386,31 @@ def test_chunk_sums_match_masked_per_column_sums():
     bid power sum and every even-power utility sum (terms >= 0, so no
     cancellation) also matches the correctly rounded math.fsum to 1e-15."""
     cfg = ap.build_config(list(np.linspace(0.05, 1.0, 15)) + [0.5])
-    m = 4096
+    n, m = cfg.n, 4096
     part, bids, utils, srev, mrev = _simulate_block(cfg, 11, 0, m)
     got = _chunk_sums(cfg, 11, 0, m)
-    for j in range(cfg.n):
+    assert got.shape == (2 * n + 2, 6)
+    for j in range(n):
         b = bids[j, part[j]]
         want = [np.sum(b**q) for q in (1, 2, 3, 4)]
-        np.testing.assert_allclose(got["bid_moments"][j], want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got[j, 1:5], want, rtol=1e-12, atol=0)
         want = [np.sum(utils[j] ** q) for q in (1, 2, 3, 4)]
-        np.testing.assert_allclose(got["util_moments"][j], want, rtol=1e-12, atol=1e-300)
-        assert got["participations"][j] == b.size
-        assert got["zero_counts"][j] == np.count_nonzero(b == 0.0)
+        np.testing.assert_allclose(got[n + j, 1:5], want, rtol=1e-12, atol=1e-300)
+        assert got[j, 0] == b.size and got[n + j, 0] == m
+        assert got[j, 5] == np.count_nonzero(b == 0.0)
         bid_powers, util_powers = _powers(bids[j]), _powers(utils[j])
         for q in range(4):
             np.testing.assert_allclose(
-                got["bid_moments"][j][q], math.fsum(bid_powers[q]), rtol=1e-15, atol=0
+                got[j, 1 + q], math.fsum(bid_powers[q]), rtol=1e-15, atol=0
             )
         for q in (1, 3):  # squares and fourth powers
             np.testing.assert_allclose(
-                got["util_moments"][j][q], math.fsum(util_powers[q]), rtol=1e-15, atol=0
+                got[n + j, 1 + q], math.fsum(util_powers[q]), rtol=1e-15, atol=0
             )
-    for key, v in (("sum_rev", srev), ("max_rev", mrev)):
-        np.testing.assert_allclose(got[key], [np.sum(v**q) for q in (1, 2, 3, 4)], rtol=1e-12)
+    for row, v in zip(got[2 * n :], (srev, mrev)):
+        assert row[0] == m
+        np.testing.assert_allclose(row[1:5], [np.sum(v**q) for q in (1, 2, 3, 4)], rtol=1e-12)
+    assert not got[n:, 5].any()
 
 
 def _chunk_with(cfg, m, wanted):
@@ -427,21 +447,22 @@ def test_chunk_sums_with_empty_segments(probs, wanted):
     participant segments give the dense masked sums, and exactly 0 for an
     empty one."""
     cfg = ap.build_config(list(probs))
-    m = 8
+    n, m = cfg.n, 8
     seed, counts = _chunk_with(cfg, m, wanted)
     part, bids, utils, srev, mrev = _simulate_block(cfg, seed, 0, m)
     got = _chunk_sums(cfg, seed, 0, m)
-    assert got["participations"].tolist() == counts.tolist()
-    for j in range(cfg.n):
+    assert got[:n, 0].tolist() == counts.tolist()
+    assert got[n:, 0].tolist() == [m] * (n + 2) and not got[n:, 5].any()
+    for j in range(n):
         b = bids[j, part[j]]
-        _assert_power_sums(got["bid_moments"][j], b)
-        _assert_power_sums(got["util_moments"][j], utils[j, part[j]])
-        assert got["zero_counts"][j] == np.count_nonzero(b == 0.0)
+        _assert_power_sums(got[j, 1:5], b)
+        _assert_power_sums(got[n + j, 1:5], utils[j, part[j]])
+        assert got[j, 5] == np.count_nonzero(b == 0.0)
         assert not utils[j, ~part[j]].any()
-    for key, v in (("sum_rev", srev), ("max_rev", mrev)):
-        _assert_power_sums(got[key], v)
-    if cfg.n == 1:
-        assert got["zero_counts"][0] == counts[0] and got["util_moments"][0][0] == counts[0]
+    for row, v in zip(got[2 * n :], (srev, mrev)):
+        _assert_power_sums(row[1:5], v)
+    if n == 1:
+        assert got[0, 5] == counts[0] and got[1, 1] == counts[0]
 
 
 def test_philox_blocks_are_stream_slices(example4):
