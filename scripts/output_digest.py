@@ -12,14 +12,20 @@ n = 64.  Every value is hashed from its exact bits (arrays by their bytes,
 other floats by their shortest round-trip repr); a call that raises is
 hashed as the name of its exception class.  ``monte_carlo_threads`` runs
 two threads over twelve 256-trial chunks, so it covers the threaded fold.
+``cli_stdout`` hashes the exit code and stdout of the command line's
+``equilibrium``, ``simulate`` and ``table`` in json and csv, over the same
+configs plus two with dropped zeros.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 
 import numpy as np
 
 import allpay_eq as ap
+from allpay_eq.cli import main as cli_main
 
 SEED = 2110
 FAMILIES = (
@@ -38,10 +44,17 @@ FAMILIES = (
     "sabotage_plans",
     "h_value",
     "joint_support_profit",
+    "cli_stdout",
+)
+DROPPED = [[0.5, 0.0, 1.0], [0.0, 0.3, 0.9, 0.0]]  # zeros only the command line sees
+CLI_COMMANDS = (
+    ["equilibrium"],
+    ["simulate", "--trials", "3000", "--seed", str(SEED)],
+    ["table", "--grid", "7"],
 )
 
 
-def configs() -> list[ap.AuctionConfig]:
+def raw_configs() -> list[list[float]]:
     rng = np.random.default_rng(SEED)
     fixed = [
         [1 / 3, 1 / 2, 3 / 4, 1.0],
@@ -57,7 +70,15 @@ def configs() -> list[ap.AuctionConfig]:
     drawn = [list(1.0 - rng.random(n)) for n in (2, 5, 16, 40, 64)]
     tiny = [list(10.0 ** rng.uniform(-12.0, 0.0, n)) for n in (6, 12)]
     tied = [list(rng.choice([0.1, 0.35, 0.6, 1.0], n)) for n in (9, 33)]
-    return [ap.build_config(p) for p in fixed + drawn + tiny + tied]
+    return fixed + drawn + tiny + tied
+
+
+def cli_stdout(argv: list[str]) -> str:
+    """The exit code and stdout of one command line call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli_main(argv)
+    return f"{code}\n{out.getvalue()}"
 
 
 def exact(value) -> bytes:
@@ -82,7 +103,13 @@ def main() -> None:
         hashes[name].update(data + b"\n")
 
     levels = np.linspace(0.0, 1.0, 129)
-    for cfg in configs():
+    raw = raw_configs()
+    for probs in raw + DROPPED:
+        flag = ["--probs", ",".join(repr(float(p)) for p in probs)]
+        for command in CLI_COMMANDS:
+            for fmt in ("json", "csv"):
+                record("cli_stdout", cli_stdout, [*command, *flag, "--format", fmt])
+    for cfg in map(ap.build_config, raw):
         n = cfg.n
         s = np.array(ap.breakpoints(cfg))
         xs = np.union1d(np.linspace(-0.1, 1.1 * s[0], 129), s)

@@ -2,7 +2,8 @@
 
 Subcommands: equilibrium, table, simulate, sabotage, uniform, audit.  Each is
 a thin adapter over the library: stdout carries only the serialized module
-result (JSON or CSV with 12 significant digits), stderr carries diagnostics.
+result (strict JSON, with null for a NaN or infinite value, or CSV with 12
+significant digits), stderr carries diagnostics.
 Exit codes: 0 success, 2 invalid input, 1 internal error.
 
 Each handler parses its input first and then imports the library code it
@@ -17,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -149,10 +151,11 @@ def _cmd_table(args: argparse.Namespace):
     xs = np.linspace(0.0, prof.breakpoints[0], args.grid)
     rows = []
     for i in sorted(range(1, config.n + 1), key=config.caller_position):
-        if i == config.n and prof.atom_n > 0.0:  # atom at 0: no density exists there
-            densities = [None, *pdf(config, i, xs[1:]).tolist()]
-        else:
-            densities = pdf(config, i, xs).tolist()
+        try:
+            at_zero = pdf(config, i, 0.0)  # xs[0]
+        except ValidationError:  # an atom, or a density diverging at 0 when lam = 0
+            at_zero = None
+        densities = [at_zero, *pdf(config, i, xs[1:]).tolist()]
         bidder = config.caller_position(i)
         rows += (
             {"bidder": bidder, "x": x, "cdf": c, "pdf": d}
@@ -168,25 +171,22 @@ def _cmd_simulate(args: argparse.Namespace):
     from .metrics import revenue_report
     from .simulate import monte_carlo
 
-    report = monte_carlo(config, trials, seed=seed)
-    payload = report.to_dict()
-    if config.n >= 2:
-        analytic = revenue_report(config).to_dict()
-        payload["analytic"] = analytic
-        by_pos = {row["caller_position"]: row for row in analytic["bidders_caller_order"]}
+    payload = monte_carlo(config, trials, seed=seed).to_dict()
+    simulated = payload["bidders_caller_order"]
+    if config.n >= 2:  # both caller-order lists hold the same positions
+        payload["analytic"] = revenue_report(config).to_dict()
+        analytic = payload["analytic"]["bidders_caller_order"]
     else:
         payload["analytic"] = None
-        by_pos = {}
-    rows = []
-    for row in payload["bidders_caller_order"]:
-        ana = by_pos.get(row["caller_position"], {})
-        rows.append(
-            {
-                **row,
-                "analytic_expected_bid": ana.get("expected_bid"),
-                "analytic_expected_utility": ana.get("expected_utility"),
-            }
-        )
+        analytic = [{"expected_bid": None, "expected_utility": None}] * len(simulated)
+    rows = [
+        {
+            **row,
+            "analytic_expected_bid": ana["expected_bid"],
+            "analytic_expected_utility": ana["expected_utility"],
+        }
+        for row, ana in zip(simulated, analytic)
+    ]
     for model in ("sum_revenue", "max_revenue"):
         rows.append({"bidder": model, **payload[model]})
     return payload, rows
@@ -287,7 +287,19 @@ def render_csv(rows: list[dict]) -> str:
 
 
 def render_json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """Strict JSON (RFC 8259) text: a NaN or infinite float is written null."""
+    return json.dumps(_finite(payload), indent=2, allow_nan=False) + "\n"
+
+
+def _finite(value):
+    """``value`` with every NaN or infinite float, at any depth, made None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
 
 
 def _emit(result, fmt: str) -> None:

@@ -1,8 +1,12 @@
 """Auction configuration: validated participation probabilities in sorted order.
 
-Bidders are indexed 1..n by ascending participation probability everywhere in
-this package; the mapping back to the caller's original positions is kept on
-the config so reports can be emitted in either order.
+This module is the one owner of the bidder list.  build_config is the one
+place that turns raw probabilities into it, and AuctionConfig.report_rows is
+the one place that lays it back out for reports.  Bidders are indexed 1..n by
+ascending participation probability everywhere in this package; the mapping
+back to the caller's original positions, and the positions dropped for a zero
+probability, are kept on the config, so every report emits its per-bidder
+rows in either order from the same layout.
 """
 
 from __future__ import annotations
@@ -82,9 +86,12 @@ def _threads_cap() -> int | None:
 
 def _check_real(name: str, value) -> float:
     """``value`` as a float: anything with ``__float__`` but a bool, so no
-    string."""
+    str or bytes, and no integer too large for a float."""
     if not isinstance(value, bool) and hasattr(type(value), "__float__"):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            pass
     raise ValidationError(f"{name} must be a real number, got {value!r}")
 
 
@@ -117,13 +124,30 @@ class AuctionConfig:
         """1-based caller position of sorted bidder i."""
         return self.user_order[i - 1]
 
+    def report_rows(self, columns: Sequence[dict], blank: dict) -> tuple[list[dict], list[dict]]:
+        """A report's rows in sorted order, {"bidder": i, "caller_position",
+        "probability": p_i, **columns[i-1]}, and in caller order: the same rows
+        and, at each dropped position p, {"bidder": None, "caller_position": p,
+        "probability": 0.0, **blank}."""
+        sorted_rows = [
+            {"bidder": i, "caller_position": pos, "probability": p, **cols}
+            for i, (pos, p, cols) in enumerate(zip(self.user_order, self.probabilities, columns), 1)
+        ]
+        caller_rows = [dict(r) for r in sorted_rows] + [
+            {"bidder": None, "caller_position": pos, "probability": 0.0, **blank}
+            for pos in self.dropped
+        ]
+        caller_rows.sort(key=operator.itemgetter("caller_position"))
+        return sorted_rows, caller_rows
+
 
 def build_config(raw_probabilities: Sequence[float]) -> AuctionConfig:
     """Validate raw probabilities and produce a sorted :class:`AuctionConfig`.
 
-    Values must lie in [0, 1].  Zeros are dropped (those bidders never show up
-    and cannot affect anyone) and recorded in ``dropped``.  The sort is stable,
-    so equal probabilities keep their caller order.
+    Values must be real numbers (no bool, str or bytes) in [0, 1].  Zeros are
+    dropped (those bidders never show up and cannot affect anyone) and recorded
+    in ``dropped``.  The sort is stable, so equal probabilities keep their
+    caller order.
 
     Raises
     ------
@@ -134,8 +158,8 @@ def build_config(raw_probabilities: Sequence[float]) -> AuctionConfig:
     probs = []
     for pos, value in enumerate(raw_probabilities, start=1):
         try:
-            v = float(value)
-        except (TypeError, ValueError, OverflowError) as exc:
+            v = _check_real("participation probability", value)
+        except ValidationError as exc:
             raise ValidationError(
                 f"participation probability at position {pos} is {value!r}; "
                 "must be a number in [0, 1]"
@@ -169,9 +193,4 @@ def config_from_json(text: str) -> AuctionConfig:
     probs = obj["probabilities"]
     if not isinstance(probs, list):
         raise ValidationError('"probabilities" must be an array of numbers')
-    for pos, value in enumerate(probs, start=1):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(
-                f'"probabilities" must be an array of numbers; position {pos} is {value!r}'
-            )
     return build_config(probs)

@@ -321,15 +321,23 @@ def _cdf_array(prof: EquilibriumProfile, i: int | np.ndarray, xs: np.ndarray) ->
 def pdf(config: AuctionConfig, i: int, x) -> float | np.ndarray:
     """Equilibrium bid density of bidder i at x (scalar or array).
 
-    Zero outside the support.  Querying the last bidder's atom location
-    (exactly 0, when the atom mass is positive) raises, densities do not
-    exist there.
+    Zero outside the support.  Where no finite density exists, querying
+    exactly 0 raises ValidationError: at the last bidder's atom (when its mass
+    is positive), and, when lam = 0, on a piece of exponent m = n - k > 1,
+    where (lam + x)**((1-m)/m) diverges at x = 0.
     """
     prof = equilibrium_profile(config)
     i = _check_bidder(config, i)
-    if i == config.n and prof.atom_n > 0.0 and np.any(np.asarray(x, dtype=float) == 0.0):
+    at_zero = np.asarray(x, dtype=float) == 0.0
+    if i == config.n and prof.atom_n > 0.0 and np.any(at_zero):
         raise ValidationError("atom has no density: bidder n holds mass at bid 0")
-    return _scalar_or_array(lambda xs: _pdf_array(prof, i, xs), x)
+    with np.errstate(divide="ignore"):
+        out = _scalar_or_array(lambda xs: _pdf_array(prof, i, xs), x)
+    if np.any(np.isinf(out) & at_zero):
+        raise ValidationError(
+            f"no finite density: with lam = 0, bidder {i}'s density diverges at bid 0"
+        )
+    return out
 
 
 def _pdf_array(prof: EquilibriumProfile, i: int | np.ndarray, xs: np.ndarray) -> np.ndarray:

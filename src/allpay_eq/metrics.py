@@ -178,30 +178,14 @@ class RevenueReport:
     def to_dict(self) -> dict:
         """JSON-ready dict with bidder arrays in sorted and in caller order."""
         cfg = self.config
-        sorted_rows = [
-            {
-                "bidder": i,
-                "caller_position": cfg.caller_position(i),
-                "probability": cfg.probabilities[i - 1],
-                "expected_bid": self.expected_bids[i - 1],
-                "expected_utility": self.expected_utilities[i - 1],
-                "atom_at_zero": self.atom_at_zero_last if i == cfg.n else 0.0,
-            }
-            for i in range(1, cfg.n + 1)
-        ]
-        caller_rows = [dict(r) for r in sorted_rows]
-        caller_rows += (
-            {
-                "bidder": None,
-                "caller_position": pos,
-                "probability": 0.0,
-                "expected_bid": None,
-                "expected_utility": 0.0,
-                "atom_at_zero": 0.0,
-            }
-            for pos in cfg.dropped
+        atoms = [0.0] * (cfg.n - 1) + [self.atom_at_zero_last]
+        sorted_rows, caller_rows = cfg.report_rows(
+            [
+                {"expected_bid": bid, "expected_utility": utility, "atom_at_zero": atom}
+                for bid, utility, atom in zip(self.expected_bids, self.expected_utilities, atoms)
+            ],
+            {"expected_bid": None, "expected_utility": 0.0, "atom_at_zero": 0.0},
         )
-        caller_rows.sort(key=lambda r: r["caller_position"])
         return {
             "n": cfg.n,
             "lambda": self.lam,

@@ -207,21 +207,17 @@ class SimulationReport:
     max_revenue: RevenueStats
 
     def to_dict(self) -> dict:
-        cfg = self.config
-        rows = [
-            {
-                "bidder": i,
-                "caller_position": cfg.caller_position(i),
-                "probability": cfg.probabilities[i - 1],
-                **vars(self.bidders[i - 1]),
-            }
-            for i in range(1, cfg.n + 1)
-        ]
+        """JSON-ready dict with bidder arrays in sorted and in caller order; a
+        dropped position reads as a bidder who never takes part."""
+        never = _bidder_stats(np.zeros(6), np.array([self.trials, 0.0, 0.0, 0.0, 0.0, 0.0]))
+        sorted_rows, caller_rows = self.config.report_rows(
+            [vars(b) for b in self.bidders], vars(never)
+        )
         return {
             "trials": self.trials,
             "seed": self.seed,
-            "bidders_sorted": rows,
-            "bidders_caller_order": sorted(rows, key=lambda r: r["caller_position"]),
+            "bidders_sorted": sorted_rows,
+            "bidders_caller_order": caller_rows,
             "sum_revenue": vars(self.sum_revenue),
             "max_revenue": vars(self.max_revenue),
         }
@@ -518,13 +514,15 @@ def _chunk_sums(
     return table
 
 
-def _mean_var_se(moments: np.ndarray, count: float) -> tuple[float, float, float, float]:
-    """(mean, sample variance, SE of mean, asymptotic SE of the variance)."""
+def _mean_var_se(row: np.ndarray) -> tuple[float, float, float, float]:
+    """(mean, sample variance, SE of mean, asymptotic SE of the variance) of a
+    table row: its count, then its power sums s1..s4."""
+    count = float(row[0])
     if count < 2:
         nan = float("nan")
-        mean = moments[0] / count if count else nan
+        mean = row[1] / count if count else nan
         return mean, nan, nan, nan
-    s1, s2, s3, s4 = (float(v) for v in moments)
+    s1, s2, s3, s4 = (float(v) for v in row[1:5])
     mean = s1 / count
     m2 = max(s2 / count - mean**2, 0.0)
     m4 = max(
@@ -541,24 +539,25 @@ def _finalize(
 ) -> SimulationReport:
     """The report from the sum of the chunks' tables (see _chunk_sums)."""
     n = config.n
-    stats = [_mean_var_se(row[1:5], float(row[0])) for row in table]
-    bidders = []
-    for j in range(n):
-        cnt = float(table[j, 0])
-        if cnt:
-            zero_rate = float(table[j, 5]) / cnt
-            zero_se = math.sqrt(max(zero_rate * (1 - zero_rate), 0.0) / cnt)
-        else:
-            zero_rate, zero_se = float("nan"), float("nan")
-        bidders.append(BidderStats(int(cnt), *stats[j], zero_rate, zero_se, *stats[n + j]))
     return SimulationReport(
         config=config,
         trials=trials,
         seed=seed,
-        bidders=tuple(bidders),
-        sum_revenue=RevenueStats(*stats[2 * n]),
-        max_revenue=RevenueStats(*stats[2 * n + 1]),
+        bidders=tuple(_bidder_stats(table[j], table[n + j]) for j in range(n)),
+        sum_revenue=RevenueStats(*_mean_var_se(table[2 * n])),
+        max_revenue=RevenueStats(*_mean_var_se(table[2 * n + 1])),
     )
+
+
+def _bidder_stats(bids: np.ndarray, utilities: np.ndarray) -> BidderStats:
+    """One bidder's statistics from its bid and utility rows of a table."""
+    cnt = float(bids[0])
+    if cnt:
+        zero_rate = float(bids[5]) / cnt
+        zero_se = math.sqrt(max(zero_rate * (1 - zero_rate), 0.0) / cnt)
+    else:
+        zero_rate, zero_se = float("nan"), float("nan")
+    return BidderStats(int(cnt), *_mean_var_se(bids), zero_rate, zero_se, *_mean_var_se(utilities))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib
 import io
 import json
@@ -127,6 +128,20 @@ def test_table_rows_in_caller_order(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "probs, empty", [("1,1,1", ["1", "2", "3"]), ("0.3,1,1,1", ["2", "3", "4"])]
+)
+def test_table_density_diverging_at_zero_is_empty(capsys, probs, empty):
+    """With lam = 0 a density that diverges at bid 0 gets an empty cell, as an
+    atom does, and nothing is written to stderr."""
+    code, out, err = run_cli(capsys, "table", "--probs", probs, "--grid", "3")
+    assert code == 0 and err == ""
+    rows = list(csv.DictReader(io.StringIO(out)))
+    blank = [row for row in rows if row["pdf"] == ""]
+    assert [row["bidder"] for row in blank] == empty
+    assert all(row["x"] == "0" for row in blank)
+
+
 def test_table_grid_validation(capsys):
     code, _, err = run_cli(capsys, "table", "--probs", "0.5,1", "--grid", "1")
     assert code == 2 and "grid" in err
@@ -200,6 +215,49 @@ def test_simulate_csv(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [r["bidder"] for r in rows] == ["1", "2", "sum_revenue", "max_revenue"]
     assert float(rows[0]["analytic_expected_bid"]) == pytest.approx(0.25)
+
+
+def _refuse_constant(token):
+    raise ValueError(f"not RFC 8259 JSON: {token}")
+
+
+def test_simulate_caller_rows_keep_dropped_positions(capsys):
+    """Both caller-order blocks hold every caller position, and the CSV row of
+    the dropped position 2 carries the statistics of a kept bidder who never
+    takes part (p = 1e-12 over the same 10 trials)."""
+    args = ["simulate", "--probs", "0.5,0,1", "--trials", "10"]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    for block in (payload, payload["analytic"]):
+        assert [row["caller_position"] for row in block["bidders_caller_order"]] == [1, 2, 3]
+    _, out, _ = run_cli(capsys, *args, "--format", "csv")
+    dropped = [row for row in csv.DictReader(io.StringIO(out)) if row["caller_position"] == "2"]
+    never_args = ["simulate", "--probs", "1e-12,1", "--trials", "10", "--format", "csv"]
+    _, out, _ = run_cli(capsys, *never_args)
+    never = [row for row in csv.DictReader(io.StringIO(out)) if row["caller_position"] == "1"]
+    assert len(dropped) == len(never) == 1 and never[0]["participations"] == "0"
+    stats = [field.name for field in dataclasses.fields(ap.BidderStats)]
+    assert [dropped[0][key] for key in stats] == [never[0][key] for key in stats]
+
+
+def test_simulate_json_is_strict(capsys):
+    """Undefined statistics of a bidder with no participation are null on
+    stdout, never a bare NaN token that RFC 8259 parsers refuse."""
+    code, out, _ = run_cli(capsys, "simulate", "--probs", "0.001,1", "--trials", "10")
+    assert code == 0
+    first = json.loads(out, parse_constant=_refuse_constant)["bidders_sorted"][0]
+    assert first["participations"] == 0 and first["bid_mean"] is None
+
+
+def test_render_json_writes_null_for_non_finite_floats():
+    inf, nan = float("inf"), float("nan")
+    text = render_json({"a": [1.5, nan], "b": (inf, -inf), "c": {"d": nan}, "e": 2})
+    assert json.loads(text, parse_constant=_refuse_constant) == {
+        "a": [1.5, None], "b": [None, None], "c": {"d": None}, "e": 2
+    }
+    finite = {"a": [1.5, 0.1], "b": None}
+    assert render_json(finite) == json.dumps(finite, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

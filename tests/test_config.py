@@ -38,7 +38,9 @@ def test_out_of_range_rejected(bad):
 
 
 @pytest.mark.parametrize(
-    "bad", ["abc", None, [0.3], 10**400], ids=["str", "none", "list", "huge_int"]
+    "bad",
+    ["abc", None, [0.3], 10**400, True, "0.5", b"0.5"],
+    ids=["str", "none", "list", "huge_int", "bool", "numeric_str", "bytes"],
 )
 def test_non_number_rejected(bad):
     with pytest.raises(ap.ValidationError, match="position 2 .* must be a number"):

@@ -251,6 +251,22 @@ def test_pdf_atom_query_raises(example4):
     assert ap.pdf(ap.build_config([0.5, 0.5]), 2, 0.0) > 0.0
 
 
+def test_pdf_at_zero_when_lam_is_zero():
+    """With lam = 0 the density (lam + x)**((1-m)/m) diverges at x = 0 on a
+    piece of exponent m > 1: pdf raises there, as at an atom, and warns of
+    nothing.  On the piece of exponent m = 1 the density at 0 is finite."""
+    cfg = ap.build_config([0.3, 1.0, 1.0, 1.0])  # piece 2 (m = 2) reaches 0
+    for i in (2, 3, 4):
+        for x in (0.0, np.array([0.5, 0.0])):
+            with pytest.raises(ap.ValidationError, match="no finite density"):
+                ap.pdf(cfg, i, x)
+    assert ap.pdf(cfg, 1, 0.0) == 0.0  # bidder 1 bids on piece 1 alone
+    for i in (1, 2, 3):
+        with pytest.raises(ap.ValidationError, match="no finite density"):
+            ap.pdf(ap.build_config([1.0, 1.0, 1.0]), i, 0.0)
+    assert ap.pdf(ap.build_config([0.5, 1.0, 1.0]), 2, 0.0) == 2.0  # m = 1
+
+
 def test_pdf_matches_cdf_derivative(example4):
     for i in (1, 2, 3, 4):
         lo = ap.support(example4, i)[0]

@@ -62,7 +62,9 @@ def test_scenario_indices_outside_range(i, r, message):
         scenario([0.5, 0.5, 0.5], i, r, 0.1)
 
 
-@pytest.mark.parametrize("bad", ["0.1", None, [0.1]], ids=repr)
+@pytest.mark.parametrize(
+    "bad", ["0.1", None, [0.1], pytest.param(10**400, id="huge_int")], ids=repr
+)
 def test_true_target_probability_must_be_a_number(bad):
     with pytest.raises(ap.ValidationError, match="true target probability must be a real number"):
         scenario([0.5, 0.5, 0.5], 2, 1, bad)
