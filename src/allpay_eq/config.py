@@ -85,9 +85,11 @@ def _threads_cap() -> int | None:
 
 
 def _check_real(name: str, value) -> float:
-    """``value`` as a float: anything with ``__float__`` but a bool, so no
-    str or bytes, and no integer too large for a float."""
-    if not isinstance(value, bool) and hasattr(type(value), "__float__"):
+    """``value`` as a float: anything with ``__float__`` but a bool, Python's
+    or numpy's (its type is named bool, or bool_ before numpy 2; numpy is not
+    imported here), so no str or bytes, and no integer too large for a
+    float."""
+    if type(value).__name__ not in ("bool", "bool_") and hasattr(type(value), "__float__"):
         try:
             return float(value)
         except OverflowError:

@@ -358,7 +358,7 @@ def _pdf_array(prof: EquilibriumProfile, i: int | np.ndarray, xs: np.ndarray) ->
 
 
 def quantile(config: AuctionConfig, i: int, u) -> float | np.ndarray:
-    """Inverse CDF of bidder i: the bid of level h = p_i u + 1 - p_i
+    """Inverse CDF of bidder i: the bid of level h = 1 - v, v = p_i (1 - u)
     (_bid_of_level) on the piece k whose CDF range contains u, and 0 for u
     at or below the last bidder's atom mass.  Raises ValidationError for u
     outside [0, 1].
@@ -383,46 +383,40 @@ def _quantile_array(prof: EquilibriumProfile, i: int | np.ndarray, us: np.ndarra
     for the last bidder's atom, where the exponent 0 and prefix_n == lam make
     the formula exactly 0.
     """
-    p_i = prof.probs[np.asarray(i) - 1]
-    shape = np.broadcast_shapes(np.shape(p_i), np.shape(us))
+    return _quantile_of_levels(prof, np.subtract(1.0, us) * prof.probs[np.asarray(i) - 1])
+
+
+def _quantile_of_levels(prof: EquilibriumProfile, v: np.ndarray) -> np.ndarray:
+    """The quantile kernel (_quantile_into) at the levels ``v``, a float array
+    that the bids overwrite, with fresh temporaries."""
+    shape = v.shape
     return _quantile_into(
-        prof,
-        p_i,
-        us,
-        np.empty(shape),
-        np.empty(shape),
-        np.empty(shape, dtype=np.int64),
-        np.empty(shape, dtype=bool),
+        prof, v, v, np.empty(shape), np.empty(shape, dtype=np.int64), np.empty(shape, dtype=bool)
     )
 
 
 def _quantile_into(
     prof: EquilibriumProfile,
-    p_i: np.ndarray,
-    us: np.ndarray,
+    v: np.ndarray,
     out: np.ndarray,
     scratch: np.ndarray,
     index: np.ndarray,
     mask: np.ndarray,
 ) -> np.ndarray:
-    """The quantile kernel at levels ``us`` for bidders of probability ``p_i``,
-    written into ``out``, with ``scratch`` (float), ``index`` (int64) and
-    ``mask`` (bool) as its temporaries; all four are C-contiguous with the
-    broadcast shape, and none may overlap another or ``p_i`` or ``us``.
+    """The quantile kernel at levels ``v`` in [0, 1], written into ``out``,
+    with ``scratch`` (float), ``index`` (int64) and ``mask`` (bool) as its
+    temporaries; all five are C-contiguous of one shape, and none may overlap
+    another, except that ``out`` may be ``v`` itself.
 
-    Computes the bid of level h = p_i u + 1 - p_i by _bid_of_level, in
-    ``out`` with the power in ``scratch``, on the piece k whose k - 1 is the
-    count of probabilities below p_i (1 - u), found by _piece_search, and
-    clips it at 0.
+    A bidder of probability p_i at CDF level u has v = p_i (1 - u).  The
+    kernel computes the bid of level h = 1 - v by _bid_of_level, in ``out``
+    with the power in ``scratch``, on the piece k whose k - 1 is the count of
+    probabilities below v, found by _piece_search, and clips it at 0.
     """
-    np.subtract(1.0, us, out=scratch)
-    scratch *= p_i
-    k = _piece_search(prof, scratch, index, out, mask)
+    k = _piece_search(prof, v, index, scratch, mask)
     exponent = np.subtract(prof.n - 1, k, out=k)  # n - k for 1-based k
-    np.multiply(p_i, us, out=out)
-    out += 1.0
-    out -= p_i  # the level h
-    _bid_of_level(prof, out, exponent, out, scratch)
+    h = np.subtract(1.0, v, out=out)
+    _bid_of_level(prof, h, exponent, out, scratch)
     return np.maximum(out, 0.0, out=out)
 
 

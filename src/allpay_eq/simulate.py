@@ -1,13 +1,17 @@
 """Seeded Monte Carlo auction runs and grid-based best-response audits.
 
-Randomness is counter-based: trial t owns the 2n-word block [t*2n, (t+1)*2n)
-of the Philox stream keyed by the seed, so any partition of the trial range
-reproduces the same draws.  Within a trial the words are consumed in a fixed
-order: participation uniforms for bidders 1..n first, then one bid uniform per
-participant in index order.  Reports are therefore bit-for-bit identical for a
-given (config, trials, seed, chunk_size) regardless of thread count.
+Randomness is counter-based: trial t owns the n-word block [t*n, (t+1)*n) of
+the Philox stream keyed by the seed, one word w_i per bidder in index order,
+so any partition of the trial range reproduces the same draws.  Bidder i
+takes part iff w_i < p_i, comparing the whole 53-bit word, and then bids the
+quantile at the level v = p_i - w_i, which is uniform on (0, p_i] given
+participation (one word serves both: Devroye 1986, the conditional uniform).
+Reports are therefore bit-for-bit identical for a given (config, trials,
+seed, chunk_size) regardless of thread count.  A level takes about
+p_i * 2**53 distinct values (9,007 at p_i = 1e-12), so two trials repeat a
+level only after about sqrt(2**53 / p_i) of them (9.5e13 at p_i = 1e-12).
 
-The default chunk follows from n: a fixed budget of 2**18 words per chunk
+The default chunk follows from n: a fixed budget of 2**17 words per chunk
 (32,768 trials at n = 4, 2,048 at n = 64, 436 at n = 300), so a worker's
 buffers hold about 5 MiB of floats at any n up to 2**16.  Each chunk of m
 trials is simulated bidder-major, as n x m arrays with one contiguous row per
@@ -19,10 +23,11 @@ bid and utility would add nothing.
 
 Each chunk is a task that borrows one of the w buffer arenas the calling
 thread allocates for w workers, writes every array into C-contiguous prefixes
-of its slots and returns one small statistics table.  The tables are added
-up in chunk order as they arrive, never in completion order, which keeps the
-float accumulation deterministic under parallel execution; on one worker a
-call's memory does not grow with the number of trials.
+of its slots and returns one small statistics table.  At most 2w tasks are
+submitted and not yet folded, and the tables are added up in chunk order,
+never in completion order, which keeps the float accumulation deterministic
+under parallel execution; a call's memory does not grow with the number of
+trials.
 
 The best-response audit against the equilibrium covers every bidder in one
 blocked pass over its grid, and memoizes the last (config, grid_size), since
@@ -35,10 +40,11 @@ import math
 import operator
 import os
 import queue
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -55,13 +61,13 @@ from .equilibrium import (
     _check_bidder,
     _factor_blocks,
     _opponent_product,
-    _quantile_array,
     _quantile_into,
+    _quantile_of_levels,
     cdf,
     equilibrium_profile,
 )
 
-_CHUNK_WORDS = 2**18  # Philox words per default chunk
+_CHUNK_WORDS = 2**17  # Philox words per default chunk
 
 
 # ---------------------------------------------------------------------------
@@ -88,24 +94,24 @@ def run_auction(config: AuctionConfig, randomness) -> AuctionOutcome:
     ``randomness`` is either a numpy Generator or an iterable of uniforms in
     [0, 1); anything else, a replayed uniform that is not a number, is NaN or
     lies outside [0, 1), and a stream that runs out raise ``ValidationError``.
-    Draws are consumed in the documented order (participation flags for
-    bidders 1..n, then bids for participants in index order), so a replay from
-    a recorded stream is exact.  A single-bidder auction needs no bid draw: the
-    sole bidder bids 0 and wins whenever present.
+    Exactly n uniforms are drawn, one per bidder in index order, as a trial
+    of the Monte Carlo owns them: bidder i takes part iff w_i < p_i and then
+    bids the quantile at level p_i - w_i, so a replay of a trial's words is
+    exact.  In a single-bidder auction the sole bidder bids 0 and wins
+    whenever present.
     """
-    n = config.n
     draw = _make_drawer(randomness)
-    participated = [draw() < p for p in config.probabilities]
-    active = [i for i, flag in enumerate(participated, start=1) if flag]
-    bids: list[float | None] = [None] * n
-    if n == 1:
+    words = [draw() for _ in config.probabilities]
+    participated = [w < p for w, p in zip(words, config.probabilities)]
+    active = [i for i, flag in enumerate(participated) if flag]
+    bids: list[float | None] = [None] * config.n
+    if config.n == 1:
         if participated[0]:
             bids[0] = 0.0
     elif active:
-        u = np.asarray([draw() for _ in active])
-        values = _quantile_array(equilibrium_profile(config), np.asarray(active), u)
-        for i, b in zip(active, values):
-            bids[i - 1] = float(b)
+        levels = np.array([config.probabilities[i] - words[i] for i in active])
+        for i, b in zip(active, _quantile_of_levels(equilibrium_profile(config), levels)):
+            bids[i] = float(b)
     return _settle(participated, bids)
 
 
@@ -234,8 +240,9 @@ def monte_carlo(
 
     Deterministic for fixed (config, trials, seed, chunk_size) under any
     thread count.  ``trials``, ``seed`` and ``chunk_size`` are integers (not
-    bools), ``seed`` in [0, 2**128).  ``chunk_size`` defaults to a budget of
-    2**18 Philox words at 2n words a trial (32,768 trials at n = 4).
+    bools), ``seed`` in [0, 2**128).  Trial t draws the n Philox words
+    [t n, (t + 1) n), one per bidder.  ``chunk_size`` defaults to a budget of
+    2**17 words at n words a trial (32,768 trials at n = 4).
     ``threads`` is a positive integer (not a bool); it defaults to 1 and is
     capped by the ALLPAY_EQ_THREADS environment variable when that is set, by
     the CPU count and by the number of chunks.
@@ -269,19 +276,34 @@ def monte_carlo(
         finally:
             arenas.put(arena)
 
-    # both maps yield in chunk order, not completion order
+    # both yield in chunk order, not completion order
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            table = reduce(operator.add, pool.map(task, starts))
+            table = reduce(operator.add, _ordered_results(pool, task, starts, 2 * workers))
     else:
         table = reduce(operator.add, map(task, starts))
     return _finalize(config, trials, seed, table)
 
 
+def _ordered_results(
+    pool: ThreadPoolExecutor, fn: Callable, args: Iterable, depth: int
+) -> Iterator:
+    """fn over ``args`` on ``pool``, yielded in the order of ``args``, with at
+    most ``depth`` tasks submitted and not yet yielded: Executor.map submits
+    them all up front, a pending future each."""
+    pending: deque = deque()
+    for arg in args:
+        if len(pending) == depth:
+            yield pending.popleft().result()
+        pending.append(pool.submit(fn, arg))
+    while pending:
+        yield pending.popleft().result()
+
+
 def _default_chunk_size(n: int) -> int:
-    """Trials per chunk: a budget of 2**18 Philox words at 2n words a trial,
-    rounded down to an even count (whole 4-word Philox blocks) and at least 2."""
-    return max(2, _CHUNK_WORDS // (2 * n) // 2 * 2)
+    """Trials per chunk: a budget of 2**17 Philox words at n words a trial,
+    rounded down to an even count and at least 2."""
+    return max(2, _CHUNK_WORDS // n // 2 * 2)
 
 
 def _resolve_threads(threads: int | None, chunks: int) -> int:
@@ -297,15 +319,21 @@ def _resolve_threads(threads: int | None, chunks: int) -> int:
 def _trial_block(
     config: AuctionConfig, seed: int, t0: int, m: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Uniform draws for trials t0..t0+m-1, one 2n-word row per trial, written
-    into ``out`` (an m x 2n C-contiguous float array) when given."""
-    words_per_trial = 2 * config.n
-    offset_words = t0 * words_per_trial
+    """Uniform draws for trials t0..t0+m-1 as an m x n C-contiguous view, row
+    t - t0 holding the words [t n, (t + 1) n) that trial t owns.
+
+    Philox advances in 4-word blocks, so the draw starts at the block that
+    holds word t0 n and takes its (t0 n) mod 4 earlier words as well.  They
+    are written into ``out`` (a flat float array of at least m n + 3
+    entries) when given, and the view is their tail."""
+    n = config.n
+    skip = t0 * n % 4
     bit_gen = Philox(key=seed)
-    if offset_words:
-        assert offset_words % 4 == 0  # Philox advances in 4-word blocks
-        bit_gen.advance(offset_words // 4)
-    return Generator(bit_gen).random((m, words_per_trial), out=out)
+    bit_gen.advance(t0 * n // 4)
+    if out is None:
+        out = np.empty(skip + m * n)
+    Generator(bit_gen).random(skip + m * n, out=out[: skip + m * n])
+    return out[skip : skip + m * n].reshape(m, n)
 
 
 class _Arena:
@@ -316,15 +344,15 @@ class _Arena:
     of it, never a column slice, whose ravel would copy.  A slot is reused
     once its first content is dead (k is the chunk's participant count):
 
-    - ``words`` (3nm entries) holds the Philox words in its first 2nm and
-      the gathered bid words in its last nm.  Then the first nm hold the
-      quantile's p_i, the next nm its scratch and the last nm the bids; then
-      the participants' trial indices; and last, the whole slot holds the
-      power-sum temporaries (3k).
-    - ``pos`` holds the bid-word positions, then the quantile's piece
-      indices, then the participants' utilities.
-    - ``levels`` holds the gathered positions, then the search's cell indices
-      and probes, then the participants' bids.
+    - ``words`` (3nm + 3 entries) holds the Philox words in its first nm + 3.
+      After them come the participants' trial indices, kept for their
+      utilities, and k entries that hold their bidder indices, then their
+      words, then the quantile's piece indices.  Then its first nm hold the
+      bids, and last, its first 3k the power-sum temporaries.
+    - ``levels`` holds the word positions, then the participants' levels,
+      which the quantile turns into their bids.
+    - ``spare`` holds the participants' p_i, then the quantile's scratch,
+      then the participants' utilities.
     - ``win`` holds the search mask, then the winner mask, then the
       participants' winner flags.
     - ``revenues`` holds each trial's sum and maximum of the bids.
@@ -332,12 +360,11 @@ class _Arena:
 
     def __init__(self, n: int, m: int):
         size = n * m
-        self.words = np.empty(3 * size)
+        self.words = np.empty(3 * size + 3)
         self.part = np.empty(size, dtype=bool)
         self.win = np.empty(size, dtype=bool)
-        self.pos = np.empty(size)
         self.levels = np.empty(size)
-        self.first_pos = np.arange(n - 1, 2 * n * m, 2 * n)  # bidder 1's bid word
+        self.spare = np.empty(size)
         self.revenues = np.empty(2 * m)
         self.share = np.empty(m)
         self.nonempty = np.empty(m, dtype=bool)
@@ -375,37 +402,36 @@ def _play_chunk(config: AuctionConfig, seed: int, t0: int, m: int, arena: _Arena
     n = config.n
     size = n * m
     p = np.asarray(config.probabilities)
-    words = _trial_block(config, seed, t0, m, out=_view(arena.words, m, 2 * n))
+    words = _trial_block(config, seed, t0, m, out=arena.words)
     part = _view(arena.part, n, m)  # C order; the transposed view's would be F
-    np.less(words[:, :n].T, p[:, None], out=part)
+    np.less(words.T, p[:, None], out=part)
     counts = np.count_nonzero(part, axis=1)
     flat = np.flatnonzero(part)  # participants, bidder-major
     k = flat.size
+    # Participant flat = j m + t is bidder j + 1 in trial t, and took word
+    # t n + j.  Its trial is taken as flat - (flat // m) m, since numpy
+    # divides integers by a scalar several times faster than it takes a
+    # remainder, and kept for the utilities.
+    tail = arena.words[size + 3 :]  # past the words
+    trial = tail[:k].view(np.int64)
+    bidder = np.floor_divide(flat, m, out=tail[k : 2 * k].view(np.int64))
+    np.multiply(bidder, m, out=trial)
+    np.subtract(flat, trial, out=trial)
     values = arena.levels[:k]
     if n > 1:
-        # Participants take bid words in index order from each trial's back
-        # half: pos[j, t] is the flat index of the word bidder j + 1 takes in
-        # trial t when present.  It is a cumulative count down axis 0, added
-        # row by row: np.cumsum(axis=0) runs one column at a time, 10x slower.
-        pos = _view(arena.pos.view(np.int64), n, m)
-        np.add(arena.first_pos[:m], part[0], out=pos[0])
-        for j in range(1, n):
-            np.add(pos[j - 1], part[j], out=pos[j])
         # mode="clip": the indices are in range, and "raise" buffers ``out``
-        at = np.take(pos.ravel(), flat, out=arena.levels.view(np.int64)[:k], mode="clip")
-        us = np.take(words.ravel(), at, out=arena.words[2 * size : 2 * size + k], mode="clip")
-        # the words are dead: their block holds p_i and the quantile scratch
-        p_i = arena.words[:k]
-        stop = 0
-        for p_j, count in zip(p, counts.tolist()):
-            p_i[stop : stop + count] = p_j
-            stop += count
-        scratch = arena.words[size : size + k]
-        index = arena.pos.view(np.int64)[:k]  # the positions are dead after the gather
-        _quantile_into(equilibrium_profile(config), p_i, us, values, scratch, index, arena.win[:k])
+        p_i = np.take(p, bidder, out=arena.spare[:k], mode="clip")
+        at = np.multiply(trial, n, out=values.view(np.int64))
+        at += bidder
+        # the bidder indices are dead: their entries take the words
+        w = np.take(words.ravel(), at, out=tail[k : 2 * k], mode="clip")
+        np.subtract(p_i, w, out=values)  # the levels, over the dead positions
+        # p_i and the words are dead: they hold the quantile's temporaries
+        index = tail[k : 2 * k].view(np.int64)
+        _quantile_into(equilibrium_profile(config), values, values, p_i, index, arena.win[:k])
     else:  # a sole bidder bids 0 when present
         values.fill(0.0)
-    bids = _view(arena.words[2 * size :], n, m)
+    bids = _view(arena.words, n, m)  # the words are dead
     bids.fill(0.0)
     bids.ravel()[flat] = values
     revenues = _view(arena.revenues, 2, m)
@@ -420,42 +446,12 @@ def _play_chunk(config: AuctionConfig, seed: int, t0: int, m: int, arena: _Arena
     np.sum(bids, axis=0, out=sum_rev)
     # A participant's utility is its trial's share when its bid is the top
     # one, less its bid: the rounding of the dense winners * share - bids.
-    # Its trial is flat mod m, taken as flat - (flat // m) m, since numpy
-    # divides integers by a scalar several times faster than it takes a
-    # remainder.
-    trial = np.floor_divide(flat, m, out=arena.words.view(np.int64)[:k])
-    trial *= m
-    np.subtract(flat, trial, out=trial)
-    utilities = np.take(top, trial, out=arena.pos[:k], mode="clip")
+    utilities = np.take(top, trial, out=arena.spare[:k], mode="clip")
     won = np.equal(values, utilities, out=arena.win[:k])
     np.take(share, trial, out=utilities, mode="clip")
     utilities *= won
     utilities -= values
     return _Chunk(part, counts, flat, bids, values, utilities, revenues)
-
-
-def _simulate_block(
-    config: AuctionConfig, seed: int, t0: int, m: int, arena: _Arena | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A chunk as dense arrays, for checking trial by trial: (participation,
-    bids, utilities, sum_rev, max_rev).
-
-    The first three are C-contiguous n x m arrays, row j - 1 holding bidder
-    j's value in each trial, with bid 0 and utility 0 for a non-participant;
-    the revenues have one entry per trial.  All five are views into ``arena``
-    (a fresh one when not given), valid until its next chunk.  The moments
-    are taken from the participants alone (_chunk_sums), which build no
-    dense utilities.
-    """
-    n = config.n
-    if arena is None:
-        arena = _Arena(n, m)
-    chunk = _play_chunk(config, seed, t0, m, arena)
-    utilities = _view(arena.words, n, m)  # the trial indices are dead
-    utilities.fill(0.0)
-    utilities.ravel()[chunk.flat] = chunk.utilities
-    sum_rev, max_rev = chunk.revenues
-    return chunk.part, chunk.bids, utilities, sum_rev, max_rev
 
 
 def _segment_sums(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:

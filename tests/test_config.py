@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import allpay_eq as ap
@@ -45,6 +46,15 @@ def test_out_of_range_rejected(bad):
 def test_non_number_rejected(bad):
     with pytest.raises(ap.ValidationError, match="position 2 .* must be a number"):
         ap.build_config([0.5, bad])
+
+
+def test_numpy_bools_rejected():
+    """numpy's bools have __float__ as Python's do, and are refused as well:
+    np.array([True, True]) is no config of two sure bidders."""
+    with pytest.raises(ap.ValidationError, match="position 1 .* must be a number"):
+        ap.build_config(np.array([True, True]))
+    with pytest.raises(ap.ValidationError, match="position 2 .* must be a number"):
+        ap.build_config([0.5, np.False_])
 
 
 def test_out_of_range_names_offender():

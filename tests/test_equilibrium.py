@@ -326,11 +326,12 @@ EDGE_TOL = 2.3e-16
 
 
 def piece_formula(cfg, i, us, ks):
-    """The closed-form inversion of bidder i on piece k, elementwise."""
+    """The closed-form inversion of bidder i on piece k, elementwise, at the
+    level h = 1 - v of v = p_i (1 - u), the simulator's p_i - w."""
     prof = ap.equilibrium_profile(cfg)
     p_i = cfg.probabilities[i - 1]
     pref = np.asarray(prof.prefix_products)[ks]
-    return np.maximum((p_i * us + 1.0 - p_i) ** (cfg.n - ks) * pref - prof.lam, 0.0)
+    return np.maximum((1.0 - (1.0 - us) * p_i) ** (cfg.n - ks) * pref - prof.lam, 0.0)
 
 
 def reference_quantile(cfg, i, us):

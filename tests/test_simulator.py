@@ -11,18 +11,39 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
 import allpay_eq as ap
-from allpay_eq.equilibrium import _BLOCK_ENTRIES
+from allpay_eq import simulate
+from allpay_eq.equilibrium import _BLOCK_ENTRIES, _quantile_of_levels
 from allpay_eq.simulate import (
     _Arena,
     _chunk_sums,
     _default_chunk_size,
     _equilibrium_audits,
     _finalize,
+    _play_chunk,
     _resolve_threads,
-    _simulate_block,
     _trial_block,
+    _view,
 )
 from conftest import tied_prob_lists
+
+
+def _simulate_block(cfg, seed, t0, m, arena=None):
+    """A chunk as dense arrays, the reference for checking trial by trial:
+    (participation, bids, utilities, sum_rev, max_rev).
+
+    The first three are C-contiguous n x m arrays, row j - 1 holding bidder
+    j's value in each trial, with bid 0 and utility 0 for a non-participant;
+    the revenues have one entry per trial.  All but the utilities are views
+    into ``arena`` (a fresh one when not given), valid until its next chunk.
+    The engine itself builds no dense utilities: its moments come from the
+    participants alone (_chunk_sums)."""
+    if arena is None:
+        arena = _Arena(cfg.n, m)
+    chunk = _play_chunk(cfg, seed, t0, m, arena)
+    utilities = np.zeros((cfg.n, m))
+    utilities.ravel()[chunk.flat] = chunk.utilities
+    sum_rev, max_rev = chunk.revenues
+    return chunk.part, chunk.bids, utilities, sum_rev, max_rev
 
 
 # ---------------------------------------------------------------------------
@@ -32,9 +53,10 @@ from conftest import tied_prob_lists
 
 def test_forced_draws_two_bidders():
     cfg = ap.build_config([0.5, 1.0])
-    out = ap.run_auction(cfg, [0.1, 0.0, 0.9, 0.9])
+    out = ap.run_auction(cfg, [0.45, 0.9])
     assert out.participated == (True, True)
-    # quantiles at u = 0.9: bidder 1 -> 0.45, bidder 2 -> 0.40
+    # levels p_i - w_i = 0.05 and 0.1, the quantiles at u = 0.9:
+    # bidder 1 -> 0.45, bidder 2 -> 0.40
     assert out.bids == (pytest.approx(0.45), pytest.approx(0.40))
     assert out.winners == frozenset({1})
     assert out.bidder_utilities == (pytest.approx(0.55), pytest.approx(-0.40))
@@ -53,7 +75,7 @@ def test_no_participants():
 
 def test_single_participant_keeps_surplus():
     cfg = ap.build_config([0.5, 0.5])
-    out = ap.run_auction(cfg, [0.1, 0.9, 0.7])
+    out = ap.run_auction(cfg, [0.1, 0.9])
     b = out.bids[0]
     assert out.participated == (True, False)
     assert out.bidder_utilities[0] == pytest.approx(1.0 - b)
@@ -62,7 +84,7 @@ def test_single_participant_keeps_surplus():
 
 def test_exact_tie_splits_item():
     cfg = ap.build_config([0.5, 0.5])
-    out = ap.run_auction(cfg, [0.1, 0.1, 0.7, 0.7])
+    out = ap.run_auction(cfg, [0.1, 0.1])
     assert out.bids[0] == out.bids[1]
     assert out.winners == frozenset({1, 2})
     assert out.bidder_utilities[0] == pytest.approx(0.5 - out.bids[0])
@@ -76,6 +98,36 @@ def test_single_bidder_auction():
     assert absent.bids == (None,) and absent.bidder_utilities == (0.0,)
 
 
+def test_participation_compares_the_whole_word(monkeypatch):
+    """At p = 1e-12 a word one ulp below p takes part, and a word equal to p
+    or one ulp above does not: participation compares the whole word, in a
+    replay and in a chunk alike.  The level p - w lies in (0, p], and sets
+    the bid."""
+    p = 1e-12
+    cfg = ap.build_config([p, 0.5])
+    prof = ap.equilibrium_profile(cfg)
+    first = [np.nextafter(p, 0.0), p / 2, 0.0, p, np.nextafter(p, 1.0)]
+    for w in first[:3]:
+        out = ap.run_auction(cfg, [w, 0.9])
+        assert out.participated == (True, False)
+        assert 0.0 < p - w <= p
+        assert out.bids[0] == _quantile_of_levels(prof, np.array([p - w]))[0]
+    for w in first[3:]:
+        assert ap.run_auction(cfg, [w, 0.9]).participated == (False, False)
+
+    words = np.array([[w, 0.9] for w in first])
+
+    def replayed(config, seed, t0, m, out=None):
+        out[: words.size] = words.ravel()
+        return _view(out, m, config.n)
+
+    monkeypatch.setattr(simulate, "_trial_block", replayed)
+    part, bids, *_ = _simulate_block(cfg, 0, 0, len(first))
+    assert part.tolist() == [[True] * 3 + [False] * 2, [False] * 5]
+    for t, w in enumerate(first):
+        assert bids[0, t] == (ap.run_auction(cfg, [w, 0.9]).bids[0] or 0.0)
+
+
 def test_run_auction_accepts_generator(example4):
     out = ap.run_auction(example4, Generator(Philox(key=5)))
     assert len(out.bids) == 4
@@ -87,12 +139,13 @@ OUTSIDE = r"\[0, 1\)"
 @pytest.mark.parametrize(
     "stream, match",
     [
-        ([0.0] * 4 + [math.nan, 0.5, 0.5, 0.5], OUTSIDE),  # NaN bid: no winner in _settle
-        ([0.0] * 4 + [1.5, 0.5, 0.5, 0.5], OUTSIDE),  # bid 1.505, above s_0 = 0.917
-        ([0.0] * 4 + [-0.5, 0.5, 0.5, 0.5], OUTSIDE),  # bid 0.083
-        ([math.nan, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5], OUTSIDE),  # counted as absent
-        ([1.0, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5], OUTSIDE),
-        ([0.0] * 4 + [0.5], "ran out"),  # a bare StopIteration before
+        # each word both decides participation and sets the bid's level
+        ([0.0, 0.0, 0.0, math.nan], OUTSIDE),  # after participants: counted as absent
+        ([0.0, 0.0, 0.0, 1.5], OUTSIDE),  # counted as absent
+        ([0.0, 0.0, 0.0, -0.5], OUTSIDE),  # level 1.5, above p_4 = 1: bid 0
+        ([math.nan, 0.0, 0.0, 0.0], OUTSIDE),  # counted as absent
+        ([1.0, 0.0, 0.0, 0.0], OUTSIDE),
+        ([0.0] * 3, "ran out"),  # a bare StopIteration before
         ("abc", "must be numbers"),  # float("a"): a plain ValueError before
         ([0.0, None], "must be numbers"),  # float(None): a TypeError before
         (None, "no Generator or iterable"),  # iter(None): a TypeError before
@@ -244,6 +297,20 @@ def test_thread_count_does_not_change_wide_report():
         assert repr(ap.monte_carlo(cfg, trials, seed=5, threads=threads).to_dict()) == base
 
 
+def test_odd_n_reads_the_stream_from_any_chunk_start():
+    """At n = 5, 6-trial chunks start at words t0 n = 0, 30, 60, ..., half of
+    them inside a 4-word Philox block: threads 1, 2 and 4 give one report,
+    whose participation counts are those of the seed's stream read whole."""
+    cfg = ap.build_config([0.1, 0.3, 0.5, 0.5, 0.9])
+    trials = 1000
+    base = ap.monte_carlo(cfg, trials, seed=8, threads=1, chunk_size=6)
+    for threads in (2, 4):
+        assert ap.monte_carlo(cfg, trials, seed=8, threads=threads, chunk_size=6) == base
+    stream = Generator(Philox(key=8)).random(trials * cfg.n).reshape(trials, cfg.n)
+    counts = np.count_nonzero(stream < cfg.probabilities, axis=0)
+    assert [b.participations for b in base.bidders] == counts.tolist()
+
+
 @pytest.mark.parametrize("full_chunks", [4, 5], ids=["odd_count", "even_count"])
 def test_uneven_lanes_match_fresh_arena_merge(monkeypatch, full_chunks):
     """Full 256-trial chunks and a 130-trial tail, an odd or an even number
@@ -291,13 +358,20 @@ def test_edge_chunks_through_a_used_arena():
     assert not bids.any() and not srev.any() and not mrev.any()
 
     rare = ap.build_config([0.001, 0.002])
-    # the first chunk of seed 6 has participants, the second (trials 256..511) none
+    # the first seed whose first chunk has participants, the second (trials
+    # 256..511) none
+    seed = next(
+        s
+        for s in range(100)
+        if (_trial_block(rare, s, 0, m) < rare.probabilities).any()
+        and not (_trial_block(rare, s, m, m) < rare.probabilities).any()
+    )
     arena = _Arena(2, m)
-    assert _simulate_block(rare, 6, 0, m, arena)[0].any()
-    got = _simulate_block(rare, 6, m, m, arena)
-    _assert_chunk_equal(got, _simulate_block(rare, 6, m, m))
+    assert _simulate_block(rare, seed, 0, m, arena)[0].any()
+    got = _simulate_block(rare, seed, m, m, arena)
+    _assert_chunk_equal(got, _simulate_block(rare, seed, m, m))
     assert not any(a.any() for a in got)
-    words = _trial_block(rare, 6, m, m)
+    words = _trial_block(rare, seed, m, m)
     for t in range(m):
         out = ap.run_auction(rare, iter(words[t]))
         assert out.winners == frozenset() and out.bidder_utilities == (0.0, 0.0)
@@ -334,17 +408,38 @@ def test_traced_memory_does_not_grow_with_trials(example4):
     assert peak(2**14) < few + 32 * 1024
 
 
+def test_traced_memory_does_not_grow_with_trials_on_two_threads(example4, monkeypatch):
+    """On two threads at most four chunk tasks are submitted and not yet
+    folded, whatever the number of chunks: with 64-trial chunks, 256 chunks
+    instead of 16 raise the traced peak by less than 32 KiB."""
+    monkeypatch.delenv("ALLPAY_EQ_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            ap.monte_carlo(example4, trials, seed=1, threads=2, chunk_size=64)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    ap.monte_carlo(example4, 128, seed=1, threads=2, chunk_size=64)  # imports and caches
+    few = peak(2**10)
+    assert peak(2**14) < few + 32 * 1024
+
+
 def test_traced_memory_peak_bound(example4):
     """One 2**18-trial call on one thread holds one arena: its traced peak
-    stays under four default word blocks (4 MiB each at n = 4)."""
-    word_block = 2 * example4.n * _default_chunk_size(example4.n) * 8
+    stays under 8 MiB, eight default word blocks (1 MiB each at n = 4)."""
+    word_block = example4.n * _default_chunk_size(example4.n) * 8
+    assert word_block == 2**20
     tracemalloc.start()
     try:
         ap.monte_carlo(example4, 2**18, seed=1, threads=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * word_block
+    assert peak < 8 * word_block
 
 
 def test_traced_memory_peak_bound_wide():
@@ -353,14 +448,14 @@ def test_traced_memory_peak_bound_wide():
     of numpy's casting buffers.  Neither the piece search nor the moments
     allocate anything chunk-sized: one dense n x m float array more per
     worker (1 MiB) would break the bound, as would the 4,096-trial chunks of
-    a 2**19-word budget."""
+    a 2**18-word budget."""
     probs = np.linspace(0.05, 1.0, 63)
     cfg = ap.build_config([*probs, probs[31]])  # one tied pair
     m, trials = _default_chunk_size(cfg.n), 2**15
     assert m == 2048
     arena = _Arena(cfg.n, m)
     arena_bytes = sum(a.nbytes for a in vars(arena).values())
-    assert arena.words.size + arena.pos.size + arena.levels.size == 5 * cfg.n * m
+    assert arena.words.size + arena.levels.size + arena.spare.size == 5 * cfg.n * m + 3
     participants = max(
         np.count_nonzero(_simulate_block(cfg, 1, t0, m)[0]) for t0 in range(0, trials, m)
     )
@@ -417,7 +512,7 @@ def _chunk_with(cfg, m, wanted):
     """The first seed whose trials 0..m-1 give participation counts for
     which ``wanted`` holds, with those counts."""
     for seed in range(2000):
-        counts = np.count_nonzero(_trial_block(cfg, seed, 0, m)[:, : cfg.n] < cfg.probabilities, axis=0)
+        counts = np.count_nonzero(_trial_block(cfg, seed, 0, m) < cfg.probabilities, axis=0)
         if wanted(counts):
             return seed, counts
     raise AssertionError("no such chunk")
@@ -466,27 +561,49 @@ def test_chunk_sums_with_empty_segments(probs, wanted):
 
 
 def test_philox_blocks_are_stream_slices(example4):
-    whole = _trial_block(example4, 7, 0, 512)
-    parts = [_trial_block(example4, 7, t0, 128) for t0 in range(0, 512, 128)]
-    assert np.array_equal(np.vstack(parts), whole)
+    """Trial t owns the words [t n, (t + 1) n) of the seed's Philox stream,
+    whichever chunk reads it: at n = 4, and at n = 3 from starts t0 whose
+    word offset t0 n falls at each place in a 4-word Philox block, written
+    through an arena that earlier chunks have filled."""
+    odd = ap.build_config([0.2, 0.5, 0.9])
+    for cfg in (example4, odd):
+        n = cfg.n
+        stream = Generator(Philox(key=7)).random(512 * n).reshape(512, n)
+        assert np.array_equal(_trial_block(cfg, 7, 0, 512), stream)
+        parts = [_trial_block(cfg, 7, t0, 128) for t0 in range(0, 512, 128)]
+        assert np.array_equal(np.vstack(parts), stream)
+    arena = _Arena(odd.n, 128)
+    starts = [0, 1, 2, 3, 5, 64, 101, 229, 357, 512]
+    assert {t0 * odd.n % 4 for t0 in starts} == {0, 1, 2, 3}
+    for t0, t1 in zip(starts, starts[1:]):
+        got = _trial_block(odd, 7, t0, t1 - t0, out=arena.words)
+        assert got.flags.c_contiguous and np.array_equal(got, stream[t0:t1])
 
 
 @pytest.mark.parametrize(
     "probs",
-    [(1 / 3, 1 / 2, 3 / 4, 1.0), tuple(np.linspace(0.05, 1.0, 15)) + (0.5,)],
-    ids=["worked_example", "n16_tie"],
+    [
+        (1 / 3, 1 / 2, 3 / 4, 1.0),
+        tuple(np.linspace(0.05, 1.0, 15)) + (0.5,),
+        (0.3, 0.45, 0.45, 0.8, 0.95),
+    ],
+    ids=["worked_example", "n16_tie", "n5_odd"],
 )
 def test_vectorized_trials_replay_exactly(probs):
-    """Feeding a trial's word block to run_auction reproduces the vectorized
-    trial, held bidder-major as one contiguous row per bidder."""
+    """Feeding a trial's n words to run_auction reproduces the vectorized
+    trial, held bidder-major as one contiguous row per bidder, and uses up
+    exactly those n words; the chunk starts at trial 3, so at odd n its first
+    word is not the first of a Philox block."""
     cfg = ap.build_config(list(probs))
-    n, m = cfg.n, 64
-    words = _trial_block(cfg, 7, 0, m)
-    part, bids, utils, srev, mrev = _simulate_block(cfg, 7, 0, m)
+    n, t0, m = cfg.n, 3, 64
+    words = _trial_block(cfg, 7, t0, m)
+    part, bids, utils, srev, mrev = _simulate_block(cfg, 7, t0, m)
     for a in (part, bids, utils):
         assert a.shape == (n, m) and a.flags.c_contiguous
     for t in range(m):
-        out = ap.run_auction(cfg, iter(words[t]))
+        stream = iter(words[t])
+        out = ap.run_auction(cfg, stream)
+        assert next(stream, None) is None
         assert out.participated == tuple(part[:, t])
         for j in range(n):
             if part[j, t]:

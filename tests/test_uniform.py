@@ -23,6 +23,11 @@ def test_validation():
             case(3, p)
 
 
+def test_numpy_bool_probability_rejected():
+    with pytest.raises(ap.ValidationError, match="common probability must be a real number"):
+        ap.UniformCase(3, np.True_)
+
+
 N_ROUTES = {
     "UniformCase": lambda n: case(n, 0.5),
     "no_failure_cdf": lambda n: ap.no_failure_cdf(n, 0.5),
