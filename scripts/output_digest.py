@@ -12,9 +12,10 @@ n = 64.  Every value is hashed from its exact bits (arrays by their bytes,
 other floats by their shortest round-trip repr); a call that raises is
 hashed as the name of its exception class.  ``monte_carlo_threads`` runs
 two threads over twelve 256-trial chunks, so it covers the threaded fold.
-``cli_stdout`` hashes the exit code and stdout of the command line's
-``equilibrium``, ``simulate`` and ``table`` in json and csv, over the same
-configs plus two with dropped zeros.
+``cli_equilibrium``, ``cli_simulate`` and ``cli_table`` hash the exit code
+and stdout of that command line subcommand in json and csv, over the same
+configs plus two with dropped zeros, so a change to one report shows that
+the other two stay identical.
 """
 
 import contextlib
@@ -44,7 +45,9 @@ FAMILIES = (
     "sabotage_plans",
     "h_value",
     "joint_support_profit",
-    "cli_stdout",
+    "cli_equilibrium",
+    "cli_simulate",
+    "cli_table",
 )
 DROPPED = [[0.5, 0.0, 1.0], [0.0, 0.3, 0.9, 0.0]]  # zeros only the command line sees
 CLI_COMMANDS = (
@@ -108,7 +111,7 @@ def main() -> None:
         flag = ["--probs", ",".join(repr(float(p)) for p in probs)]
         for command in CLI_COMMANDS:
             for fmt in ("json", "csv"):
-                record("cli_stdout", cli_stdout, [*command, *flag, "--format", fmt])
+                record(f"cli_{command[0]}", cli_stdout, [*command, *flag, "--format", fmt])
     for cfg in map(ap.build_config, raw):
         n = cfg.n
         s = np.array(ap.breakpoints(cfg))

@@ -25,8 +25,8 @@ from typing import Sequence
 from .config import (
     AuctionConfig,
     ValidationError,
+    _check_positive,
     _check_seed,
-    _check_trials,
     _threads_cap,
     build_config,
     config_from_json,
@@ -166,7 +166,7 @@ def _cmd_table(args: argparse.Namespace):
 
 def _cmd_simulate(args: argparse.Namespace):
     config = _load_config(args)
-    trials, seed = _check_trials(args.trials), _check_seed(args.seed)
+    trials, seed = _check_positive("trials", args.trials), _check_seed(args.seed)
     _threads_cap()  # a bad ALLPAY_EQ_THREADS exits 2 before numpy loads
     from .metrics import revenue_report
     from .simulate import monte_carlo

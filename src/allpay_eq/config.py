@@ -53,12 +53,13 @@ def _check_index(name: str, value, top: int) -> int:
     return value
 
 
-def _check_trials(trials) -> int:
-    """``trials`` as a positive Python int."""
-    trials = _check_integer("trials", trials)
-    if trials < 1:
-        raise ValidationError(f"trials must be a positive integer, got {trials}")
-    return trials
+def _check_positive(name: str, value) -> int:
+    """``value`` as a Python int of at least 1 (not a bool); ``name`` names
+    it in the messages."""
+    value = _check_integer(name, value)
+    if value < 1:
+        raise ValidationError(f"{name} must be a positive integer, got {value}")
+    return value
 
 
 def _check_seed(seed) -> int:
@@ -79,9 +80,7 @@ def _threads_cap() -> int | None:
         value = int(cap)
     except ValueError:
         raise ValidationError(f"{_THREADS_ENV} must be an integer, got {cap!r}") from None
-    if value < 1:
-        raise ValidationError(f"{_THREADS_ENV} must be a positive integer, got {cap!r}")
-    return value
+    return _check_positive(_THREADS_ENV, value)
 
 
 def _check_real(name: str, value) -> float:

@@ -14,12 +14,13 @@ level only after about sqrt(2**53 / p_i) of them (9.5e13 at p_i = 1e-12).
 The default chunk follows from n: a fixed budget of 2**17 words per chunk
 (32,768 trials at n = 4, 2,048 at n = 64, 436 at n = 300), so a worker's
 buffers hold about 5 MiB of floats at any n up to 2**16.  Each chunk of m
-trials is simulated bidder-major, as n x m arrays with one contiguous row per
-bidder, and its k participants are listed bidder-major as well: a single
-quantile call covers every participant, each participant's utility is taken
-from its trial's winners alone, and each bidder's power sums run pairwise
-over its contiguous segment of participants, since a non-participant's zero
-bid and utility would add nothing.
+trials is settled bidder-major, on n x m arrays with one contiguous row per
+bidder: one subtraction p - w gives every level and one multiply-subtract
+winners * share - bids every all-pay utility.  Its k participants are listed
+bidder-major as well: a single quantile call covers every participant, and
+each bidder's power sums run pairwise over its contiguous segment of
+participants, since a non-participant's zero bid and utility would add
+nothing.
 
 Each chunk is a task that borrows one of the w buffer arenas the calling
 thread allocates for w workers, writes every array into C-contiguous prefixes
@@ -53,8 +54,8 @@ from .config import (
     AuctionConfig,
     ValidationError,
     _check_integer,
+    _check_positive,
     _check_seed,
-    _check_trials,
     _threads_cap,
 )
 from .equilibrium import (
@@ -239,26 +240,22 @@ def monte_carlo(
     """Run ``trials`` independent auctions and aggregate moment statistics.
 
     Deterministic for fixed (config, trials, seed, chunk_size) under any
-    thread count.  ``trials``, ``seed`` and ``chunk_size`` are integers (not
-    bools), ``seed`` in [0, 2**128).  Trial t draws the n Philox words
-    [t n, (t + 1) n), one per bidder.  ``chunk_size`` defaults to a budget of
-    2**17 words at n words a trial (32,768 trials at n = 4).
-    ``threads`` is a positive integer (not a bool); it defaults to 1 and is
-    capped by the ALLPAY_EQ_THREADS environment variable when that is set, by
-    the CPU count and by the number of chunks.
+    thread count.  ``trials``, ``seed``, ``chunk_size`` and ``threads`` are
+    integers (not bools), ``seed`` in [0, 2**128) and the others at least 1.
+    Trial t draws the n Philox words [t n, (t + 1) n), one per bidder, so a
+    chunk may start at any trial.  ``chunk_size`` defaults to a budget of
+    2**17 words at n words a trial (32,768 trials at n = 4).  ``threads``
+    defaults to 1 and is capped by the ALLPAY_EQ_THREADS environment
+    variable when that is set, by the CPU count and by the number of chunks.
     """
-    trials = _check_trials(trials)
+    trials = _check_positive("trials", trials)
     seed = _check_seed(seed)
     if chunk_size is None:
         chunk_size = _default_chunk_size(config.n)
     else:
-        chunk_size = _check_integer("chunk_size", chunk_size)
-        if chunk_size < 2 or chunk_size % 2:
-            raise ValidationError(f"chunk_size must be even and >= 2, got {chunk_size}")
+        chunk_size = _check_positive("chunk_size", chunk_size)
     if threads is not None:
-        threads = _check_integer("threads", threads)
-        if threads < 1:
-            raise ValidationError(f"threads must be a positive integer, got {threads}")
+        threads = _check_positive("threads", threads)
     starts = range(0, trials, chunk_size)
     workers = _resolve_threads(threads, len(starts))
     # allocated here, not in the workers: a worker thread's allocations can
@@ -302,8 +299,8 @@ def _ordered_results(
 
 def _default_chunk_size(n: int) -> int:
     """Trials per chunk: a budget of 2**17 Philox words at n words a trial,
-    rounded down to an even count and at least 2."""
-    return max(2, _CHUNK_WORDS // n // 2 * 2)
+    and at least 1."""
+    return max(1, _CHUNK_WORDS // n)
 
 
 def _resolve_threads(threads: int | None, chunks: int) -> int:
@@ -344,17 +341,15 @@ class _Arena:
     of it, never a column slice, whose ravel would copy.  A slot is reused
     once its first content is dead (k is the chunk's participant count):
 
-    - ``words`` (3nm + 3 entries) holds the Philox words in its first nm + 3.
-      After them come the participants' trial indices, kept for their
-      utilities, and k entries that hold their bidder indices, then their
-      words, then the quantile's piece indices.  Then its first nm hold the
-      bids, and last, its first 3k the power-sum temporaries.
-    - ``levels`` holds the word positions, then the participants' levels,
-      which the quantile turns into their bids.
-    - ``spare`` holds the participants' p_i, then the quantile's scratch,
-      then the participants' utilities.
-    - ``win`` holds the search mask, then the winner mask, then the
-      participants' winner flags.
+    - ``words`` (3nm + 3 entries) holds the Philox words in its first nm + 3
+      and, in the k entries after them, the quantile's piece indices.  Then
+      its first nm hold the dense bids, which the utilities overwrite, and
+      last, its first 3k the power-sum temporaries.
+    - ``levels`` holds the dense levels, then the quantile's scratch, then
+      the dense winners * share, and last the participants' utilities.
+    - ``spare`` holds the participants' levels, which the quantile turns
+      into their bids.
+    - ``win`` holds the quantile's search mask, then the winner mask.
     - ``revenues`` holds each trial's sum and maximum of the bids.
     """
 
@@ -379,56 +374,45 @@ class _Chunk(NamedTuple):
     """One simulated chunk of m trials, bidder-major; every array is a view
     into the arena, valid until its next chunk.
 
-    ``part`` and ``bids`` are C-contiguous n x m arrays, row j - 1 holding
-    bidder j's participation and bid (0 when absent) in each trial.  The k
-    participants are listed bidder-major: ``flat`` holds each one's index
-    into the n x m arrays, ``values`` its bid and ``utilities`` its utility,
-    so bidder j's participants are the ``counts[j - 1]`` consecutive entries
-    that follow those of bidders 1..j-1.  ``revenues`` is 2 x m: each trial's
-    sum and maximum of the bids.
+    ``part`` is a C-contiguous n x m array, row j - 1 holding bidder j's
+    participation in each trial.  The k participants are listed
+    bidder-major: ``flat`` holds each one's index into the n x m arrays,
+    ``values`` its bid and ``utilities`` its utility, so bidder j's
+    participants are the ``counts[j - 1]`` consecutive entries that follow
+    those of bidders 1..j-1.  ``revenues`` is 2 x m: each trial's sum and
+    maximum of the bids.
     """
 
     part: np.ndarray
     counts: np.ndarray
     flat: np.ndarray
-    bids: np.ndarray
     values: np.ndarray
     utilities: np.ndarray
     revenues: np.ndarray
 
 
 def _play_chunk(config: AuctionConfig, seed: int, t0: int, m: int, arena: _Arena) -> _Chunk:
-    """Trials t0..t0+m-1, vectorized and settled through ``arena``."""
+    """Trials t0..t0+m-1, vectorized and settled through ``arena``: every
+    per-bidder quantity is one operation over the dense n x m arrays, and
+    only the quantile runs on the k participants' levels alone."""
     n = config.n
     size = n * m
-    p = np.asarray(config.probabilities)
-    words = _trial_block(config, seed, t0, m, out=arena.words)
+    p = np.asarray(config.probabilities)[:, None]
+    words = _trial_block(config, seed, t0, m, out=arena.words).T
     part = _view(arena.part, n, m)  # C order; the transposed view's would be F
-    np.less(words.T, p[:, None], out=part)
+    np.less(words, p, out=part)
     counts = np.count_nonzero(part, axis=1)
     flat = np.flatnonzero(part)  # participants, bidder-major
     k = flat.size
-    # Participant flat = j m + t is bidder j + 1 in trial t, and took word
-    # t n + j.  Its trial is taken as flat - (flat // m) m, since numpy
-    # divides integers by a scalar several times faster than it takes a
-    # remainder, and kept for the utilities.
-    tail = arena.words[size + 3 :]  # past the words
-    trial = tail[:k].view(np.int64)
-    bidder = np.floor_divide(flat, m, out=tail[k : 2 * k].view(np.int64))
-    np.multiply(bidder, m, out=trial)
-    np.subtract(flat, trial, out=trial)
-    values = arena.levels[:k]
+    levels = np.subtract(p, words, out=_view(arena.levels, n, m))
+    # mode="clip": the indices are in range, and "raise" buffers ``out``
+    values = np.take(levels.ravel(), flat, out=arena.spare[:k], mode="clip")
     if n > 1:
-        # mode="clip": the indices are in range, and "raise" buffers ``out``
-        p_i = np.take(p, bidder, out=arena.spare[:k], mode="clip")
-        at = np.multiply(trial, n, out=values.view(np.int64))
-        at += bidder
-        # the bidder indices are dead: their entries take the words
-        w = np.take(words.ravel(), at, out=tail[k : 2 * k], mode="clip")
-        np.subtract(p_i, w, out=values)  # the levels, over the dead positions
-        # p_i and the words are dead: they hold the quantile's temporaries
-        index = tail[k : 2 * k].view(np.int64)
-        _quantile_into(equilibrium_profile(config), values, values, p_i, index, arena.win[:k])
+        # the dense levels are dead: they hold the quantile's scratch
+        index = arena.words[size + 3 : size + 3 + k].view(np.int64)  # past the words
+        _quantile_into(
+            equilibrium_profile(config), values, values, arena.levels[:k], index, arena.win[:k]
+        )
     else:  # a sole bidder bids 0 when present
         values.fill(0.0)
     bids = _view(arena.words, n, m)  # the words are dead
@@ -444,14 +428,11 @@ def _play_chunk(config: AuctionConfig, seed: int, t0: int, m: int, arena: _Arena
     # numpy reduces axis 0 of a C-contiguous array row by row, in bidder index
     # order, as run_auction adds the bids
     np.sum(bids, axis=0, out=sum_rev)
-    # A participant's utility is its trial's share when its bid is the top
-    # one, less its bid: the rounding of the dense winners * share - bids.
-    utilities = np.take(top, trial, out=arena.spare[:k], mode="clip")
-    won = np.equal(values, utilities, out=arena.win[:k])
-    np.take(share, trial, out=utilities, mode="clip")
-    utilities *= won
-    utilities -= values
-    return _Chunk(part, counts, flat, bids, values, utilities, revenues)
+    # the all-pay utilities winners * share - bids, written over the bids; a
+    # masked add of share would make a losing zero bid's utility -0.0
+    np.subtract(np.multiply(winners, share, out=levels), bids, out=bids)
+    utilities = np.take(bids.ravel(), flat, out=arena.levels[:k], mode="clip")
+    return _Chunk(part, counts, flat, values, utilities, revenues)
 
 
 def _segment_sums(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
