@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
-_SEED_LIMIT = 2**128  # Philox keys are 128-bit
+# PCG64DXSM hashes any nonnegative seed through a SeedSequence; the range is
+# kept at the 128 bits that the reports and the command line have always taken
+_SEED_LIMIT = 2**128
 _THREADS_ENV = "ALLPAY_EQ_THREADS"
 
 

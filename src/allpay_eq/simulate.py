@@ -1,26 +1,28 @@
 """Seeded Monte Carlo auction runs and grid-based best-response audits.
 
-Randomness is counter-based: trial t owns the n-word block [t*n, (t+1)*n) of
-the Philox stream keyed by the seed, one word w_i per bidder in index order,
-so any partition of the trial range reproduces the same draws.  Bidder i
-takes part iff w_i < p_i, comparing the whole 53-bit word, and then bids the
-quantile at the level v = p_i - w_i, which is uniform on (0, p_i] given
-participation (one word serves both: Devroye 1986, the conditional uniform).
-Reports are therefore bit-for-bit identical for a given (config, trials,
-seed, chunk_size) regardless of thread count.  A level takes about
-p_i * 2**53 distinct values (9,007 at p_i = 1e-12), so two trials repeat a
-level only after about sqrt(2**53 / p_i) of them (9.5e13 at p_i = 1e-12).
+Randomness is one jump-ahead stream: trial t owns the n-word block
+[t*n, (t+1)*n) of the PCG64DXSM stream seeded by the seed, one word w_i per
+bidder in index order.  PCG64DXSM jumps ahead by any number of words exactly
+(``advance``), so a chunk may start at any trial, and any partition of the
+trial range reproduces the same draws.  Bidder i takes part iff w_i < p_i,
+comparing the whole 53-bit word, and then bids the quantile at the level
+v = p_i - w_i, which is uniform on (0, p_i] given participation (one word
+serves both: Devroye 1986, the conditional uniform).  Reports are therefore
+bit-for-bit identical for a given (config, trials, seed, chunk_size)
+regardless of thread count.  A level takes about p_i * 2**53 distinct values
+(9,007 at p_i = 1e-12), so two trials repeat a level only after about
+sqrt(2**53 / p_i) of them (9.5e13 at p_i = 1e-12).
 
-The default chunk follows from n: a fixed budget of 2**17 words per chunk
-(32,768 trials at n = 4, 2,048 at n = 64, 436 at n = 300), so a worker's
-buffers hold about 5 MiB of floats at any n up to 2**16.  Each chunk of m
-trials is settled bidder-major, on n x m arrays with one contiguous row per
-bidder: one subtraction p - w gives every level and one multiply-subtract
+The default chunk follows from n: a fixed budget of 2**16 words per chunk
+(16,384 trials at n = 4, 1,024 at n = 64, 218 at n = 300), so a worker's
+buffers hold about 2.5 MiB of floats (5nm) at any n up to 2**16.  Each chunk
+of m trials is settled bidder-major, on n x m arrays with one contiguous row
+per bidder: one subtraction p - w gives every level and one multiply-subtract
 winners * share - bids every all-pay utility.  Its k participants are listed
 bidder-major as well: a single quantile call covers every participant, and
-each bidder's power sums run pairwise over its contiguous segment of
-participants, since a non-participant's zero bid and utility would add
-nothing.
+one np.add.reduceat per power sums every bidder's contiguous segment of
+participants pairwise, since a non-participant's zero bid and utility would
+add nothing.
 
 Each chunk is a task that borrows one of the w buffer arenas the calling
 thread allocates for w workers, writes every array into C-contiguous prefixes
@@ -48,7 +50,7 @@ from functools import lru_cache, partial, reduce
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Generator, PCG64DXSM
 
 from .config import (
     AuctionConfig,
@@ -68,7 +70,7 @@ from .equilibrium import (
     equilibrium_profile,
 )
 
-_CHUNK_WORDS = 2**17  # Philox words per default chunk
+_CHUNK_WORDS = 2**16  # random words per default chunk
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +244,12 @@ def monte_carlo(
     Deterministic for fixed (config, trials, seed, chunk_size) under any
     thread count.  ``trials``, ``seed``, ``chunk_size`` and ``threads`` are
     integers (not bools), ``seed`` in [0, 2**128) and the others at least 1.
-    Trial t draws the n Philox words [t n, (t + 1) n), one per bidder, so a
-    chunk may start at any trial.  ``chunk_size`` defaults to a budget of
-    2**17 words at n words a trial (32,768 trials at n = 4).  ``threads``
-    defaults to 1 and is capped by the ALLPAY_EQ_THREADS environment
-    variable when that is set, by the CPU count and by the number of chunks.
+    Trial t draws the n words [t n, (t + 1) n) of the seed's PCG64DXSM
+    stream, one per bidder, so a chunk may start at any trial.
+    ``chunk_size`` defaults to a budget of 2**16 words at n words a trial
+    (16,384 trials at n = 4).  ``threads`` defaults to 1 and is capped by the
+    ALLPAY_EQ_THREADS environment variable when that is set, by the CPU count
+    and by the number of chunks.
     """
     trials = _check_positive("trials", trials)
     seed = _check_seed(seed)
@@ -298,8 +301,9 @@ def _ordered_results(
 
 
 def _default_chunk_size(n: int) -> int:
-    """Trials per chunk: a budget of 2**17 Philox words at n words a trial,
-    and at least 1."""
+    """Trials per chunk: a budget of 2**16 random words at n words a trial,
+    and at least 1.  Half that budget ran slower on two threads at n = 64:
+    each numpy call is then too short to amortize its GIL hand-off."""
     return max(1, _CHUNK_WORDS // n)
 
 
@@ -317,20 +321,16 @@ def _trial_block(
     config: AuctionConfig, seed: int, t0: int, m: int, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Uniform draws for trials t0..t0+m-1 as an m x n C-contiguous view, row
-    t - t0 holding the words [t n, (t + 1) n) that trial t owns.
-
-    Philox advances in 4-word blocks, so the draw starts at the block that
-    holds word t0 n and takes its (t0 n) mod 4 earlier words as well.  They
-    are written into ``out`` (a flat float array of at least m n + 3
-    entries) when given, and the view is their tail."""
+    t - t0 holding the words [t n, (t + 1) n) that trial t owns: the seed's
+    PCG64DXSM stream, jumped ahead by t0 n words (one 64-bit output makes
+    one word).  They are written into the first m n entries of ``out`` (a
+    flat float array) when given."""
     n = config.n
-    skip = t0 * n % 4
-    bit_gen = Philox(key=seed)
-    bit_gen.advance(t0 * n // 4)
+    bit_gen = PCG64DXSM(seed)
+    bit_gen.advance(t0 * n)
     if out is None:
-        out = np.empty(skip + m * n)
-    Generator(bit_gen).random(skip + m * n, out=out[: skip + m * n])
-    return out[skip : skip + m * n].reshape(m, n)
+        out = np.empty(m * n)
+    return Generator(bit_gen).random(m * n, out=out[: m * n]).reshape(m, n)
 
 
 class _Arena:
@@ -341,10 +341,10 @@ class _Arena:
     of it, never a column slice, whose ravel would copy.  A slot is reused
     once its first content is dead (k is the chunk's participant count):
 
-    - ``words`` (3nm + 3 entries) holds the Philox words in its first nm + 3
-      and, in the k entries after them, the quantile's piece indices.  Then
-      its first nm hold the dense bids, which the utilities overwrite, and
-      last, its first 3k the power-sum temporaries.
+    - ``words`` (3nm entries) holds the random words in its first nm and,
+      in the k entries after them, the quantile's piece indices.  Then its
+      first nm hold the dense bids, which the utilities overwrite, and last,
+      its first 3k (or 3m) the powers for the moment sums.
     - ``levels`` holds the dense levels, then the quantile's scratch, then
       the dense winners * share, and last the participants' utilities.
     - ``spare`` holds the participants' levels, which the quantile turns
@@ -355,7 +355,7 @@ class _Arena:
 
     def __init__(self, n: int, m: int):
         size = n * m
-        self.words = np.empty(3 * size + 3)
+        self.words = np.empty(3 * size)
         self.part = np.empty(size, dtype=bool)
         self.win = np.empty(size, dtype=bool)
         self.levels = np.empty(size)
@@ -409,7 +409,7 @@ def _play_chunk(config: AuctionConfig, seed: int, t0: int, m: int, arena: _Arena
     values = np.take(levels.ravel(), flat, out=arena.spare[:k], mode="clip")
     if n > 1:
         # the dense levels are dead: they hold the quantile's scratch
-        index = arena.words[size + 3 : size + 3 + k].view(np.int64)  # past the words
+        index = arena.words[size : size + k].view(np.int64)  # past the words
         _quantile_into(
             equilibrium_profile(config), values, values, arena.levels[:k], index, arena.win[:k]
         )
@@ -435,32 +435,6 @@ def _play_chunk(config: AuctionConfig, seed: int, t0: int, m: int, arena: _Arena
     return _Chunk(part, counts, flat, values, utilities, revenues)
 
 
-def _segment_sums(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sums of consecutive segments along the last axis of ``rows``, segment j
-    holding counts[j] entries, as an array of shape rows.shape[:-1] +
-    counts.shape.  np.add.reduceat adds each segment pairwise, as a sum over
-    a contiguous row does; an empty segment, which reduceat cannot express,
-    sums to 0."""
-    sums = np.zeros(rows.shape[:-1] + counts.shape)
-    full = counts > 0
-    starts = (np.cumsum(counts) - counts)[full]
-    if starts.size:
-        sums[..., full] = np.add.reduceat(rows, starts, axis=-1)
-    return sums
-
-
-def _power_sums(values: np.ndarray, counts: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Power sums s1..s4 of each segment of ``values`` (see _segment_sums),
-    one row per segment.  v^2, v^3 and v^4 are written as three rows into
-    the flat ``scratch``, which holds at least three times the entries of
-    ``values``."""
-    powers = _view(scratch, 3, values.size)
-    np.multiply(values, values, out=powers[0])
-    np.multiply(powers[0], values, out=powers[1])
-    np.multiply(powers[0], powers[0], out=powers[2])
-    return np.column_stack([_segment_sums(values, counts), _segment_sums(powers, counts).T])
-
-
 def _chunk_sums(
     config: AuctionConfig, seed: int, t0: int, m: int, arena: _Arena | None = None
 ) -> np.ndarray:
@@ -469,12 +443,20 @@ def _chunk_sums(
     their utilities, the sum and the max revenue.  Columns: the count (of
     participations on bid rows, else of trials), s1..s4, and on bid rows the
     count of zero bids.  Each bidder's sums run over its participants alone:
-    a non-participant's zero bid and utility add nothing."""
+    a non-participant's zero bid and utility add nothing, so a bidder absent
+    from the chunk keeps its zero row.
+
+    Every sum is one np.add.reduceat over contiguous segments, which adds
+    each segment pairwise, as a sum over a contiguous row does; np.sum along
+    the last axis of a 2-D array does not, so a revenue row's sums are a
+    reduceat from start 0 as well."""
     n = config.n
     if arena is None:
         arena = _Arena(n, m)
     chunk = _play_chunk(config, seed, t0, m, arena)
     counts = chunk.counts
+    full = np.flatnonzero(counts)  # reduceat cannot express an empty segment
+    starts = (np.cumsum(counts) - counts)[full]
     scratch = arena.words  # dead once the chunk is settled
     table = np.zeros((2 * n + 2, 6))
     table[:, 0] = m
@@ -482,12 +464,18 @@ def _chunk_sums(
     # positive bids as exact 0/1 floats: summing a bool mask as floats
     # would copy it whole
     positive = np.greater(chunk.values, 0.0, out=scratch[: chunk.values.size])
-    table[:n, 5] = counts - _segment_sums(positive, counts)
-    table[:n, 1:5] = _power_sums(chunk.values, counts, scratch)
-    table[n : 2 * n, 1:5] = _power_sums(chunk.utilities, counts, scratch)
-    whole = np.array([m])
-    for row, revenues in zip(table[2 * n :], chunk.revenues):
-        row[1:5] = _power_sums(revenues, whole, scratch)[0]
+    table[full, 5] = counts[full] - np.add.reduceat(positive, starts)
+    segments = [(full, chunk.values, starts), (full + n, chunk.utilities, starts)]
+    # one revenue row at a time: at n = 1 the scratch holds the powers of
+    # only 3m values
+    segments += [([2 * n + r], revenues, [0]) for r, revenues in enumerate(chunk.revenues)]
+    for rows, v, at in segments:
+        powers = _view(scratch, 3, v.size)  # v^2, v^3, v^4
+        np.multiply(v, v, out=powers[0])
+        np.multiply(powers[0], v, out=powers[1])
+        np.multiply(powers[0], powers[0], out=powers[2])
+        table[rows, 1] = np.add.reduceat(v, at)
+        table[rows, 2:5] = np.add.reduceat(powers, at, axis=-1).T
     return table
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from numpy.random import Generator, Philox
+from numpy.random import Generator, PCG64DXSM
 
 import allpay_eq as ap
 from allpay_eq import simulate
@@ -130,7 +130,7 @@ def test_participation_compares_the_whole_word(monkeypatch):
 
 
 def test_run_auction_accepts_generator(example4):
-    out = ap.run_auction(example4, Generator(Philox(key=5)))
+    out = ap.run_auction(example4, Generator(PCG64DXSM(5)))
     assert len(out.bids) == 4
 
 
@@ -280,18 +280,18 @@ def test_seed_range_ends(example4):
 
 
 def test_default_chunk_size():
-    assert _default_chunk_size(4) == 32768
-    assert _default_chunk_size(64) == 2048
-    assert _default_chunk_size(300) == 436
-    assert _default_chunk_size(6) == 21845  # odd
-    for n in (1, 2, 3, 5, 7, 63, 65, 100, 999, 2**16, 2**17, 2**17 + 1, 10**7):
+    assert _default_chunk_size(4) == 16384
+    assert _default_chunk_size(64) == 1024
+    assert _default_chunk_size(300) == 218
+    assert _default_chunk_size(5) == 13107  # odd
+    for n in (1, 2, 3, 5, 7, 63, 65, 100, 999, 2**15, 2**16, 2**16 + 1, 10**7):
         chunk = _default_chunk_size(n)
         assert chunk >= 1
-        assert chunk == 1 or chunk * n <= 2**17 < (chunk + 1) * n
+        assert chunk == 1 or chunk * n <= 2**16 < (chunk + 1) * n
 
 
 def test_thread_count_does_not_change_wide_report():
-    """n = 64 with a tied pair, default chunk (2,048 trials): several chunks."""
+    """n = 64 with a tied pair, default chunk (1,024 trials): several chunks."""
     probs = list(np.linspace(0.05, 1.0, 63)) + [0.5]
     cfg = ap.build_config(probs)
     trials = 3 * _default_chunk_size(cfg.n) + 100
@@ -301,23 +301,23 @@ def test_thread_count_does_not_change_wide_report():
 
 
 def test_odd_n_reads_the_stream_from_any_chunk_start():
-    """At n = 5, odd 7-trial chunks start at words t0 n = 0, 35, 70, 105, ...,
-    at every offset within a 4-word Philox block: threads 1, 2 and 4 give
-    one report, whose participation counts are those of the seed's stream
-    read whole."""
+    """At n = 5, odd 7-trial chunks start at the odd and even words
+    t0 n = 0, 35, 70, 105, ... of the stream: threads 1, 2 and 4 give one
+    report, whose participation counts are those of the seed's PCG64DXSM
+    stream read whole."""
     cfg = ap.build_config([0.1, 0.3, 0.5, 0.5, 0.9])
     trials = 1000
     base = ap.monte_carlo(cfg, trials, seed=8, threads=1, chunk_size=7)
     for threads in (2, 4):
         assert ap.monte_carlo(cfg, trials, seed=8, threads=threads, chunk_size=7) == base
-    stream = Generator(Philox(key=8)).random(trials * cfg.n).reshape(trials, cfg.n)
+    stream = Generator(PCG64DXSM(8)).random(trials * cfg.n).reshape(trials, cfg.n)
     counts = np.count_nonzero(stream < cfg.probabilities, axis=0)
     assert [b.participations for b in base.bidders] == counts.tolist()
 
 
 def test_one_trial_chunks_replay_exactly():
-    """chunk_size = 1, the smallest allowed: each one-trial chunk, whatever
-    its word offset in a Philox block, is the trial run_auction replays."""
+    """chunk_size = 1, the smallest allowed: each one-trial chunk, at each
+    word offset t0 n of the stream, is the trial run_auction replays."""
     cfg = ap.build_config([0.3, 0.45, 0.45, 0.8, 0.95])
     arena = _Arena(cfg.n, 1)
     for t0 in range(8):
@@ -328,6 +328,21 @@ def test_one_trial_chunks_replay_exactly():
         assert out.bidder_utilities == tuple(utils[:, 0])
         assert (out.sum_revenue, out.max_revenue) == (srev[0], mrev[0])
     assert ap.monte_carlo(cfg, 8, seed=7, chunk_size=1).bidders[4].participations > 0
+
+
+def test_jumped_generator_replays_a_chunk_trial():
+    """The seed's PCG64DXSM generator, jumped ahead by t n words and passed
+    to run_auction, plays trial t as the chunk that holds it does."""
+    cfg = ap.build_config([0.3, 0.45, 0.45, 0.8, 0.95])
+    t0, m = 101, 64
+    part, bids, utils, srev, mrev = _simulate_block(cfg, 7, t0, m)
+    assert bids.any()
+    for col in (0, 1, 37, m - 1):
+        out = ap.run_auction(cfg, Generator(PCG64DXSM(7).advance((t0 + col) * cfg.n)))
+        assert out.participated == tuple(part[:, col])
+        assert tuple(b or 0.0 for b in out.bids) == tuple(bids[:, col])
+        assert out.bidder_utilities == tuple(utils[:, col])
+        assert (out.sum_revenue, out.max_revenue) == (srev[col], mrev[col])
 
 
 @pytest.mark.parametrize("full_chunks", [4, 5], ids=["odd_count", "even_count"])
@@ -449,9 +464,9 @@ def test_traced_memory_does_not_grow_with_trials_on_two_threads(example4, monkey
 
 def test_traced_memory_peak_bound(example4):
     """One 2**18-trial call on one thread holds one arena: its traced peak
-    stays under 8 MiB, eight default word blocks (1 MiB each at n = 4)."""
+    stays under 4 MiB, eight default word blocks (512 KiB each at n = 4)."""
     word_block = example4.n * _default_chunk_size(example4.n) * 8
-    assert word_block == 2**20
+    assert word_block == 2**19
     tracemalloc.start()
     try:
         ap.monte_carlo(example4, 2**18, seed=1, threads=1)
@@ -466,15 +481,15 @@ def test_traced_memory_peak_bound_wide():
     allocated for it, one participant-index array (np.flatnonzero) and a few
     of numpy's casting buffers.  Neither the piece search nor the moments
     allocate anything chunk-sized: one dense n x m float array more per
-    worker (1 MiB) would break the bound, as would the 4,096-trial chunks of
-    a 2**18-word budget."""
+    worker (512 KiB) would break the bound, as would the 2,048-trial chunks
+    of a 2**17-word budget."""
     probs = np.linspace(0.05, 1.0, 63)
     cfg = ap.build_config([*probs, probs[31]])  # one tied pair
     m, trials = _default_chunk_size(cfg.n), 2**15
-    assert m == 2048
+    assert m == 1024
     arena = _Arena(cfg.n, m)
     arena_bytes = sum(a.nbytes for a in vars(arena).values())
-    assert arena.words.size + arena.levels.size + arena.spare.size == 5 * cfg.n * m + 3
+    assert arena.words.size + arena.levels.size + arena.spare.size == 5 * cfg.n * m
     participants = max(
         np.count_nonzero(_simulate_block(cfg, 1, t0, m)[0]) for t0 in range(0, trials, m)
     )
@@ -579,21 +594,20 @@ def test_chunk_sums_with_empty_segments(probs, wanted):
         assert got[0, 5] == counts[0] and got[1, 1] == counts[0]
 
 
-def test_philox_blocks_are_stream_slices(example4):
-    """Trial t owns the words [t n, (t + 1) n) of the seed's Philox stream,
-    whichever chunk reads it: at n = 4, and at n = 3 from starts t0 whose
-    word offset t0 n falls at each place in a 4-word Philox block, written
-    through an arena that earlier chunks have filled."""
+def test_trial_blocks_are_stream_slices(example4):
+    """Trial t owns the words [t n, (t + 1) n) of the seed's PCG64DXSM
+    stream, whichever chunk reads it: at n = 4, and at n = 3 from odd and
+    even starts t0 of uneven chunks, written through an arena that earlier
+    chunks have filled."""
     odd = ap.build_config([0.2, 0.5, 0.9])
     for cfg in (example4, odd):
         n = cfg.n
-        stream = Generator(Philox(key=7)).random(512 * n).reshape(512, n)
+        stream = Generator(PCG64DXSM(7)).random(512 * n).reshape(512, n)
         assert np.array_equal(_trial_block(cfg, 7, 0, 512), stream)
         parts = [_trial_block(cfg, 7, t0, 128) for t0 in range(0, 512, 128)]
         assert np.array_equal(np.vstack(parts), stream)
     arena = _Arena(odd.n, 128)
     starts = [0, 1, 2, 3, 5, 64, 101, 229, 357, 512]
-    assert {t0 * odd.n % 4 for t0 in starts} == {0, 1, 2, 3}
     for t0, t1 in zip(starts, starts[1:]):
         got = _trial_block(odd, 7, t0, t1 - t0, out=arena.words)
         assert got.flags.c_contiguous and np.array_equal(got, stream[t0:t1])
@@ -611,8 +625,8 @@ def test_philox_blocks_are_stream_slices(example4):
 def test_vectorized_trials_replay_exactly(probs):
     """Feeding a trial's n words to run_auction reproduces the vectorized
     trial, held bidder-major as one contiguous row per bidder, and uses up
-    exactly those n words; the chunk starts at trial 3, so at odd n its first
-    word is not the first of a Philox block."""
+    exactly those n words; the chunk starts at trial 3, so its first word
+    lies past the start of the stream, at an odd word at odd n."""
     cfg = ap.build_config(list(probs))
     n, t0, m = cfg.n, 3, 64
     words = _trial_block(cfg, 7, t0, m)
