@@ -10,8 +10,11 @@ The config set is fixed and seeded: the worked example, ties, p = 1 below
 and at the top, tiny probabilities down to 1e-12, and random configs up to
 n = 64.  Every value is hashed from its exact bits (arrays by their bytes,
 other floats by their shortest round-trip repr); a call that raises is
-hashed as the name of its exception class.  ``monte_carlo_threads`` runs
-two threads over twelve 256-trial chunks, so it covers the threaded fold.
+hashed as the name of its exception class.  ``audits`` audits every bidder
+against the equilibrium; ``audits_cdfs`` audits bidders 1, n/2 and n against
+profiles given as CDF callables, the equilibrium's and a corrupted one.
+``monte_carlo_threads`` runs two threads over twelve 256-trial chunks, so it
+covers the threaded fold.
 ``cli_equilibrium``, ``cli_simulate`` and ``cli_table`` hash the exit code
 and stdout of that command line subcommand in json and csv, over the same
 configs plus two with dropped zeros, so a change to one report shows that
@@ -40,6 +43,7 @@ FAMILIES = (
     "max_profit",
     "winning_bid_cdf",
     "audits",
+    "audits_cdfs",
     "monte_carlo",
     "monte_carlo_threads",
     "sabotage_plans",
@@ -74,6 +78,18 @@ def raw_configs() -> list[list[float]]:
     tiny = [list(10.0 ** rng.uniform(-12.0, 0.0, n)) for n in (6, 12)]
     tied = [list(rng.choice([0.1, 0.35, 0.6, 1.0], n)) for n in (9, 33)]
     return fixed + drawn + tiny + tied
+
+
+def audit_profiles(s: np.ndarray, cdfs: list) -> list[list]:
+    """The equilibrium as CDF callables and, where s_1 < s_0, a corrupted copy
+    whose bidder 1 plays the straight line over [s_1, s_0]."""
+    if s[1] == s[0]:
+        return [cdfs]
+
+    def line(xs):
+        return np.clip((np.asarray(xs, dtype=float) - s[1]) / (s[0] - s[1]), 0.0, 1.0)
+
+    return [cdfs, [line, *cdfs[1:]]]
 
 
 def cli_stdout(argv: list[str]) -> str:
@@ -123,6 +139,9 @@ def main() -> None:
             record("expected_bid_quadrature", ap.expected_bid_quadrature, cfg, i)
             record("distribution_mass_quadrature", ap.distribution_mass_quadrature, cfg, i)
             record("audits", ap.best_response_audit, cfg, i, 501)
+        for cdfs in audit_profiles(s, ap.equilibrium_cdf_callables(cfg)):
+            for i in sorted({1, n // 2, n} - {0}):
+                record("audits_cdfs", ap.best_response_audit, cfg, i, 501, cdfs)
         record("max_profit_quadrature", ap.max_profit_quadrature, cfg)
         record("expected_bids", ap.expected_bids, cfg)
         record("max_profit", ap.max_profit, cfg)

@@ -29,13 +29,16 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         (
+            "AuditResult",
             "BidDistribution",
             "DistributionPiece",
             "EquilibriumProfile",
             "atom_at_zero",
+            "best_response_audit",
             "bid_distribution",
             "breakpoints",
             "cdf",
+            "equilibrium_cdf_callables",
             "equilibrium_profile",
             "expected_utility",
             "h_value",
@@ -79,12 +82,9 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "AuctionOutcome",
-            "AuditResult",
             "BidderStats",
             "RevenueStats",
             "SimulationReport",
-            "best_response_audit",
-            "equilibrium_cdf_callables",
             "monte_carlo",
             "run_auction",
         ),

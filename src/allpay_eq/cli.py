@@ -9,7 +9,7 @@ Exit codes: 0 success, 2 invalid input, 1 internal error.
 Each handler parses its input first and then imports the library code it
 calls, so a call loads only what it runs: ``uniform`` and input that fails to
 parse or to validate as a seed, a trial count or ALLPAY_EQ_THREADS never load
-numpy, and only ``simulate`` and ``audit`` load the Monte Carlo engine.
+numpy, and only ``simulate`` loads the Monte Carlo engine.
 """
 
 from __future__ import annotations
@@ -245,8 +245,7 @@ def _cmd_uniform(args: argparse.Namespace):
 
 def _cmd_audit(args: argparse.Namespace):
     config = _load_config(args)
-    from .equilibrium import equilibrium_profile
-    from .simulate import best_response_audit
+    from .equilibrium import best_response_audit, equilibrium_profile
 
     bidders = range(1, config.n + 1) if args.i is None else [args.i]
     results = [best_response_audit(config, i, args.grid) for i in bidders]

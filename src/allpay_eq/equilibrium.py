@@ -32,13 +32,21 @@ Pieces of zero width (equal adjacent probabilities, or a probability of 1
 below index n-1 forcing a zero prefix product) are stored but never selected
 during evaluation or sampling.  equilibrium_profile builds all of this once
 per config as one cached, read-only table, which every kernel reads.
+
+The product over bidders of p_j F_j(x) + 1 - p_j, which gives payoff and the
+winning-bid CDF, is one blocked kernel (_factor_blocks).  The grid
+best-response audit scans it too: against the equilibrium it covers every
+bidder in one pass over the blocks, from exclusive prefix and suffix
+products, and memoizes the last (config, grid_size), since callers audit the
+bidders of one config one at a time; against a perturbed profile of CDF
+callables it takes one bidder's opponent product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -68,11 +76,11 @@ class EquilibriumProfile:
     These four alone make up ``==``, the hash and the repr; the other fields
     lay the same equilibrium out for the kernels.
 
-    Pieces k = 1..n-1 are entry k - 1 of m, c, p_prev, p, lo, hi and width.
-    On piece k every bidder's CDF is a shift of the level h = H_k(x), which
-    sweeps exactly [lo, hi] = [1 - p_k, 1 - p_{k-1}] while x = c h**m - lam.
-    Every piece field is taken from the probabilities directly (1 - lo is not
-    p_k in floats), and a piece is empty iff width == 0, that is p_{k-1} == p_k.
+    Pieces k = 1..n-1 are entry k - 1 of m, p_prev, p and width.  On piece k
+    every bidder's CDF is a shift of the level h = H_k(x), which sweeps
+    exactly [1 - p_k, 1 - p_{k-1}] while x = C_k h**m - lam, C_k =
+    prefix_rev[m].  Every piece field is taken from the probabilities
+    directly, and a piece is empty iff width == 0, that is p_{k-1} == p_k.
 
     The last four fields are the guide table of ``probs`` for levels v in
     [0, 1] (indexed search: Chen & Asau 1974; Devroye 1986, section III.2.4).
@@ -94,11 +102,8 @@ class EquilibriumProfile:
     prefix_rev: np.ndarray = _table()  # entry e is C_{n-e}, e = 0..n: entry 0 is lam
     breaks_asc: np.ndarray = _table()  # s_{n-1} .. s_0
     m: np.ndarray = _table()  # n - k
-    c: np.ndarray = _table()  # C_k = prefix_products[k]
     p_prev: np.ndarray = _table()  # p_{k-1}, with p_0 = 0
     p: np.ndarray = _table()  # p_k
-    lo: np.ndarray = _table()
-    hi: np.ndarray = _table()
     width: np.ndarray = _table()  # p_k - p_{k-1}
     cells: int = _table()
     edges: np.ndarray = _table()
@@ -153,7 +158,7 @@ def equilibrium_profile(config: AuctionConfig) -> EquilibriumProfile:
     edges = np.searchsorted(probs, np.arange(cells + 1) / cells, side="left")
     rounds = int((edges[1:] - edges[:-1]).max()).bit_length()
     pad = np.concatenate((probs, np.full(1 << rounds, np.inf)))
-    pieces = (n - np.arange(1, n), prefix[1:n], p_prev, q, 1.0 - q, 1.0 - p_prev, q - p_prev)
+    pieces = (n - np.arange(1, n), p_prev, q, q - p_prev)
     table = (n, probs, prefix[::-1].copy(), s[::-1].copy(), *pieces, cells, edges, rounds, pad)
     for a in table:
         if isinstance(a, np.ndarray):
@@ -502,6 +507,123 @@ def _opponent_product(
         np.multiply.reduce(f, axis=0, out=out[cols])
         del f  # the block is released before the next one is built
     return out
+
+
+@dataclass(frozen=True)
+class AuditResult:
+    bidder: int
+    max_payoff: float
+    argmax_bid: float
+    baseline: float
+    deviation_gain: float
+
+
+def best_response_audit(
+    config: AuctionConfig,
+    i: int,
+    grid_size: int,
+    cdfs: Sequence[Callable[[np.ndarray], np.ndarray]] | None = None,
+) -> AuditResult:
+    """Scan a bid grid over [0, s_0] (plus every breakpoint) for bidder i's
+    best response payoff against a strategy profile.
+
+    With the default profile (the equilibrium), the baseline payoff is lam and
+    the deviation gain of a correct equilibrium is numerical noise.  Passing
+    ``cdfs`` (one CDF callable per sorted bidder) audits a perturbed profile:
+    the baseline is then bidder i's expected payoff under its own listed
+    strategy, integrated against the grid, so a profitable deviation shows up
+    as a positive gain.  Unless ``cdfs`` holds exactly n callables, each
+    returning finite values in [0, 1] in an array of its argument's shape,
+    the audit raises ValidationError.
+    """
+    grid_size = _check_integer("grid_size", grid_size)
+    if grid_size < 2:
+        raise ValidationError("grid_size must be >= 2")
+    prof = equilibrium_profile(config)
+    i = _check_bidder(config, i)
+    if cdfs is None:
+        return _equilibrium_audits(config, grid_size)[i - 1]
+    if len(cdfs) != config.n or not all(map(callable, cdfs)):
+        raise ValidationError(f"cdfs must be {config.n} callables, one per sorted bidder")
+    grid = _audit_grid(prof, grid_size)
+    given = _profile_values(cdfs, grid)
+    payoff_grid = _opponent_product(prof, grid, i, given) - grid
+    best = int(np.argmax(payoff_grid))
+    mids = 0.5 * (grid[1:] + grid[:-1])
+    payoff_mids = _opponent_product(prof, mids, i, _profile_values(cdfs, mids)) - mids
+    f_grid = given[i - 1]
+    baseline = float(f_grid[0] * payoff_grid[0] + np.sum(payoff_mids * np.diff(f_grid)))
+    return AuditResult(
+        bidder=i,
+        max_payoff=float(payoff_grid[best]),
+        argmax_bid=float(grid[best]),
+        baseline=baseline,
+        deviation_gain=float(payoff_grid[best] - baseline),
+    )
+
+
+def _audit_grid(prof: EquilibriumProfile, grid_size: int) -> np.ndarray:
+    """The bids an audit scans: grid_size even steps over [0, s_0] and every
+    breakpoint, ascending and without repeats."""
+    return np.union1d(np.linspace(0.0, prof.breakpoints[0], grid_size), prof.breakpoints)
+
+
+def _profile_values(cdfs, xs: np.ndarray) -> np.ndarray:
+    """The bidder-major matrix of each CDF callable's values at ``xs``.  Raises
+    ValidationError unless every callable returns finite values in [0, 1], in
+    an array of xs's shape."""
+    given = [np.asarray(c(xs), dtype=float) for c in cdfs]
+    for j, f in enumerate(given):
+        if f.shape != xs.shape or not np.all((f >= 0.0) & (f <= 1.0)):  # NaN fails too
+            raise ValidationError(f"cdfs[{j}] must return values in [0, 1] of shape {xs.shape}")
+    return np.array(given)
+
+
+@lru_cache(maxsize=1)
+def _equilibrium_audits(config: AuctionConfig, grid_size: int) -> tuple[AuditResult, ...]:
+    """Every bidder's audit against the equilibrium in one pass over the
+    bidder-major factor blocks, with a running maximum and first argmax per
+    bidder row.  Bidder i's opponent product is prod_{j<i} f_j * prod_{j>i}
+    f_j, from exclusive prefix and suffix products down the rows (each a
+    plain product in bidder order, the suffix taken from the last bidder
+    down): dividing the full product by f_i fails where f_i is exactly 0,
+    below the support of a bidder with p = 1."""
+    prof = equilibrium_profile(config)
+    grid = _audit_grid(prof, grid_size)
+    best = np.full(config.n, -np.inf)
+    argmax = np.zeros(config.n)
+    for cols, f in _factor_blocks(prof, grid):
+        payoffs = _exclusive_products(f)
+        payoffs -= grid[cols]
+        values = payoffs.max(axis=1)
+        argmax = np.where(values > best, grid[cols][payoffs.argmax(axis=1)], argmax)
+        best = np.maximum(values, best)
+        del f, payoffs  # release this block before the next one is built
+    return tuple(
+        AuditResult(i, float(m), float(x), prof.lam, float(m - prof.lam))
+        for i, m, x in zip(range(1, config.n + 1), best, argmax)
+    )
+
+
+def _exclusive_products(f: np.ndarray) -> np.ndarray:
+    """Row i of the result is prod_{j != i} f_j over the rows of the factor
+    block ``f``, which is overwritten.  Row by row: np.cumprod(axis=0) gives
+    the same bits, several times slower at n <= 64.  The row views die with
+    this frame, so they keep no block alive."""
+    payoffs = np.empty_like(f)  # row i: prod_{j<i} f_j
+    payoffs[0] = 1.0
+    for below, f_j, out in zip(payoffs, f, payoffs[1:]):
+        np.multiply(below, f_j, out=out)
+    for above, f_j in zip(f[:0:-1], f[-2:0:-1]):  # row j of f becomes prod_{l>=j} f_l
+        f_j *= above
+    payoffs[:-1] *= f[1:]
+    return payoffs
+
+
+def equilibrium_cdf_callables(config: AuctionConfig) -> list[Callable[[np.ndarray], np.ndarray]]:
+    """The equilibrium profile as plain callables, handy for building perturbed
+    profiles to audit."""
+    return [partial(cdf, config, i) for i in range(1, config.n + 1)]
 
 
 def expected_utility(config: AuctionConfig, i: int) -> float:

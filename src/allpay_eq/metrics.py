@@ -30,6 +30,7 @@ import numpy as np
 
 from .config import AuctionConfig, AuctionError, DegenerateAuctionError, _check_integer
 from .equilibrium import (
+    _BLOCK_ENTRIES,
     EquilibriumProfile,
     _bid_of_level,
     _check_bidder,
@@ -67,7 +68,8 @@ def expected_bids(config: AuctionConfig) -> tuple[float, ...]:
     """
     prof = equilibrium_profile(config)
     m = prof.m
-    terms = prof.c * (prof.hi ** (m + 1) - prof.lo ** (m + 1)) / (m + 1) - prof.lam * prof.width
+    c, lo, hi = prof.prefix_rev[m], 1.0 - prof.p, 1.0 - prof.p_prev
+    terms = c * (hi ** (m + 1) - lo ** (m + 1)) / (m + 1) - prof.lam * prof.width
     bids = (np.cumsum(terms) / prof.p).tolist()
     p = config.probabilities
     return (*bids, p[-2] / p[-1] * bids[-1])
@@ -117,8 +119,9 @@ def max_profit(config: AuctionConfig) -> float:
     """
     prof = equilibrium_profile(config)
     m = prof.m
-    top = prof.c * (m + 1) / (2 * m + 1) * (prof.hi ** (2 * m + 1) - prof.lo ** (2 * m + 1))
-    return float(np.sum(prof.c * (top - prof.lam * (prof.hi ** (m + 1) - prof.lo ** (m + 1)))))
+    c, lo, hi = prof.prefix_rev[m], 1.0 - prof.p, 1.0 - prof.p_prev
+    top = c * (m + 1) / (2 * m + 1) * (hi ** (2 * m + 1) - lo ** (2 * m + 1))
+    return float(np.sum(c * (top - prof.lam * (hi ** (m + 1) - lo ** (m + 1)))))
 
 
 @dataclass(frozen=True)
@@ -254,21 +257,25 @@ def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cur, prev
 
 
-def _piece_nodes(prof: EquilibriumProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The node table of every piece of positive width: its 1-based index k
-    (a column), and x and dx at the n nodes of one fixed Gauss-Legendre rule
-    in the piece variable h = H_k(x) over [lo, hi] = [1 - p_k, 1 - p_{k-1}]
-    (one row per piece), with the rule's weights w, so that the integral of g
-    over the piece is sum(g(x) * dx * w).  x is the bid of level h, from
+def _piece_nodes(
+    prof: EquilibriumProfile, entries: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The node table of the pieces at the 0-based ``entries``, each of
+    positive width: its 1-based index k (a column), and x and dx at the n
+    nodes of one fixed Gauss-Legendre rule in the piece variable h = H_k(x)
+    over [1 - p_k, 1 - p_{k-1}] (one row per piece), with the rule's weights
+    w, so that the integral of g over the piece is sum(g(x) * dx * w).  x is
+    the bid of level h, from
     equilibrium._bid_of_level, and dx = m C_k h**(m-1) dh is its slope, so
     the oracles' integrands x f_i dx, f_i dx and G dx are polynomials in h of
     degree m, 0 and 2m <= 2n - 2 (m = n - k), which n nodes integrate
     exactly."""
-    k = np.flatnonzero(prof.width > 0.0)[:, None]  # row per piece
-    m, c = prof.m[k], prof.c[k]
+    k = entries[:, None]  # row per piece
+    m = prof.m[k]
+    c = prof.prefix_rev[m]
     t, w = _gauss_legendre(prof.n)  # one column per node
     half = prof.width[k] / 2.0
-    h = prof.lo[k] + half * (t + 1.0)
+    h = (1.0 - prof.p[k]) + half * (t + 1.0)
     x = _bid_of_level(prof, h, np.broadcast_to(m, h.shape))
     dx = m * c * h ** (m - 1) * half
     return k + 1, x, dx, w
@@ -286,14 +293,23 @@ def _oracle_table(config: AuctionConfig) -> tuple[tuple[float, ...], tuple[float
     min(i, n-1), p_i times bidder i's integrals over its support; bidder n's
     mass adds its atom.  Entries that are not finite are kept, for the
     per-bidder functions to report; the pass itself warns of nothing.  Only
-    the last config is memoized, as for the audits."""
+    the last config is memoized, as for the audits.
+
+    The pieces are walked in blocks of about _BLOCK_ENTRIES nodes, and each
+    piece's sums come from its own row alone, so the transient memory is
+    bounded whatever n is, and the sums do not depend on the blocking."""
     prof = equilibrium_profile(config)
-    k, x, dx, w = _piece_nodes(prof)
+    pieces = np.flatnonzero(prof.width > 0.0)
+    step = max(1, _BLOCK_ENTRIES // prof.n)  # pieces per block, n nodes each
     bids, masses = np.zeros(prof.n - 1), np.zeros(prof.n - 1)
     with np.errstate(all="ignore"):  # the per-bidder functions report it
-        weight = prof.probs[k - 1] * _pdf_array(prof, k, x) * dx * w  # p_k f_k dx w
-        bids[k[:, 0] - 1] = np.sum(x * weight, axis=1)
-        masses[k[:, 0] - 1] = np.sum(weight, axis=1)
+        for start in range(0, len(pieces), step):
+            block = pieces[start : start + step]
+            k, x, dx, w = _piece_nodes(prof, block)
+            weight = prof.probs[k - 1] * _pdf_array(prof, k, x) * dx * w  # p_k f_k dx w
+            bids[block] = np.sum(x * weight, axis=1)
+            masses[block] = np.sum(weight, axis=1)
+            del x, dx, weight  # release this block before the next one is built
         piece = np.minimum(np.arange(prof.n), prof.n - 2)  # bidder i reads piece min(i, n-1)
         bids = np.cumsum(bids)[piece] / prof.probs
         masses = np.cumsum(masses)[piece] / prof.probs
@@ -329,7 +345,7 @@ def max_profit_quadrature(config: AuctionConfig) -> float:
     the piecewise quadrature of G, with G(s_0) = 1 (an atom at 0 adds 0).
     Raises AuctionError if the quadrature is not finite."""
     prof = equilibrium_profile(config)
-    _, x, dx, w = _piece_nodes(prof)
+    _, x, dx, w = _piece_nodes(prof, np.flatnonzero(prof.width > 0.0))
     with np.errstate(all="ignore"):  # the guard below reports it
         total = float(np.sum(_opponent_product(prof, x.ravel()).reshape(x.shape) * dx * w))
     if not np.isfinite(total):

@@ -1,4 +1,4 @@
-"""Seeded Monte Carlo auction runs and grid-based best-response audits.
+"""Seeded Monte Carlo auction runs.
 
 Randomness is one jump-ahead stream: trial t owns the n-word block
 [t*n, (t+1)*n) of the PCG64DXSM stream seeded by the seed, one word w_i per
@@ -31,10 +31,6 @@ submitted and not yet folded, and the tables are added up in chunk order,
 never in completion order, which keeps the float accumulation deterministic
 under parallel execution; a call's memory does not grow with the number of
 trials.
-
-The best-response audit against the equilibrium covers every bidder in one
-blocked pass over its grid, and memoizes the last (config, grid_size), since
-callers audit the bidders of one config one at a time.
 """
 
 from __future__ import annotations
@@ -46,29 +42,14 @@ import queue
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import reduce
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.random import Generator, PCG64DXSM
 
-from .config import (
-    AuctionConfig,
-    ValidationError,
-    _check_integer,
-    _check_positive,
-    _check_seed,
-    _threads_cap,
-)
-from .equilibrium import (
-    _check_bidder,
-    _factor_blocks,
-    _opponent_product,
-    _quantile_into,
-    _quantile_of_levels,
-    cdf,
-    equilibrium_profile,
-)
+from .config import AuctionConfig, ValidationError, _check_positive, _check_seed, _threads_cap
+from .equilibrium import _quantile_into, _quantile_of_levels, equilibrium_profile
 
 _CHUNK_WORDS = 2**16  # random words per default chunk
 
@@ -523,119 +504,3 @@ def _bidder_stats(bids: np.ndarray, utilities: np.ndarray) -> BidderStats:
     else:
         zero_rate, zero_se = float("nan"), float("nan")
     return BidderStats(int(cnt), *_mean_var_se(bids), zero_rate, zero_se, *_mean_var_se(utilities))
-
-
-# ---------------------------------------------------------------------------
-# Best-response audit
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AuditResult:
-    bidder: int
-    max_payoff: float
-    argmax_bid: float
-    baseline: float
-    deviation_gain: float
-
-
-def best_response_audit(
-    config: AuctionConfig,
-    i: int,
-    grid_size: int,
-    cdfs: Sequence[Callable[[np.ndarray], np.ndarray]] | None = None,
-) -> AuditResult:
-    """Scan a bid grid over [0, s_0] (plus every breakpoint) for bidder i's
-    best response payoff against a strategy profile.
-
-    With the default profile (the equilibrium), the baseline payoff is lam and
-    the deviation gain of a correct equilibrium is numerical noise.  Passing
-    ``cdfs`` (one CDF callable per sorted bidder) audits a perturbed profile:
-    the baseline is then bidder i's expected payoff under its own listed
-    strategy, integrated against the grid, so a profitable deviation shows up
-    as a positive gain.  Unless ``cdfs`` holds exactly n callables, each
-    returning finite values in [0, 1] in an array of its argument's shape,
-    the audit raises ValidationError.
-    """
-    grid_size = _check_integer("grid_size", grid_size)
-    if grid_size < 2:
-        raise ValidationError("grid_size must be >= 2")
-    prof = equilibrium_profile(config)
-    i = _check_bidder(config, i)
-    if cdfs is None:
-        return _equilibrium_audits(config, grid_size)[i - 1]
-    if len(cdfs) != config.n or not all(map(callable, cdfs)):
-        raise ValidationError(f"cdfs must be {config.n} callables, one per sorted bidder")
-    grid = np.union1d(np.linspace(0.0, prof.breakpoints[0], grid_size), prof.breakpoints)
-    given = _profile_values(cdfs, grid)
-    payoff_grid = _opponent_product(prof, grid, i, given) - grid
-    best = int(np.argmax(payoff_grid))
-    mids = 0.5 * (grid[1:] + grid[:-1])
-    payoff_mids = _opponent_product(prof, mids, i, _profile_values(cdfs, mids)) - mids
-    f_grid = given[i - 1]
-    baseline = float(f_grid[0] * payoff_grid[0] + np.sum(payoff_mids * np.diff(f_grid)))
-    return AuditResult(
-        bidder=i,
-        max_payoff=float(payoff_grid[best]),
-        argmax_bid=float(grid[best]),
-        baseline=baseline,
-        deviation_gain=float(payoff_grid[best] - baseline),
-    )
-
-
-def _profile_values(cdfs, xs: np.ndarray) -> np.ndarray:
-    """The bidder-major matrix of each CDF callable's values at ``xs``.  Raises
-    ValidationError unless every callable returns finite values in [0, 1], in
-    an array of xs's shape."""
-    given = [np.asarray(c(xs), dtype=float) for c in cdfs]
-    for j, f in enumerate(given):
-        if f.shape != xs.shape or not np.all((f >= 0.0) & (f <= 1.0)):  # NaN fails too
-            raise ValidationError(f"cdfs[{j}] must return values in [0, 1] of shape {xs.shape}")
-    return np.array(given)
-
-
-@lru_cache(maxsize=1)
-def _equilibrium_audits(config: AuctionConfig, grid_size: int) -> tuple[AuditResult, ...]:
-    """Every bidder's audit against the equilibrium in one pass over the
-    bidder-major factor blocks, with a running maximum and first argmax per
-    bidder row.  Bidder i's opponent product is prod_{j<i} f_j * prod_{j>i}
-    f_j, from exclusive prefix and suffix products down the rows (each a
-    plain product in bidder order, the suffix taken from the last bidder
-    down): dividing the full product by f_i fails where f_i is exactly 0,
-    below the support of a bidder with p = 1."""
-    prof = equilibrium_profile(config)
-    grid = np.union1d(np.linspace(0.0, prof.breakpoints[0], grid_size), prof.breakpoints)
-    best = np.full(config.n, -np.inf)
-    argmax = np.zeros(config.n)
-    for cols, f in _factor_blocks(prof, grid):
-        payoffs = _exclusive_products(f)
-        payoffs -= grid[cols]
-        values = payoffs.max(axis=1)
-        argmax = np.where(values > best, grid[cols][payoffs.argmax(axis=1)], argmax)
-        best = np.maximum(values, best)
-        del f, payoffs  # release this block before the next one is built
-    return tuple(
-        AuditResult(i, float(m), float(x), prof.lam, float(m - prof.lam))
-        for i, m, x in zip(range(1, config.n + 1), best, argmax)
-    )
-
-
-def _exclusive_products(f: np.ndarray) -> np.ndarray:
-    """Row i of the result is prod_{j != i} f_j over the rows of the factor
-    block ``f``, which is overwritten.  Row by row: np.cumprod(axis=0) gives
-    the same bits, several times slower at n <= 64.  The row views die with
-    this frame, so they keep no block alive."""
-    payoffs = np.empty_like(f)  # row i: prod_{j<i} f_j
-    payoffs[0] = 1.0
-    for below, f_j, out in zip(payoffs, f, payoffs[1:]):
-        np.multiply(below, f_j, out=out)
-    for above, f_j in zip(f[:0:-1], f[-2:0:-1]):  # row j of f becomes prod_{l>=j} f_l
-        f_j *= above
-    payoffs[:-1] *= f[1:]
-    return payoffs
-
-
-def equilibrium_cdf_callables(config: AuctionConfig) -> list[Callable[[np.ndarray], np.ndarray]]:
-    """The equilibrium profile as plain callables, handy for building perturbed
-    profiles to audit."""
-    return [partial(cdf, config, i) for i in range(1, config.n + 1)]

@@ -385,8 +385,9 @@ _ENGINE = ("allpay_eq.simulate", "numpy.random", "concurrent.futures")
         (["table", *EXAMPLE_ARGS, "--grid", "5"], 0, _ENGINE, ()),
         (["sabotage", *EXAMPLE_ARGS, "--i", "2", "--r", "3", "--p-prime", "0.5"], 0, _ENGINE, ()),
         (["simulate", *EXAMPLE_ARGS, "--trials", "100"], 0, (), _ENGINE),
+        (["audit", *EXAMPLE_ARGS, "--grid", "101"], 0, _ENGINE, ()),
     ],
-    ids=["uniform", "bad_probs", "equilibrium", "table", "sabotage", "simulate"],
+    ids=["uniform", "bad_probs", "equilibrium", "table", "sabotage", "simulate", "audit"],
 )
 def test_cli_loads_only_what_it_runs(argv, code, unloaded, loaded):
     """A fresh ``python -m allpay_eq.cli`` call imports only the modules its

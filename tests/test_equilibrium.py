@@ -122,7 +122,7 @@ def test_level_and_bid_kernels_invert_each_other():
     for cfg in random_configs(seed=71, count=20, n_hi=16):
         prof = ap.equilibrium_profile(cfg)
         for k in np.flatnonzero(prof.width > 0.0):
-            h = np.linspace(prof.lo[k], prof.hi[k], 9)
+            h = np.linspace(1.0 - prof.p[k], 1.0 - prof.p_prev[k], 9)
             m = np.full(h.shape, prof.m[k])
             x = _bid_of_level(prof, h, m)
             assert_allclose(_level_of_bid(prof, x, m), h, rtol=1e-12)
@@ -446,7 +446,7 @@ def test_piece_table_is_built_once_and_read_only(example4):
     prof = ap.equilibrium_profile(example4)
     assert ap.equilibrium_profile(ap.build_config(list(example4.probabilities))) is prof
     arrays = [field for field in vars(prof).values() if isinstance(field, np.ndarray)]
-    assert len(arrays) == 12
+    assert len(arrays) == 9
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 0.5

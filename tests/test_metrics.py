@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -9,7 +10,8 @@ from numpy.testing import assert_allclose
 
 import allpay_eq as ap
 import exact
-from allpay_eq.equilibrium import _pdf_array
+from allpay_eq import metrics
+from allpay_eq.equilibrium import _BLOCK_ENTRIES, _pdf_array
 from allpay_eq.metrics import _gauss_legendre, _oracle_table
 from conftest import EXAMPLE_BIDS, EXAMPLE_MAX_PROFIT, prob_lists, random_configs
 
@@ -246,10 +248,11 @@ def _per_bidder_oracles(cfg, i):
     prof = ap.equilibrium_profile(cfg)
     n = cfg.n
     k = np.flatnonzero(prof.width[: min(i, n - 1)] > 0.0)[:, None]
-    m, c = prof.m[k], prof.c[k]
+    m = prof.m[k]
+    c = prof.prefix_rev[m]
     t, w = np.polynomial.legendre.leggauss(n)
     half = prof.width[k] / 2.0
-    h = prof.lo[k] + half * (t + 1.0)
+    h = (1.0 - prof.p[k]) + half * (t + 1.0)
     x = c * h**m - prof.lam
     f = _pdf_array(prof, i, x) * (m * c * h ** (m - 1) * half) * w
     atom = prof.atom_n if i == n else 0.0
@@ -360,6 +363,32 @@ def test_oracles_raise_only_the_typed_error_where_the_density_overflows():
         assert math.isfinite(oracle(cfg, 673))
         with pytest.raises(ap.AuctionError, match="bidder 674's support is not finite"):
             oracle(cfg, 674)
+
+
+def test_oracle_memory_is_bounded():
+    """The oracle pass holds one block of about _BLOCK_ENTRIES nodes and its
+    temporaries at a time, never the whole (n - 1) x n node table, so its
+    traced peak at n = 1000 (92 MiB for the whole table) stays under 16
+    blocks of float64, 8 MiB."""
+    cfg = ap.build_config(list(np.linspace(0.05, 0.99, 1000)))
+    _oracle_table.__wrapped__(cfg)  # the cached table and rule outside the trace
+    tracemalloc.start()
+    try:
+        _oracle_table.__wrapped__(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * _BLOCK_ENTRIES * 8
+
+
+@pytest.mark.parametrize("entries", [1, 100])
+def test_oracle_blocks_do_not_change_the_sums(monkeypatch, entries):
+    """Each piece's sums read its own row alone: blocks of one piece or of two
+    give the bits of the one block that n = 40 takes, empty pieces included."""
+    cfg = ap.build_config([*np.linspace(0.05, 0.99, 30), *[0.5] * 5, 1.0, 1.0])
+    whole = _oracle_table.__wrapped__(cfg)
+    monkeypatch.setattr(metrics, "_BLOCK_ENTRIES", entries)
+    assert _oracle_table.__wrapped__(cfg) == whole
 
 
 def test_oracle_memo_holds_only_the_last_config(example4):

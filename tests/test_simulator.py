@@ -12,12 +12,11 @@ from numpy.random import Generator, PCG64DXSM
 
 import allpay_eq as ap
 from allpay_eq import simulate
-from allpay_eq.equilibrium import _BLOCK_ENTRIES, _quantile_of_levels
+from allpay_eq.equilibrium import _BLOCK_ENTRIES, _equilibrium_audits, _quantile_of_levels
 from allpay_eq.simulate import (
     _Arena,
     _chunk_sums,
     _default_chunk_size,
-    _equilibrium_audits,
     _finalize,
     _play_chunk,
     _resolve_threads,
@@ -714,7 +713,7 @@ def test_mc_single_bidder():
 
 
 # ---------------------------------------------------------------------------
-# best-response audit
+# best-response audit (allpay_eq.equilibrium)
 # ---------------------------------------------------------------------------
 
 
