@@ -10,7 +10,9 @@ The config set is fixed and seeded: the worked example, ties, p = 1 below
 and at the top, tiny probabilities down to 1e-12, and random configs up to
 n = 64.  Every value is hashed from its exact bits (arrays by their bytes,
 other floats by their shortest round-trip repr); a call that raises is
-hashed as the name of its exception class.  ``audits`` audits every bidder
+hashed as the name of its exception class.  The three quadrature oracle
+families also cover one n = 300 config, over which the oracle pass walks
+more than one block of pieces.  ``audits`` audits every bidder
 against the equilibrium; ``audits_cdfs`` audits bidders 1, n/2 and n against
 profiles given as CDF callables, the equilibrium's and a corrupted one.
 ``monte_carlo_threads`` runs two threads over twelve 256-trial chunks, so it
@@ -54,6 +56,7 @@ FAMILIES = (
     "cli_table",
 )
 DROPPED = [[0.5, 0.0, 1.0], [0.0, 0.3, 0.9, 0.0]]  # zeros only the command line sees
+WIDE = [list(np.linspace(0.05, 0.99, 300))]  # the quadrature oracles only: two blocks of pieces
 CLI_COMMANDS = (
     ["equilibrium"],
     ["simulate", "--trials", "3000", "--seed", str(SEED)],
@@ -121,6 +124,12 @@ def main() -> None:
             data = type(exc).__name__.encode()
         hashes[name].update(data + b"\n")
 
+    def record_oracles(cfg):
+        for i in range(1, cfg.n + 1):
+            record("expected_bid_quadrature", ap.expected_bid_quadrature, cfg, i)
+            record("distribution_mass_quadrature", ap.distribution_mass_quadrature, cfg, i)
+        record("max_profit_quadrature", ap.max_profit_quadrature, cfg)
+
     levels = np.linspace(0.0, 1.0, 129)
     raw = raw_configs()
     for probs in raw + DROPPED:
@@ -136,13 +145,11 @@ def main() -> None:
             record("quantile", ap.quantile, cfg, i, levels)
             record("cdf", ap.cdf, cfg, i, xs)
             record("pdf", ap.pdf, cfg, i, xs[xs != 0.0])
-            record("expected_bid_quadrature", ap.expected_bid_quadrature, cfg, i)
-            record("distribution_mass_quadrature", ap.distribution_mass_quadrature, cfg, i)
             record("audits", ap.best_response_audit, cfg, i, 501)
         for cdfs in audit_profiles(s, ap.equilibrium_cdf_callables(cfg)):
             for i in sorted({1, n // 2, n} - {0}):
                 record("audits_cdfs", ap.best_response_audit, cfg, i, 501, cdfs)
-        record("max_profit_quadrature", ap.max_profit_quadrature, cfg)
+        record_oracles(cfg)
         record("expected_bids", ap.expected_bids, cfg)
         record("max_profit", ap.max_profit, cfg)
         record("winning_bid_cdf", ap.winning_bid_cdf, cfg, xs)
@@ -162,6 +169,8 @@ def main() -> None:
             for x in on_piece.tolist():
                 record("h_value", ap.h_value, cfg, k, x)
             record("joint_support_profit", ap.joint_support_profit, scenario, k, on_piece)
+    for cfg in map(ap.build_config, WIDE):
+        record_oracles(cfg)
     for name in FAMILIES:
         print(f"{name:<30} {hashes[name].hexdigest()}")
 

@@ -44,6 +44,7 @@ callables it takes one bidder's opponent product.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Iterator, Sequence
@@ -293,8 +294,18 @@ def cdf(config: AuctionConfig, i: int, x) -> float | np.ndarray:
 
 def _scalar_or_array(kernel, x) -> float | np.ndarray:
     """Apply the elementwise array kernel to x: a float for a scalar x, else an
-    array of x's shape.  Raises ValidationError if x holds a NaN."""
-    xs = np.asarray(x, dtype=float)
+    array of x's shape.  The one conversion of a public bid or level: x must
+    hold real numbers (ints, floats, or objects such as Fraction and Decimal
+    that convert to float), so a bool, a complex number, text, bytes, a NaN
+    or a ragged list raises ValidationError."""
+    try:
+        raw = np.asarray(x)
+        items = raw.flat if raw.dtype == object else (raw,)  # an object array's own items
+        if any(np.asarray(v).dtype.kind not in "iufO" for v in items):
+            raise TypeError
+        xs = raw.astype(float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"x must be real numbers, got {reprlib.repr(x)}") from exc
     if np.isnan(xs).any():
         raise ValidationError("x must not be NaN")
     out = kernel(xs.reshape(-1)).reshape(xs.shape)
@@ -333,16 +344,20 @@ def pdf(config: AuctionConfig, i: int, x) -> float | np.ndarray:
     """
     prof = equilibrium_profile(config)
     i = _check_bidder(config, i)
-    at_zero = np.asarray(x, dtype=float) == 0.0
-    if i == config.n and prof.atom_n > 0.0 and np.any(at_zero):
-        raise ValidationError("atom has no density: bidder n holds mass at bid 0")
-    with np.errstate(divide="ignore"):
-        out = _scalar_or_array(lambda xs: _pdf_array(prof, i, xs), x)
-    if np.any(np.isinf(out) & at_zero):
-        raise ValidationError(
-            f"no finite density: with lam = 0, bidder {i}'s density diverges at bid 0"
-        )
-    return out
+
+    def density(xs: np.ndarray) -> np.ndarray:
+        at_zero = xs == 0.0
+        if i == config.n and prof.atom_n > 0.0 and np.any(at_zero):
+            raise ValidationError("atom has no density: bidder n holds mass at bid 0")
+        with np.errstate(divide="ignore"):
+            out = _pdf_array(prof, i, xs)
+        if np.any(np.isinf(out) & at_zero):
+            raise ValidationError(
+                f"no finite density: with lam = 0, bidder {i}'s density diverges at bid 0"
+            )
+        return out
+
+    return _scalar_or_array(density, x)
 
 
 def _pdf_array(prof: EquilibriumProfile, i: int | np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -370,10 +385,13 @@ def quantile(config: AuctionConfig, i: int, u) -> float | np.ndarray:
     """
     prof = equilibrium_profile(config)
     i = _check_bidder(config, i)
-    us = np.asarray(u, dtype=float)
-    if np.any((us < 0.0) | (us > 1.0) | np.isnan(us)):
-        raise ValidationError("quantile level must lie in [0, 1]")
-    return _scalar_or_array(lambda levels: _quantile_array(prof, i, levels), us)
+
+    def bids(us: np.ndarray) -> np.ndarray:
+        if np.any((us < 0.0) | (us > 1.0)):
+            raise ValidationError("quantile level must lie in [0, 1]")
+        return _quantile_array(prof, i, us)
+
+    return _scalar_or_array(bids, u)
 
 
 def _quantile_array(prof: EquilibriumProfile, i: int | np.ndarray, us: np.ndarray) -> np.ndarray:
@@ -532,9 +550,9 @@ def best_response_audit(
     ``cdfs`` (one CDF callable per sorted bidder) audits a perturbed profile:
     the baseline is then bidder i's expected payoff under its own listed
     strategy, integrated against the grid, so a profitable deviation shows up
-    as a positive gain.  Unless ``cdfs`` holds exactly n callables, each
-    returning finite values in [0, 1] in an array of its argument's shape,
-    the audit raises ValidationError.
+    as a positive gain.  Unless ``cdfs`` is a collection of exactly n
+    callables, each returning finite values in [0, 1] in an array of its
+    argument's shape, the audit raises ValidationError.
     """
     grid_size = _check_integer("grid_size", grid_size)
     if grid_size < 2:
@@ -543,8 +561,13 @@ def best_response_audit(
     i = _check_bidder(config, i)
     if cdfs is None:
         return _equilibrium_audits(config, grid_size)[i - 1]
+    message = f"cdfs must be {config.n} callables, one per sorted bidder"
+    try:
+        cdfs = tuple(cdfs)
+    except TypeError as exc:
+        raise ValidationError(message) from exc
     if len(cdfs) != config.n or not all(map(callable, cdfs)):
-        raise ValidationError(f"cdfs must be {config.n} callables, one per sorted bidder")
+        raise ValidationError(message)
     grid = _audit_grid(prof, grid_size)
     given = _profile_values(cdfs, grid)
     payoff_grid = _opponent_product(prof, grid, i, given) - grid

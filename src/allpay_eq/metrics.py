@@ -9,16 +9,20 @@ are polynomials.  The routes (of the bid densities or of the winning-bid CDF,
 used by the test suite) never integrate across a breakpoint, and in h one
 fixed Gauss-Legendre rule of n nodes over all pieces is exact up to rounding:
 no tolerance, no adaptivity, and no dependency beyond numpy.  Their
-integrands are still evaluated in x, through the bid density and the
-winning-bid CDF, so the routes stay independent of the closed forms.
+integrands are still evaluated in x, through the bid density and the bid
+CDF, so the routes stay independent of the closed forms.
 
-The bid and mass routes of all bidders come from one pass per config
-(_oracle_table), which rests on one identity: on piece k every bidder i >= k
-has p_i f_i(x) = p_k f_k(x).  So bidder k's own density, on piece k alone,
-serves every bidder, and a cumulative sum over the pieces gives each
-bidder's integrals.  The test suite holds that identity separately, through
-the public pdf of every bidder on every piece, and compares the pass with
-each bidder's own density integrated over its own pieces.
+All three routes, for all bidders, come from one pass per config
+(_oracle_table), which rests on two identities on piece k: every bidder
+i >= k has p_i f_i(x) = p_k f_k(x), and the same factor
+p_i F_i(x) + 1 - p_i = p_k F_k(x) + 1 - p_k, while every bidder j < k has
+the factor 1 - p_j, so the winning-bid CDF there is
+C_k (p_k F_k(x) + 1 - p_k)**(n-k+1).  So bidder k's own density and CDF, on
+piece k alone, serve every bidder and G, and a cumulative sum over the
+pieces gives each bidder's integrals.  The test suite holds both identities
+separately on every piece, through the public pdf of every bidder and
+through cdf and winning_bid_cdf, and compares the pass with each bidder's
+own density integrated over its own pieces.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ import numpy as np
 from .config import AuctionConfig, AuctionError, DegenerateAuctionError, _check_integer
 from .equilibrium import (
     _BLOCK_ENTRIES,
-    EquilibriumProfile,
     _bid_of_level,
+    _cdf_array,
     _check_bidder,
     _opponent_product,
     _pdf_array,
@@ -257,43 +261,26 @@ def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cur, prev
 
 
-def _piece_nodes(
-    prof: EquilibriumProfile, entries: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The node table of the pieces at the 0-based ``entries``, each of
-    positive width: its 1-based index k (a column), and x and dx at the n
-    nodes of one fixed Gauss-Legendre rule in the piece variable h = H_k(x)
-    over [1 - p_k, 1 - p_{k-1}] (one row per piece), with the rule's weights
-    w, so that the integral of g over the piece is sum(g(x) * dx * w).  x is
-    the bid of level h, from
-    equilibrium._bid_of_level, and dx = m C_k h**(m-1) dh is its slope, so
-    the oracles' integrands x f_i dx, f_i dx and G dx are polynomials in h of
-    degree m, 0 and 2m <= 2n - 2 (m = n - k), which n nodes integrate
-    exactly."""
-    k = entries[:, None]  # row per piece
-    m = prof.m[k]
-    c = prof.prefix_rev[m]
-    t, w = _gauss_legendre(prof.n)  # one column per node
-    half = prof.width[k] / 2.0
-    h = (1.0 - prof.p[k]) + half * (t + 1.0)
-    x = _bid_of_level(prof, h, np.broadcast_to(m, h.shape))
-    dx = m * c * h ** (m - 1) * half
-    return k + 1, x, dx, w
-
-
 @lru_cache(maxsize=1)
-def _oracle_table(config: AuctionConfig) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Every bidder's expected bid and mass by quadrature, in one pass over the
-    pieces, as two tuples in sorted bidder order.
+def _oracle_table(config: AuctionConfig) -> tuple[tuple[float, ...], tuple[float, ...], float]:
+    """Every bidder's expected bid and mass, in sorted bidder order, and the
+    integral of the winning-bid CDF G over [0, s_0], by quadrature in one
+    pass over the nonempty pieces.
 
-    On piece k every bidder i >= k has p_i f_i(x) = p_k f_k(x), the slope of
-    H_k, so bidder k's own density, evaluated in x at the nodes of piece k
-    alone, gives p_k times every such bidder's density there.  One cumulative
-    sum over the pieces of p_k x f_k dx and p_k f_k dx then holds, at piece
-    min(i, n-1), p_i times bidder i's integrals over its support; bidder n's
-    mass adds its atom.  Entries that are not finite are kept, for the
-    per-bidder functions to report; the pass itself warns of nothing.  Only
-    the last config is memoized, as for the audits.
+    Piece k gets the n nodes of one fixed Gauss-Legendre rule in h = H_k(x)
+    over [1 - p_k, 1 - p_{k-1}], with weights w, so that the integral of g
+    over the piece is sum(g(x) * dx * w): x is the bid of level h
+    (equilibrium._bid_of_level) and dx = m C_k h**(m-1) dh its slope, so the
+    integrands x f_i dx, f_i dx and G dx are polynomials in h of degree m, 0
+    and 2m <= 2n - 2 (m = n - k), which n nodes integrate exactly.
+
+    By the module docstring's identities, bidder k's own density and CDF at
+    the nodes of piece k alone give p_i f_i for every bidder i >= k, and G.
+    One cumulative sum over the pieces of p_k x f_k dx and p_k f_k dx then
+    holds, at piece min(i, n-1), p_i times bidder i's integrals over its
+    support; bidder n's mass adds its atom.  Entries that are not finite are
+    kept, for the oracle functions to report; the pass itself warns of
+    nothing.  Only the last config is memoized, as for the audits.
 
     The pieces are walked in blocks of about _BLOCK_ENTRIES nodes, and each
     piece's sums come from its own row alone, so the transient memory is
@@ -301,20 +288,28 @@ def _oracle_table(config: AuctionConfig) -> tuple[tuple[float, ...], tuple[float
     prof = equilibrium_profile(config)
     pieces = np.flatnonzero(prof.width > 0.0)
     step = max(1, _BLOCK_ENTRIES // prof.n)  # pieces per block, n nodes each
-    bids, masses = np.zeros(prof.n - 1), np.zeros(prof.n - 1)
-    with np.errstate(all="ignore"):  # the per-bidder functions report it
+    t, w = _gauss_legendre(prof.n)  # one column per node
+    bids, masses, below = np.zeros((3, prof.n - 1))
+    with np.errstate(all="ignore"):  # the oracle functions report it
         for start in range(0, len(pieces), step):
             block = pieces[start : start + step]
-            k, x, dx, w = _piece_nodes(prof, block)
-            weight = prof.probs[k - 1] * _pdf_array(prof, k, x) * dx * w  # p_k f_k dx w
+            k = block[:, None]  # row per piece, 0-based
+            m, p_k, half = prof.m[k], prof.p[k], prof.width[k] / 2.0
+            c = prof.prefix_rev[m]
+            h = (1.0 - p_k) + half * (t + 1.0)
+            x = _bid_of_level(prof, h, np.broadcast_to(m, h.shape))
+            dx = m * c * h ** (m - 1) * half
+            weight = p_k * _pdf_array(prof, k + 1, x) * dx * w  # p_k f_k dx w
             bids[block] = np.sum(x * weight, axis=1)
             masses[block] = np.sum(weight, axis=1)
-            del x, dx, weight  # release this block before the next one is built
+            g = p_k * _cdf_array(prof, k + 1, x) + 1.0 - p_k
+            below[block] = np.sum(c * g ** (m + 1) * dx * w, axis=1)  # G dx w
+            del h, x, dx, weight, g  # release this block before the next one is built
         piece = np.minimum(np.arange(prof.n), prof.n - 2)  # bidder i reads piece min(i, n-1)
         bids = np.cumsum(bids)[piece] / prof.probs
         masses = np.cumsum(masses)[piece] / prof.probs
     masses[-1] += prof.atom_n
-    return tuple(bids.tolist()), tuple(masses.tolist())
+    return tuple(bids.tolist()), tuple(masses.tolist()), float(np.sum(below))
 
 
 def _oracle_entry(config: AuctionConfig, i: int, column: int) -> float:
@@ -342,12 +337,11 @@ def distribution_mass_quadrature(config: AuctionConfig, i: int) -> float:
 def max_profit_quadrature(config: AuctionConfig) -> float:
     """E of the winning bid by Stieltjes integration of x dG over [0, s_0],
     integrated by parts so only G itself is ever evaluated: s_0 G(s_0) minus
-    the piecewise quadrature of G, with G(s_0) = 1 (an atom at 0 adds 0).
-    Raises AuctionError if the quadrature is not finite."""
+    the piecewise quadrature of G from the all-bidder pass, with G(s_0) = 1
+    (an atom at 0 adds 0).  Raises AuctionError if the quadrature is not
+    finite."""
     prof = equilibrium_profile(config)
-    _, x, dx, w = _piece_nodes(prof, np.flatnonzero(prof.width > 0.0))
-    with np.errstate(all="ignore"):  # the guard below reports it
-        total = float(np.sum(_opponent_product(prof, x.ravel()).reshape(x.shape) * dx * w))
+    total = _oracle_table(config)[2]
     if not np.isfinite(total):
         raise AuctionError(f"quadrature over bidder {prof.n}'s support is not finite: {total}")
     return prof.breakpoints[0] - total

@@ -123,12 +123,15 @@ def sabotaged_payoff(scenario: SabotageScenario, x) -> float | np.ndarray:
     cfg = scenario.config
     prof = equilibrium_profile(cfg)
     s0 = prof.breakpoints[0]
-    x = np.asarray(x, dtype=float)
-    if np.any((x < 0.0) | (x > s0)):
-        raise ValidationError(f"bid outside [0, {s0}]")
     p = list(cfg.probabilities)
     p[scenario.target - 1] = scenario.true_target_probability
-    return _scalar_or_array(lambda xs: _opponent_product(prof, xs, scenario.saboteur, p=p) - xs, x)
+
+    def profit(xs: np.ndarray) -> np.ndarray:
+        if np.any((xs < 0.0) | (xs > s0)):
+            raise ValidationError(f"bid outside [0, {s0}]")
+        return _opponent_product(prof, xs, scenario.saboteur, p=p) - xs
+
+    return _scalar_or_array(profit, x)
 
 
 def joint_support_profit(scenario: SabotageScenario, k: int, x) -> float | np.ndarray:

@@ -1,5 +1,7 @@
 import json
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -658,14 +660,24 @@ def _piece_interiors(cfg):
 
 @given(st.one_of(prob_lists, edge_prob_lists(max_n=12)))
 def test_scaled_densities_agree_on_each_piece(probs):
-    """The identity the all-bidder oracle pass rests on: on piece k every
-    bidder i >= k has p_i f_i(x) = p_k f_k(x), here within a few ulps."""
+    """The identities the all-bidder oracle pass rests on, on each piece k:
+    every bidder i >= k has p_i f_i(x) = p_k f_k(x), here within a few ulps,
+    and the winning-bid CDF, the product over all n bidders, is
+    C_k g_k**(m+1) with g_k = p_k F_k(x) + 1 - p_k and m = n - k.  The second
+    is held in units of the power's conditioning, (m+1) eps G / g_k, which
+    is unbounded where g_k rounds to 0: a plain relative bound fails where
+    p_k is within 1e-5 of 1 and F_k's (h + p_k) - 1 loses digits."""
     cfg = ap.build_config(probs)
     p = cfg.probabilities
+    c = ap.equilibrium_profile(cfg).prefix_products
     for k, xs in _piece_interiors(cfg):
         want = p[k - 1] * ap.pdf(cfg, k, xs)
         for i in range(k, cfg.n + 1):
             assert_allclose(p[i - 1] * ap.pdf(cfg, i, xs), want, rtol=4 * EPS, atol=0)
+        g = p[k - 1] * ap.cdf(cfg, k, xs) + 1.0 - p[k - 1]
+        power = cfg.n - k + 1
+        product = ap.winning_bid_cdf(cfg, xs)
+        assert np.all(np.abs(product - c[k] * g**power) * g <= 4 * power * EPS * product)
 
 
 def _scenario(cfg):
@@ -684,13 +696,32 @@ NAN_ENTRY_POINTS = {
     "no_failure_cdf": lambda cfg, x: ap.no_failure_cdf(cfg.n, x),
     "h_value": lambda cfg, x: ap.h_value(cfg, 1, x),
 }
-NAN_CASES = [(name, x) for x in (NAN, [0.1, NAN]) for name in NAN_ENTRY_POINTS]
+BAD_BIDS = {
+    "scalar": NAN,
+    "array": [0.1, NAN],
+    "text": "0.5",
+    "bytes": b"0.5",
+    "text_in_array": [0.1, "0.2"],
+    "bool": True,
+    "complex": 0.5j,
+    "object": object(),
+}
+NAN_CASES = [(name, kind) for kind in BAD_BIDS for name in NAN_ENTRY_POINTS]
 
 
-@pytest.mark.parametrize(
-    "name, x", NAN_CASES, ids=[f"{n}-{np.ndim(x) and 'array' or 'scalar'}" for n, x in NAN_CASES]
-)
-def test_nan_bid_raises(example4, name, x):
-    """A NaN bid (or level) is refused, never answered with a number."""
+@pytest.mark.parametrize("name, kind", NAN_CASES, ids=[f"{n}-{k}" for n, k in NAN_CASES])
+def test_nan_bid_raises(example4, name, kind):
+    """A bid (or level) that is NaN or not a real number (a bool, a complex
+    number, text or bytes, alone or in a list, or an arbitrary object) is
+    refused with ValidationError, never answered with a number or a numpy
+    TypeError."""
     with pytest.raises(ap.ValidationError):
-        NAN_ENTRY_POINTS[name](example4, x)
+        NAN_ENTRY_POINTS[name](example4, BAD_BIDS[kind])
+
+
+@pytest.mark.parametrize("name", NAN_ENTRY_POINTS)
+def test_exact_rational_bids_are_accepted(example4, name):
+    """Fraction and Decimal bids convert to float as any real number does."""
+    route = NAN_ENTRY_POINTS[name]
+    want = route(example4, 0.1)
+    assert route(example4, Fraction(1, 10)) == route(example4, Decimal("0.1")) == want

@@ -774,6 +774,7 @@ def _constant_cdf(value):
 
 
 MALFORMED_PROFILES = {
+    "not a collection": lambda cdfs: 5,
     "three callables": lambda cdfs: cdfs[:3],
     "five callables": lambda cdfs: [*cdfs, cdfs[0]],
     "not callable": lambda cdfs: [*cdfs[:3], 0.5],
