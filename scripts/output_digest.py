@@ -20,7 +20,9 @@ covers the threaded fold.
 ``cli_equilibrium``, ``cli_simulate`` and ``cli_table`` hash the exit code
 and stdout of that command line subcommand in json and csv, over the same
 configs plus two with dropped zeros, so a change to one report shows that
-the other two stay identical.
+the other two stay identical.  ``uniform`` hashes lam, every ``uniform_*``
+closed form and ``no_failure_baseline`` over a fixed (n, p) grid, n = 1
+included.
 """
 
 import contextlib
@@ -54,9 +56,12 @@ FAMILIES = (
     "cli_equilibrium",
     "cli_simulate",
     "cli_table",
+    "uniform",
 )
 DROPPED = [[0.5, 0.0, 1.0], [0.0, 0.3, 0.9, 0.0]]  # zeros only the command line sees
 WIDE = [list(np.linspace(0.05, 0.99, 300))]  # the quadrature oracles only: two blocks of pieces
+UNIFORM_N = (1, 2, 3, 5, 16, 64, 300)
+UNIFORM_P = (1e-12, 1e-6, 0.01, 1 / 3, 0.5, 0.9, 1.0)
 CLI_COMMANDS = (
     ["equilibrium"],
     ["simulate", "--trials", "3000", "--seed", str(SEED)],
@@ -93,6 +98,18 @@ def audit_profiles(s: np.ndarray, cdfs: list) -> list[list]:
         return np.clip((np.asarray(xs, dtype=float) - s[1]) / (s[0] - s[1]), 0.0, 1.0)
 
     return [cdfs, [line, *cdfs[1:]]]
+
+
+def uniform_forms(n: int, p: float) -> list:
+    """lam and every uniform closed form of one (n, p)."""
+    case = ap.UniformCase(n, p)
+    return [
+        case.lam,
+        ap.uniform_bid_moments(case),
+        ap.uniform_bidder_profit(case),
+        ap.uniform_sum_profit(case),
+        ap.uniform_max_profit(case),
+    ]
 
 
 def cli_stdout(argv: list[str]) -> str:
@@ -171,6 +188,10 @@ def main() -> None:
             record("joint_support_profit", ap.joint_support_profit, scenario, k, on_piece)
     for cfg in map(ap.build_config, WIDE):
         record_oracles(cfg)
+    for n in UNIFORM_N:
+        for p in UNIFORM_P:
+            record("uniform", uniform_forms, n, p)
+        record("uniform", ap.no_failure_baseline, n)
     for name in FAMILIES:
         print(f"{name:<30} {hashes[name].hexdigest()}")
 

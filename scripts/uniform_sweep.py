@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Sweep the shared participation probability and emit a plot-ready CSV.
 
-One row per (n, p): bid mean/variance, bidder profit mean/variance, both
-revenue models, and the participation-inclusive sum-revenue variance.  Useful
+One row per (n, p): the mean and variance of the bid, the bidder profit and
+both revenue models (the sum revenue's variance counts who shows up).  Useful
 for eyeballing the non-monotone bid curve and the revenue limits as p -> 1.
 """
 
@@ -27,7 +27,7 @@ def main() -> None:
             "n", "p", "lambda",
             "bid_mean", "bid_variance",
             "profit_mean", "profit_variance",
-            "sum_profit_mean", "sum_profit_scaled_variance", "sum_revenue_variance",
+            "sum_profit_mean", "sum_profit_variance",
             "max_profit_mean", "max_profit_variance",
         ]
     )
@@ -40,9 +40,7 @@ def main() -> None:
             max_p = ap.uniform_max_profit(case)
             writer.writerow(
                 [n, f"{p:.6g}", f"{case.lam:.12g}"]
-                + [f"{v:.12g}" for v in bid + profit + sum_p]
-                + [f"{ap.uniform_sum_revenue_variance(case):.12g}"]
-                + [f"{v:.12g}" for v in max_p]
+                + [f"{v:.12g}" for v in bid + profit + sum_p + max_p]
             )
 
 

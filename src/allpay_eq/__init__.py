@@ -53,7 +53,6 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         (
-            "NoFailureBaseline",
             "RevenueReport",
             "distribution_mass_quadrature",
             "expected_bid",
@@ -61,7 +60,6 @@ _EXPORTS = {
             "expected_bids",
             "max_profit",
             "max_profit_quadrature",
-            "no_failure_baseline",
             "revenue_report",
             "sum_profit",
             "winning_bid_cdf",
@@ -92,12 +90,13 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         (
+            "NoFailureBaseline",
             "UniformCase",
+            "no_failure_baseline",
             "uniform_bid_moments",
             "uniform_bidder_profit",
             "uniform_max_profit",
             "uniform_sum_profit",
-            "uniform_sum_revenue_variance",
         ),
         "uniform",
     ),

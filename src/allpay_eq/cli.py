@@ -214,7 +214,6 @@ def _cmd_uniform(args: argparse.Namespace):
         uniform_bidder_profit,
         uniform_max_profit,
         uniform_sum_profit,
-        uniform_sum_revenue_variance,
     )
 
     case = UniformCase(n=args.n, p=args.p)
@@ -228,11 +227,7 @@ def _cmd_uniform(args: argparse.Namespace):
         "lambda": case.lam,
         "bid": {"mean": bid[0], "variance": bid[1]},
         "bidder_profit": {"mean": profit[0], "variance": profit[1]},
-        "sum_profit": {
-            "mean": sum_p[0],
-            "variance": sum_p[1],
-            "realized_revenue_variance": uniform_sum_revenue_variance(case),
-        },
+        "sum_profit": {"mean": sum_p[0], "variance": sum_p[1]},
         "max_profit": {"mean": max_p[0], "variance": max_p[1]},
     }
     rows = [

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import AuctionConfig, AuctionError, DegenerateAuctionError, _check_integer
+from .config import AuctionConfig, AuctionError
 from .equilibrium import (
     _BLOCK_ENTRIES,
     _bid_of_level,
@@ -42,13 +42,6 @@ from .equilibrium import (
     _pdf_array,
     _scalar_or_array,
     equilibrium_profile,
-)
-from .uniform import (
-    UniformCase,
-    uniform_bid_moments,
-    uniform_bidder_profit,
-    uniform_max_profit,
-    uniform_sum_profit,
 )
 
 
@@ -126,48 +119,6 @@ def max_profit(config: AuctionConfig) -> float:
     c, lo, hi = prof.prefix_rev[m], 1.0 - prof.p, 1.0 - prof.p_prev
     top = c * (m + 1) / (2 * m + 1) * (hi ** (2 * m + 1) - lo ** (2 * m + 1))
     return float(np.sum(c * (top - prof.lam * (hi ** (m + 1) - lo ** (m + 1)))))
-
-
-@dataclass(frozen=True)
-class NoFailureBaseline:
-    """Fully-reliable benchmark quantities (means and variances) for n bidders."""
-
-    n: int
-    expected_bid: float
-    bid_variance: float
-    bidder_utility: float
-    utility_variance: float
-    sum_profit: float
-    sum_profit_variance: float
-    max_profit: float
-    max_profit_variance: float
-
-
-def no_failure_baseline(n: int) -> NoFailureBaseline:
-    """Benchmark table for the classic auction where everyone always shows up:
-    expected bid 1/n, bidder utility 0, sum revenue 1, max revenue n/(2n-1),
-    with the matching variances.  These are the uniform closed forms at p = 1,
-    where the sum revenue carries no participation noise.  n must be an
-    integer (not a bool) of at least 2."""
-    n = _check_integer("n", n)
-    if n < 2:
-        raise DegenerateAuctionError("degenerate auction: n >= 2 required")
-    case = UniformCase(n=n, p=1.0)
-    bid, bid_var = uniform_bid_moments(case)
-    utility, utility_var = uniform_bidder_profit(case)
-    revenue, revenue_var = uniform_sum_profit(case)
-    max_revenue, max_revenue_var = uniform_max_profit(case)
-    return NoFailureBaseline(
-        n=n,
-        expected_bid=bid,
-        bid_variance=bid_var,
-        bidder_utility=utility,
-        utility_variance=utility_var,
-        sum_profit=revenue,
-        sum_profit_variance=revenue_var,
-        max_profit=max_revenue,
-        max_profit_variance=max_revenue_var,
-    )
 
 
 @dataclass(frozen=True)

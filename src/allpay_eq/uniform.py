@@ -4,38 +4,45 @@ With a common participation probability p the equilibrium collapses to a
 single piece on [0, 1 - lam] with lam = (1-p)**(n-1), and means and variances
 of the bids and of both revenue models have explicit expressions.  These
 double as consistency oracles for the general-case module evaluated at a
-constant probability vector.
+constant probability vector, and at p = 1 they give the no-failure baseline
+table (no_failure_baseline).
 
-One caution on the sum-revenue dispersion: :func:`uniform_sum_profit` returns
-the variance as n p^2 Var[bid], i.e. the conditional bid variance scaled as if
-each bidder contributed p * bid deterministically.  The realized revenue of a
-simulated auction is a sum of Bernoulli(p)-gated bids, whose variance is the
-larger n (p E[bid^2] - p^2 E[bid]^2); use
-:func:`uniform_sum_revenue_variance` when comparing against simulation.
+Accuracy: the forms subtract terms in (1-p)**k that cancel as p -> 0, so
+their relative error grows like a rounding unit over a power of p.  Against
+exact rationals, for 2 <= n < 40 and p >= 0.01 every mean and variance is
+within 5e-10 relative (the worst is the bid variance at n = 2, p = 0.01).
+Below that they drift: at n = 3 the bid variance is 6.6e-5 relative off at
+p = 1e-4 and 1.4 at p = 1e-6, and the max-revenue variance 36 times off at
+p = 1e-6.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import ValidationError, _check_integer, _check_real
+from .config import DegenerateAuctionError, ValidationError, _check_integer, _check_real
 
 
 @dataclass(frozen=True)
 class UniformCase:
     """n >= 2 bidders, each participating with the same probability p in (0, 1].
 
-    n is an integer; neither n nor p may be a bool.
+    n is an integer and p a real number; neither may be a bool.  They are
+    kept as a Python int and a Python float.
     """
 
     n: int
     p: float
 
     def __post_init__(self) -> None:
-        if _check_integer("n", self.n) < 2:
-            raise ValidationError(f"uniform case needs n >= 2, got n={self.n}")
-        if not 0.0 < _check_real("common probability", self.p) <= 1.0:
+        n = _check_integer("n", self.n)
+        if n < 2:
+            raise DegenerateAuctionError(f"degenerate auction: n >= 2 required, got n={n}")
+        p = _check_real("common probability", self.p)
+        if not 0.0 < p <= 1.0:
             raise ValidationError(f"common probability must lie in (0, 1], got {self.p!r}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
 
     @property
     def lam(self) -> float:
@@ -71,31 +78,18 @@ def uniform_bidder_profit(case: UniformCase) -> tuple[float, float]:
 
 
 def uniform_sum_profit(case: UniformCase) -> tuple[float, float]:
-    """Mean of the sum-profit auctioneer's revenue and its scaled-bid spread:
+    """Mean and variance of the sum-profit auctioneer's realized revenue, a
+    sum of n bids that each count only if their bidder shows up:
 
         mean = 1 - (1-p)**(n-1) (1 + p (n-1))
-        var  = n p^2 Var[bid]
+        var  = n p (Var[bid] + E[bid]^2 (1-p))
 
-    See the module docstring: this variance excludes participation noise.
+    with the conditional bid moments from :func:`uniform_bid_moments`.
     """
     n, p, q = case.n, case.p, 1.0 - case.p
     mean = 1.0 - q ** (n - 1) * (1.0 + p * (n - 1))
-    var = n * p**2 * uniform_bid_moments(case)[1]
-    return mean, var
-
-
-def uniform_sum_revenue_variance(case: UniformCase) -> float:
-    """Variance of the realized total revenue, participation noise included:
-
-        n (p E[bid^2] - p^2 E[bid]^2)
-
-    with the conditional bid moments from :func:`uniform_bid_moments`.  This
-    is what the sample variance of simulated sum revenue converges to.
-    """
-    n, p = case.n, case.p
-    mean, var = uniform_bid_moments(case)
-    second = var + mean**2
-    return n * (p * second - (p * mean) ** 2)
+    bid, bid_var = uniform_bid_moments(case)
+    return mean, n * p * (bid_var + bid**2 * q)
 
 
 def uniform_max_profit(case: UniformCase) -> tuple[float, float]:
@@ -114,3 +108,42 @@ def uniform_max_profit(case: UniformCase) -> tuple[float, float]:
         - 2.0 * (n - 1) ** 2 * q ** (3 * n - 2) / ((3.0 * n - 2) * (2 * n - 1))
     )
     return mean, second - mean**2
+
+
+@dataclass(frozen=True)
+class NoFailureBaseline:
+    """Fully-reliable benchmark quantities (means and variances) for n bidders."""
+
+    n: int
+    expected_bid: float
+    bid_variance: float
+    bidder_utility: float
+    utility_variance: float
+    sum_profit: float
+    sum_profit_variance: float
+    max_profit: float
+    max_profit_variance: float
+
+
+def no_failure_baseline(n: int) -> NoFailureBaseline:
+    """Benchmark table for the classic auction where everyone always shows up:
+    expected bid 1/n, bidder utility 0, sum revenue 1, max revenue n/(2n-1),
+    with the matching variances.  These are the closed forms above at p = 1,
+    where the sum revenue carries no participation noise.  n must be an
+    integer (not a bool) of at least 2."""
+    case = UniformCase(n=n, p=1.0)
+    bid, bid_var = uniform_bid_moments(case)
+    utility, utility_var = uniform_bidder_profit(case)
+    revenue, revenue_var = uniform_sum_profit(case)
+    max_revenue, max_revenue_var = uniform_max_profit(case)
+    return NoFailureBaseline(
+        n=case.n,
+        expected_bid=bid,
+        bid_variance=bid_var,
+        bidder_utility=utility,
+        utility_variance=utility_var,
+        sum_profit=revenue,
+        sum_profit_variance=revenue_var,
+        max_profit=max_revenue,
+        max_profit_variance=max_revenue_var,
+    )

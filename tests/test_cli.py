@@ -217,6 +217,22 @@ def test_simulate_csv(capsys):
     assert float(rows[0]["analytic_expected_bid"]) == pytest.approx(0.25)
 
 
+def test_simulate_single_bidder(capsys):
+    """One bidder has no equilibrium to compare against: the report keeps
+    its simulated rows and leaves the analytic side empty."""
+    args = ["simulate", "--probs", "0.5", "--trials", "1000"]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["analytic"] is None
+    assert payload["bidders_caller_order"][0]["bid_mean"] == 0.0
+    code, out, _ = run_cli(capsys, *args, "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["bidder"] for r in rows] == ["1", "sum_revenue", "max_revenue"]
+    assert rows[0]["analytic_expected_bid"] == rows[0]["analytic_expected_utility"] == ""
+
+
 def _refuse_constant(token):
     raise ValueError(f"not RFC 8259 JSON: {token}")
 
@@ -312,10 +328,10 @@ def test_uniform_json(capsys):
     payload = json.loads(out)
     assert payload["bid"]["mean"] == pytest.approx(1 / 3, rel=1e-12)
     assert payload["bid"]["variance"] == pytest.approx(17 / 360, rel=1e-12)
-    assert payload["sum_profit"]["mean"] == pytest.approx(0.5, rel=1e-12)
-    assert payload["sum_profit"]["realized_revenue_variance"] == pytest.approx(
-        37 / 240, rel=1e-12
-    )
+    assert payload["sum_profit"] == {
+        "mean": pytest.approx(0.5, rel=1e-12),
+        "variance": pytest.approx(37 / 240, rel=1e-12),
+    }
     assert payload["lambda"] == 0.25
 
 

@@ -13,7 +13,7 @@ import exact
 from allpay_eq import metrics
 from allpay_eq.equilibrium import _BLOCK_ENTRIES, _pdf_array
 from allpay_eq.metrics import _gauss_legendre, _oracle_table
-from conftest import EXAMPLE_BIDS, EXAMPLE_MAX_PROFIT, prob_lists, random_configs
+from conftest import EXAMPLE_BIDS, EXAMPLE_MAX_PROFIT, prob_lists, random_configs, run_python
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +452,14 @@ def test_no_failure_baseline_matches_general_limit():
         assert ap.max_profit(cfg) == pytest.approx(base.max_profit, rel=1e-12)
         assert ap.expected_bid(cfg, 1) == pytest.approx(base.expected_bid, rel=1e-12)
         assert ap.expected_utility(cfg, 1) == base.bidder_utility
+
+
+def test_metrics_does_not_load_the_uniform_table():
+    """The general closed forms stand apart from the uniform table that
+    checks them: loading metrics loads no uniform module."""
+    code = "import sys, allpay_eq.metrics\nassert 'allpay_eq.uniform' not in sys.modules\n"
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

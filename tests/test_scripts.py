@@ -23,7 +23,10 @@ def test_uniform_sweep_script():
     done = run_python(str(SCRIPTS / "uniform_sweep.py"), "--n", "2", "--points", "3")
     assert done.returncode == 0, done.stderr
     header, *rows = csv.reader(io.StringIO(done.stdout))
-    assert header[:3] == ["n", "p", "lambda"]
+    assert header == [
+        "n", "p", "lambda", "bid_mean", "bid_variance", "profit_mean", "profit_variance",
+        "sum_profit_mean", "sum_profit_variance", "max_profit_mean", "max_profit_variance",
+    ]
     assert len(rows) == 3 and all(len(row) == len(header) for row in rows)
 
 
@@ -42,6 +45,6 @@ def test_output_digest_script():
     assert all(done.returncode == 0 for done in runs), runs[0].stderr
     lines = runs[0].stdout.splitlines()
     names = [line.split()[0] for line in lines]
-    assert names[:3] == ["quantile", "cdf", "pdf"] and len(names) == len(set(names)) == 19
+    assert names[:3] == ["quantile", "cdf", "pdf"] and len(names) == len(set(names)) == 20
     assert all(len(line.split()[1]) == 64 for line in lines)
     assert runs[1].stdout == runs[0].stdout

@@ -6,13 +6,11 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 from numpy.random import Generator, PCG64DXSM
 
 import allpay_eq as ap
 from allpay_eq import simulate
-from allpay_eq.equilibrium import _BLOCK_ENTRIES, _equilibrium_audits, _quantile_of_levels
+from allpay_eq.equilibrium import _quantile_of_levels
 from allpay_eq.simulate import (
     _Arena,
     _chunk_sums,
@@ -23,7 +21,6 @@ from allpay_eq.simulate import (
     _trial_block,
     _view,
 )
-from conftest import tied_prob_lists
 
 
 def _simulate_block(cfg, seed, t0, m, arena=None):
@@ -710,156 +707,3 @@ def test_mc_single_bidder():
     assert abs(stats.utility_mean - 0.25) <= 4 * stats.utility_mean_se
     assert stats.bid_mean == 0.0
     assert report.sum_revenue.mean == 0.0 and report.max_revenue.mean == 0.0
-
-
-# ---------------------------------------------------------------------------
-# best-response audit (allpay_eq.equilibrium)
-# ---------------------------------------------------------------------------
-
-
-def test_audit_equilibrium_has_no_profitable_deviation(example4):
-    for i in range(1, 5):
-        res = ap.best_response_audit(example4, i, 10_001)
-        assert res.deviation_gain <= 1e-9
-        assert res.baseline == pytest.approx(ap.lambda_value(example4), rel=1e-14)
-
-
-def test_audit_all_reliable_profile():
-    cfg = ap.build_config([1.0, 1.0, 1.0])
-    for i in (1, 2, 3):
-        res = ap.best_response_audit(cfg, i, 10_001)
-        assert res.deviation_gain <= 1e-9
-        assert res.baseline == 0.0
-
-
-def test_audit_grid_validation(example4):
-    with pytest.raises(ap.ValidationError):
-        ap.best_response_audit(example4, 1, 1)
-
-
-@pytest.mark.parametrize("grid_size", [2.5, "10", None], ids=["float", "str", "none"])
-@pytest.mark.parametrize("profile", ["equilibrium", "cdfs"])
-def test_audit_grid_size_must_be_an_integer(example4, grid_size, profile):
-    cdfs = ap.equilibrium_cdf_callables(example4) if profile == "cdfs" else None
-    with pytest.raises(ap.ValidationError, match="grid_size"):
-        ap.best_response_audit(example4, 1, grid_size, cdfs=cdfs)
-
-
-def test_audit_detects_corrupted_profile(example4):
-    """Replace the least reliable bidder's CDF with the straight line over its
-    support; someone else must now see a profitable deviation."""
-    s = ap.breakpoints(example4)
-    corrupted = ap.equilibrium_cdf_callables(example4)
-    corrupted[0] = lambda xs: np.clip(
-        (np.asarray(xs, dtype=float) - s[1]) / (s[0] - s[1]), 0.0, 1.0
-    )
-    gains = [
-        ap.best_response_audit(example4, i, 10_001, cdfs=corrupted).deviation_gain
-        for i in range(1, 5)
-    ]
-    assert max(gains) > 0.01
-    # the corrupted bidder itself keeps its payoff function, no self-gain
-    assert gains[0] == pytest.approx(0.0, abs=1e-9)
-
-
-def test_audit_with_explicit_equilibrium_callables(example4):
-    cdfs = ap.equilibrium_cdf_callables(example4)
-    res = ap.best_response_audit(example4, 2, 5_001, cdfs=cdfs)
-    assert abs(res.deviation_gain) <= 1e-9
-    assert res.baseline == pytest.approx(ap.lambda_value(example4), abs=1e-11)
-
-
-def _constant_cdf(value):
-    return lambda xs: np.full(np.shape(xs), value)
-
-
-MALFORMED_PROFILES = {
-    "not a collection": lambda cdfs: 5,
-    "three callables": lambda cdfs: cdfs[:3],
-    "five callables": lambda cdfs: [*cdfs, cdfs[0]],
-    "not callable": lambda cdfs: [*cdfs[:3], 0.5],
-    "scalar values": lambda cdfs: [*cdfs[:3], lambda xs: 0.5],
-    "wrong shape": lambda cdfs: [*cdfs[:3], lambda xs: np.zeros(len(xs) + 1)],
-    "nan values": lambda cdfs: [*cdfs[:3], _constant_cdf(np.nan)],
-    "infinite values": lambda cdfs: [*cdfs[:3], _constant_cdf(np.inf)],
-    "values above 1": lambda cdfs: [_constant_cdf(2.0)] * 4,
-    "values below 0": lambda cdfs: [_constant_cdf(-0.5), *cdfs[1:]],
-}
-
-
-@pytest.mark.parametrize("case", MALFORMED_PROFILES)
-def test_audit_rejects_malformed_profiles(example4, case):
-    """A perturbed profile must be n callables, each giving finite values in
-    [0, 1] of the grid's shape; anything else is a ValidationError, never a
-    numpy error or a silent NaN."""
-    cdfs = MALFORMED_PROFILES[case](ap.equilibrium_cdf_callables(example4))
-    with pytest.raises(ap.ValidationError, match="cdfs"):
-        ap.best_response_audit(example4, 2, 101, cdfs=cdfs)
-
-
-@pytest.mark.parametrize("bidder", [9, -1, 0, 5])
-def test_audit_rejects_bidder_outside_config(example4, bidder):
-    with pytest.raises(ap.ValidationError, match="bidder index"):
-        ap.best_response_audit(example4, bidder, 101)
-    with pytest.raises(ap.ValidationError, match="bidder index"):
-        ap.best_response_audit(
-            example4, bidder, 101, cdfs=ap.equilibrium_cdf_callables(example4)
-        )
-
-
-@example(probs=[0.3] * 76 + [1.0, 1.0], blocks=2, extra=47, bidder=40)  # 1.1e-15 apart here
-@given(probs=tied_prob_lists, blocks=st.integers(1, 3), extra=st.integers(0, 50),
-       bidder=st.integers(1, 80))
-def test_all_bidder_audit_matches_per_bidder_product(probs, blocks, extra, bidder):
-    """The one-pass audit (prefix and suffix products of the factor blocks)
-    against the per-bidder product over the equilibrium CDF callables, on grids
-    that span one to four factor blocks.  Both multiply the same n - 1
-    factors in [0, 1], in different orders, and subtract the same grid
-    point, so their payoffs differ by at most 2 (n - 1) rounding units."""
-    cfg = ap.build_config(probs)
-    grid = blocks * (_BLOCK_ENTRIES // cfg.n) + extra
-    cdfs = ap.equilibrium_cdf_callables(cfg)
-    for i in {1, 1 + (bidder - 1) % cfg.n, cfg.n}:
-        # factors are exactly 0 below the support of a bidder with p = 1: the
-        # opponent product must never be taken by dividing the full one
-        with np.errstate(divide="raise", invalid="raise"):
-            fast = ap.best_response_audit(cfg, i, grid)
-        slow = ap.best_response_audit(cfg, i, grid, cdfs=cdfs)
-        assert abs(fast.max_payoff - slow.max_payoff) <= 2 * (cfg.n - 1) * 2.0**-53
-        assert fast.baseline == ap.lambda_value(cfg)
-
-
-@pytest.mark.parametrize("n", [64, 300])
-def test_all_bidder_audit_memory_is_bounded(n):
-    """The audit holds one factor block of about _BLOCK_ENTRIES entries, its
-    payoff block and the CDF kernel's temporaries at a time, never a matrix
-    over the whole grid, and releases each block before the next one is
-    built, so its traced peak at grid 10,001 stays under three blocks of
-    float64 whatever n is."""
-    cfg = ap.build_config(list(np.linspace(0.05, 0.99, n)))
-    # imports and caches outside the trace: the cached table, and numpy.ma,
-    # which np.union1d imports on its first call
-    _equilibrium_audits.__wrapped__(cfg, 101)
-    tracemalloc.start()
-    try:
-        _equilibrium_audits.__wrapped__(cfg, 10_001)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * _BLOCK_ENTRIES * 8
-
-
-def test_audit_memo_holds_only_the_last_config_and_grid(example4):
-    """Interleaved configs and grid sizes each read their own audit, equal to
-    one computed cold, and only the last (config, grid) stays memoized."""
-    other = ap.build_config([0.2, 0.4, 0.4, 0.9, 1.0, 1.0])
-    cold = {
-        (cfg, grid): _equilibrium_audits.__wrapped__(cfg, grid)
-        for cfg in (example4, other)
-        for grid in (301, 5_001)
-    }
-    for cfg, grid in [(example4, 301), (other, 301), (example4, 5_001), (example4, 301),
-                      (other, 5_001), (other, 5_001), (example4, 5_001)]:
-        for i in range(1, cfg.n + 1):
-            assert ap.best_response_audit(cfg, i, grid) == cold[cfg, grid][i - 1]
-        assert _equilibrium_audits.cache_info().currsize == 1

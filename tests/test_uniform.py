@@ -43,6 +43,21 @@ def test_n_must_be_an_integer(route, bad):
         route(bad)
 
 
+@pytest.mark.parametrize("route", N_ROUTES.values(), ids=N_ROUTES.keys())
+@pytest.mark.parametrize("bad", [1, 0, -3])
+def test_n_below_two_is_degenerate(route, bad):
+    with pytest.raises(ap.DegenerateAuctionError, match="degenerate auction: n >= 2"):
+        route(bad)
+
+
+def test_case_keeps_python_numbers():
+    c = case(np.int64(3), np.float32(0.5))
+    assert type(c.n) is int and type(c.p) is float
+    assert ap.uniform_bid_moments(c) == ap.uniform_bid_moments(case(3, 0.5))
+    assert ap.no_failure_baseline(np.int64(5)) == ap.no_failure_baseline(5)
+    assert type(ap.no_failure_baseline(np.int64(5)).n) is int
+
+
 def test_bid_moments_examples():
     assert ap.uniform_bid_moments(case(2, 1.0))[0] == pytest.approx(0.5, rel=1e-15)
     mean, var = ap.uniform_bid_moments(case(3, 0.5))
@@ -95,24 +110,20 @@ def test_sum_profit_examples():
     assert ap.uniform_sum_profit(case(4, 1.0))[0] == pytest.approx(1.0, abs=1e-15)
     mean, var = ap.uniform_sum_profit(case(3, 0.5))
     assert mean == pytest.approx(0.5, rel=1e-15)
-    # the reported spread scales the conditional bid variance by n p^2
-    assert var == pytest.approx(3 * 0.25 * (17 / 360), rel=1e-13)
-    assert var == pytest.approx(0.035417, abs=1e-6)
+    assert var == pytest.approx(37 / 240, rel=1e-12)
 
 
 def test_sum_revenue_variance_includes_participation_noise():
     c = case(3, 0.5)
     mean, var = ap.uniform_bid_moments(c)
     expect = 3 * (0.5 * (var + mean**2) - (0.5 * mean) ** 2)
-    got = ap.uniform_sum_revenue_variance(c)
+    got = ap.uniform_sum_profit(c)[1]
     assert got == pytest.approx(expect, rel=1e-13)
     assert got == pytest.approx(37 / 240, rel=1e-12)
-    # strictly larger than the scaled-bid spread whenever p < 1
-    assert got > ap.uniform_sum_profit(c)[1]
-    c1 = case(4, 1.0)
-    assert ap.uniform_sum_revenue_variance(c1) == pytest.approx(
-        ap.uniform_sum_profit(c1)[1], rel=1e-12
-    )
+    # with no participation noise it is n Var[bid], bit for bit
+    for n in (2, 4, 7):
+        c = case(n, 1.0)
+        assert ap.uniform_sum_profit(c)[1] == n * ap.uniform_bid_moments(c)[1]
 
 
 def test_max_profit_examples():
@@ -199,9 +210,7 @@ def test_mc_max_profit_variance(uniform_mc):
 
 def test_mc_sum_revenue_variance(uniform_mc):
     """The realized sum-revenue spread matches the participation-inclusive
-    closed form; the n p^2-scaled figure lies far outside the band."""
-    target = ap.uniform_sum_revenue_variance(case(3, 0.5))
+    closed form."""
+    target = ap.uniform_sum_profit(case(3, 0.5))[1]
     stats = uniform_mc.sum_revenue
     assert _within(stats.variance, stats.variance_se, target)
-    scaled = ap.uniform_sum_profit(case(3, 0.5))[1]
-    assert abs(stats.variance - scaled) > 100 * stats.variance_se
