@@ -11,8 +11,9 @@ and at the top, tiny probabilities down to 1e-12, and random configs up to
 n = 64.  Every value is hashed from its exact bits (arrays by their bytes,
 other floats by their shortest round-trip repr); a call that raises is
 hashed as the name of its exception class.  The three quadrature oracle
-families also cover one n = 300 config, over which the oracle pass walks
-more than one block of pieces.  ``audits`` audits every bidder
+families and ``audits_cdfs`` also cover one n = 300 config, over which the
+oracle pass walks more than one block of pieces and the audit grid is wider
+than one factor block (218 columns at n = 300).  ``audits`` audits every bidder
 against the equilibrium; ``audits_cdfs`` audits bidders 1, n/2 and n against
 profiles given as CDF callables, the equilibrium's and a corrupted one.
 ``monte_carlo_threads`` runs two threads over twelve 256-trial chunks, so it
@@ -59,7 +60,7 @@ FAMILIES = (
     "uniform",
 )
 DROPPED = [[0.5, 0.0, 1.0], [0.0, 0.3, 0.9, 0.0]]  # zeros only the command line sees
-WIDE = [list(np.linspace(0.05, 0.99, 300))]  # the quadrature oracles only: two blocks of pieces
+WIDE = [list(np.linspace(0.05, 0.99, 300))]  # the oracles and audits_cdfs: several blocks
 UNIFORM_N = (1, 2, 3, 5, 16, 64, 300)
 UNIFORM_P = (1e-12, 1e-6, 0.01, 1 / 3, 0.5, 0.9, 1.0)
 CLI_COMMANDS = (
@@ -141,6 +142,13 @@ def main() -> None:
             data = type(exc).__name__.encode()
         hashes[name].update(data + b"\n")
 
+    def record_profile_audits(cfg):
+        n = cfg.n
+        s = np.array(ap.breakpoints(cfg))
+        for cdfs in audit_profiles(s, ap.equilibrium_cdf_callables(cfg)):
+            for i in sorted({1, n // 2, n} - {0}):
+                record("audits_cdfs", ap.best_response_audit, cfg, i, 501, cdfs)
+
     def record_oracles(cfg):
         for i in range(1, cfg.n + 1):
             record("expected_bid_quadrature", ap.expected_bid_quadrature, cfg, i)
@@ -163,9 +171,7 @@ def main() -> None:
             record("cdf", ap.cdf, cfg, i, xs)
             record("pdf", ap.pdf, cfg, i, xs[xs != 0.0])
             record("audits", ap.best_response_audit, cfg, i, 501)
-        for cdfs in audit_profiles(s, ap.equilibrium_cdf_callables(cfg)):
-            for i in sorted({1, n // 2, n} - {0}):
-                record("audits_cdfs", ap.best_response_audit, cfg, i, 501, cdfs)
+        record_profile_audits(cfg)
         record_oracles(cfg)
         record("expected_bids", ap.expected_bids, cfg)
         record("max_profit", ap.max_profit, cfg)
@@ -188,6 +194,7 @@ def main() -> None:
             record("joint_support_profit", ap.joint_support_profit, scenario, k, on_piece)
     for cfg in map(ap.build_config, WIDE):
         record_oracles(cfg)
+        record_profile_audits(cfg)
     for n in UNIFORM_N:
         for p in UNIFORM_P:
             record("uniform", uniform_forms, n, p)

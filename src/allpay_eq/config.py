@@ -12,6 +12,7 @@ rows in either order from the same layout.
 from __future__ import annotations
 
 import json
+import numbers
 import operator
 import os
 from dataclasses import dataclass
@@ -73,8 +74,9 @@ def _check_seed(seed) -> int:
 
 
 def _threads_cap() -> int | None:
-    """The positive cap that ALLPAY_EQ_THREADS sets on the Monte Carlo
-    worker count, or None when the variable is unset or empty."""
+    """The positive value of ALLPAY_EQ_THREADS, or None when the variable is
+    unset or empty: the Monte Carlo worker count when ``threads`` is not
+    given (the command line gives none), and a cap on a larger one."""
     cap = os.environ.get(_THREADS_ENV)
     if not cap:
         return None
@@ -86,14 +88,18 @@ def _threads_cap() -> int | None:
 
 
 def _check_real(name: str, value) -> float:
-    """``value`` as a float: anything with ``__float__`` but a bool, Python's
-    or numpy's (its type is named bool, or bool_ before numpy 2; numpy is not
-    imported here), so no str or bytes, and no integer too large for a
-    float."""
-    if type(value).__name__ not in ("bool", "bool_") and hasattr(type(value), "__float__"):
+    """``value`` as a float: a numbers.Real, or a numbers.Number that is no
+    numbers.Complex (a Decimal), but never a bool.  So a complex number (whose
+    imaginary part float() would drop), a str, bytes, an array (0-d ones
+    included), numpy's bools (no numbers.Number), an integer too large for a
+    float and a signaling NaN are all refused."""
+    real = isinstance(value, numbers.Real) or (
+        isinstance(value, numbers.Number) and not isinstance(value, numbers.Complex)
+    )
+    if real and not isinstance(value, bool):
         try:
             return float(value)
-        except OverflowError:
+        except (OverflowError, ValueError):  # too large, or Decimal("sNaN")
             pass
     raise ValidationError(f"{name} must be a real number, got {value!r}")
 
@@ -155,11 +161,18 @@ def build_config(raw_probabilities: Sequence[float]) -> AuctionConfig:
     Raises
     ------
     ValidationError
-        If any value is not a number or is outside [0, 1] (the message names
-        the 1-based caller position), or no bidder has positive probability.
+        If ``raw_probabilities`` cannot be iterated, any value is not a number
+        or is outside [0, 1] (the message names the 1-based caller position),
+        or no bidder has positive probability.
     """
+    try:
+        values = list(raw_probabilities)
+    except TypeError as exc:  # None, a bare number, a 0-d array
+        raise ValidationError(
+            f"probabilities must be a sequence of numbers, got {raw_probabilities!r}"
+        ) from exc
     probs = []
-    for pos, value in enumerate(raw_probabilities, start=1):
+    for pos, value in enumerate(values, start=1):
         try:
             v = _check_real("participation probability", value)
         except ValidationError as exc:

@@ -38,8 +38,8 @@ winning-bid CDF, is one blocked kernel (_factor_blocks).  The grid
 best-response audit scans it too: against the equilibrium it covers every
 bidder in one pass over the blocks, from exclusive prefix and suffix
 products, and memoizes the last (config, grid_size), since callers audit the
-bidders of one config one at a time; against a perturbed profile of CDF
-callables it takes one bidder's opponent product.
+bidders of one config one at a time; a perturbed profile of CDF callables is
+folded one row at a time, in memory that does not grow with n.
 """
 
 from __future__ import annotations
@@ -486,24 +486,20 @@ _BLOCK_ENTRIES = 2**16  # factor-matrix entries per column block
 
 
 def _factor_blocks(
-    prof: EquilibriumProfile, xs: np.ndarray, given=None, p=None
+    prof: EquilibriumProfile, xs: np.ndarray, p=None
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """The factor kernel, bidder-major: over column blocks of about
     _BLOCK_ENTRIES entries of the 1-d bids ``xs``, yield each block's slice
     and C-contiguous n x cols matrix of p_j F_j(x) + 1 - p_j, the chance that
-    bidder j does not outbid x, one row per sorted bidder j.  F_j is the
-    equilibrium CDF unless ``given`` holds its values at ``xs``, one row per
-    bidder; ``p`` overrides the probabilities.  Bounding the entries, not the
-    columns, bounds the transient memory whatever n is."""
+    bidder j does not outbid x, one row per sorted bidder j, with F_j the
+    equilibrium CDF; ``p`` overrides the probabilities.  Bounding the
+    entries, not the columns, bounds the transient memory whatever n is."""
     p = (prof.probs if p is None else np.asarray(p, dtype=float))[:, None]
     bidders = np.arange(1, prof.n + 1)[:, None]
     step = max(1, _BLOCK_ENTRIES // prof.n)
     for start in range(0, len(xs), step):
         cols = slice(start, start + step)
-        if given is None:
-            f = _cdf_array(prof, bidders, xs[None, cols])
-        else:
-            f = given[:, cols].copy()
+        f = _cdf_array(prof, bidders, xs[None, cols])
         f *= p
         f += 1.0
         f -= p
@@ -512,14 +508,13 @@ def _factor_blocks(
 
 
 def _opponent_product(
-    prof: EquilibriumProfile, xs: np.ndarray, skip: int = 0, given=None, p=None
+    prof: EquilibriumProfile, xs: np.ndarray, skip: int = 0, p=None
 ) -> np.ndarray:
     """prod_j (p_j F_j(x) + 1 - p_j) over every bidder j but ``skip`` (1-based;
     0 skips none), multiplying each block's rows into one in bidder order, so
-    each value is the plain left-to-right product; ``given`` and ``p`` as in
-    _factor_blocks."""
+    each value is the plain left-to-right product; ``p`` as in _factor_blocks."""
     out = np.empty(len(xs))
-    for cols, f in _factor_blocks(prof, xs, given, p):
+    for cols, f in _factor_blocks(prof, xs, p):
         if skip:
             f[skip - 1] = 1.0  # exact: a factor of 1 leaves the product unchanged
         np.multiply.reduce(f, axis=0, out=out[cols])
@@ -569,12 +564,10 @@ def best_response_audit(
     if len(cdfs) != config.n or not all(map(callable, cdfs)):
         raise ValidationError(message)
     grid = _audit_grid(prof, grid_size)
-    given = _profile_values(cdfs, grid)
-    payoff_grid = _opponent_product(prof, grid, i, given) - grid
+    payoff_grid, f_grid = _profile_payoff(prof, cdfs, grid, i)
     best = int(np.argmax(payoff_grid))
     mids = 0.5 * (grid[1:] + grid[:-1])
-    payoff_mids = _opponent_product(prof, mids, i, _profile_values(cdfs, mids)) - mids
-    f_grid = given[i - 1]
+    payoff_mids = _profile_payoff(prof, cdfs, mids, i)[0]
     baseline = float(f_grid[0] * payoff_grid[0] + np.sum(payoff_mids * np.diff(f_grid)))
     return AuditResult(
         bidder=i,
@@ -591,15 +584,22 @@ def _audit_grid(prof: EquilibriumProfile, grid_size: int) -> np.ndarray:
     return np.union1d(np.linspace(0.0, prof.breakpoints[0], grid_size), prof.breakpoints)
 
 
-def _profile_values(cdfs, xs: np.ndarray) -> np.ndarray:
-    """The bidder-major matrix of each CDF callable's values at ``xs``.  Raises
-    ValidationError unless every callable returns finite values in [0, 1], in
-    an array of xs's shape."""
-    given = [np.asarray(c(xs), dtype=float) for c in cdfs]
-    for j, f in enumerate(given):
+def _profile_payoff(prof: EquilibriumProfile, cdfs, xs: np.ndarray, i: int):
+    """(bidder i's payoff, bidder i's own CDF) at the bids ``xs`` against the
+    CDF callables.  Each runs once, in bidder order, and its row is checked
+    on arrival; the other factors p_j F_j + 1 - p_j fold into one running
+    product, left to right as in _opponent_product.  Raises ValidationError
+    unless each returns finite values in [0, 1] in an array of xs's shape."""
+    product = np.ones(len(xs))
+    for j, (p, c) in enumerate(zip(prof.probs, cdfs)):
+        f = np.asarray(c(xs), dtype=float)
         if f.shape != xs.shape or not np.all((f >= 0.0) & (f <= 1.0)):  # NaN fails too
             raise ValidationError(f"cdfs[{j}] must return values in [0, 1] of shape {xs.shape}")
-    return np.array(given)
+        if j == i - 1:
+            own = f.copy()  # the callable may reuse its array on the next call
+        else:
+            product *= f * p + 1.0 - p
+    return product - xs, own
 
 
 @lru_cache(maxsize=1)

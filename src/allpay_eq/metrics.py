@@ -294,5 +294,5 @@ def max_profit_quadrature(config: AuctionConfig) -> float:
     prof = equilibrium_profile(config)
     total = _oracle_table(config)[2]
     if not np.isfinite(total):
-        raise AuctionError(f"quadrature over bidder {prof.n}'s support is not finite: {total}")
+        raise AuctionError(f"quadrature of the winning-bid CDF G is not finite: {total}")
     return prof.breakpoints[0] - total

@@ -44,7 +44,8 @@ _TIE_TOL = 1e-12
 @dataclass(frozen=True)
 class SabotageScenario:
     """Saboteur i, target r != i (sorted 1-based indices), announced config,
-    and the target's true probability after sabotage."""
+    and the target's true probability after sabotage, a real number kept as
+    a Python float."""
 
     config: AuctionConfig
     saboteur: int
@@ -59,11 +60,13 @@ class SabotageScenario:
         if self.saboteur == self.target:
             raise ValidationError("saboteur and target must differ")
         p_r = self.config.probabilities[self.target - 1]
-        if not 0.0 <= _check_real("true target probability", self.true_target_probability) < p_r:
+        p = _check_real("true target probability", self.true_target_probability)
+        if not 0.0 <= p < p_r:
             raise ValidationError(
                 f"true target probability must lie in [0, {p_r}), "
                 f"got {self.true_target_probability}"
             )
+        object.__setattr__(self, "true_target_probability", p)  # a plain float, as checked
 
     @property
     def announced_target_probability(self) -> float:

@@ -228,9 +228,10 @@ def monte_carlo(
     Trial t draws the n words [t n, (t + 1) n) of the seed's PCG64DXSM
     stream, one per bidder, so a chunk may start at any trial.
     ``chunk_size`` defaults to a budget of 2**16 words at n words a trial
-    (16,384 trials at n = 4).  ``threads`` defaults to 1 and is capped by the
-    ALLPAY_EQ_THREADS environment variable when that is set, by the CPU count
-    and by the number of chunks.
+    (16,384 trials at n = 4).  ``threads`` defaults to the ALLPAY_EQ_THREADS
+    environment variable when that is set (the command line's only thread
+    setting), else to 1; a larger ``threads`` is capped by that variable, and
+    every count by the CPU count and by the number of chunks.
     """
     trials = _check_positive("trials", trials)
     seed = _check_seed(seed)

@@ -1,3 +1,7 @@
+from decimal import Decimal
+from fractions import Fraction
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -40,12 +44,34 @@ def test_out_of_range_rejected(bad):
 
 @pytest.mark.parametrize(
     "bad",
-    ["abc", None, [0.3], 10**400, True, "0.5", b"0.5"],
-    ids=["str", "none", "list", "huge_int", "bool", "numeric_str", "bytes"],
+    ["abc", None, [0.3], 10**400, True, "0.5", b"0.5", np.complex128(0.5 + 0.3j), 0.5 + 0j,
+     np.array(0.5), Decimal("sNaN")],
+    ids=["str", "none", "list", "huge_int", "bool", "numeric_str", "bytes", "np_complex",
+         "complex", "0d_array", "signaling_nan"],
 )
 def test_non_number_rejected(bad):
     with pytest.raises(ap.ValidationError, match="position 2 .* must be a number"):
         ap.build_config([0.5, bad])
+
+
+@pytest.mark.parametrize(
+    "bad", [0.5, None, np.array(0.5), np.array([[0.5, 0.3]])], ids=["float", "none", "0d", "2d"]
+)
+def test_non_sequence_rejected(bad):
+    """A bare number or None is no list of probabilities, and the rows of a
+    2-d array are no numbers: all raise ValidationError, never TypeError."""
+    with pytest.raises(ap.ValidationError):
+        ap.build_config(bad)
+
+
+def test_real_number_types_accepted():
+    """Every real number type converts to float: Fraction, Decimal (a
+    numbers.Number that is no numbers.Complex), mpmath's mpf and numpy's
+    floats and ints."""
+    values = [Fraction(1, 4), Decimal("0.5"), mpmath.mpf("0.75"), np.float32(0.125), np.int64(1)]
+    cfg = ap.build_config(values)
+    assert cfg.probabilities == (0.125, 0.25, 0.5, 0.75, 1.0)
+    assert all(type(p) is float for p in cfg.probabilities)
 
 
 def test_numpy_bools_rejected():

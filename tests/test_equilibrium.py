@@ -13,10 +13,13 @@ from numpy.testing import assert_allclose
 import allpay_eq as ap
 from allpay_eq.equilibrium import (
     _BLOCK_ENTRIES,
+    _audit_grid,
     _bid_of_level,
     _equilibrium_audits,
     _level_of_bid,
+    _opponent_product,
     _piece_search,
+    _profile_payoff,
     _quantile_array,
 )
 from conftest import (
@@ -812,6 +815,57 @@ def test_audit_rejects_malformed_profiles(example4, case):
     cdfs = MALFORMED_PROFILES[case](ap.equilibrium_cdf_callables(example4))
     with pytest.raises(ap.ValidationError, match="cdfs"):
         ap.best_response_audit(example4, 2, 101, cdfs=cdfs)
+
+
+def test_audit_checks_each_row_before_the_next_callable_runs(example4):
+    """Rows are checked as they arrive, bidder i's own included: a bad first
+    row raises ValidationError before a later callable can raise its own
+    error."""
+
+    def broken(xs):
+        raise RuntimeError("never reached")
+
+    cdfs = ap.equilibrium_cdf_callables(example4)
+    for i in (1, 2):
+        with pytest.raises(ap.ValidationError, match=r"cdfs\[0\]"):
+            ap.best_response_audit(example4, i, 101, cdfs=[_constant_cdf(2.0), *cdfs[1:3], broken])
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [[0.5, 1.0, 1.0], [0.2, 0.4, 0.4, 0.9, 1.0, 1.0], list(np.linspace(0.05, 0.99, 300))],
+    ids=["p_one", "ties", "n300"],
+)
+def test_profile_fold_matches_the_factor_kernel_bit_for_bit(probs):
+    """Folding the equilibrium's own callables one row at a time multiplies
+    the same factors, in the same bidder order, as the blocked kernel's
+    np.multiply.reduce, so the payoffs agree bit for bit, over one factor
+    block or several (n = 300 takes four at this grid)."""
+    cfg = ap.build_config(probs)
+    prof = ap.equilibrium_profile(cfg)
+    grid = _audit_grid(prof, 501)
+    cdfs = ap.equilibrium_cdf_callables(cfg)
+    for i in sorted({1, cfg.n // 2, cfg.n}):
+        payoff, own = _profile_payoff(prof, cdfs, grid, i)
+        assert np.array_equal(payoff, _opponent_product(prof, grid, i) - grid)
+        assert np.array_equal(own, ap.cdf(cfg, i, grid))
+
+
+@pytest.mark.parametrize("n", [16, 300])
+def test_profile_audit_memory_does_not_grow_with_n(n):
+    """A perturbed profile is folded one bidder row at a time, so a warm
+    audit at grid 10,001 holds a few arrays over the grid and never one of
+    n x grid entries (at n = 300 that alone is 24 MB)."""
+    cfg = ap.build_config(list(np.linspace(0.05, 0.99, n)))
+    cdfs = ap.equilibrium_cdf_callables(cfg)
+    ap.best_response_audit(cfg, n // 2, 10_001, cdfs)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        ap.best_response_audit(cfg, n // 2, 10_001, cdfs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("bidder", [9, -1, 0, 5])

@@ -241,6 +241,14 @@ def test_quadrature_raises_when_the_result_is_not_finite():
     assert ap.max_profit_quadrature(cfg) == pytest.approx(ap.max_profit(cfg), abs=1e-10)
 
 
+def test_max_profit_quadrature_raises_when_its_integral_is_not_finite(monkeypatch, example4):
+    """The integral of the winning-bid CDF G is the max-profit oracle's own;
+    when it is not finite the oracle raises and names it."""
+    monkeypatch.setattr(metrics, "_oracle_table", lambda config: ((), (), math.inf))
+    with pytest.raises(ap.AuctionError, match="winning-bid CDF G is not finite: inf"):
+        ap.max_profit_quadrature(example4)
+
+
 def _per_bidder_oracles(cfg, i):
     """Bidder i's expected bid and mass by its own density, integrated over
     its own pieces with the n-node Gauss-Legendre rule in the level h: the

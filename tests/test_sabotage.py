@@ -1,3 +1,6 @@
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -63,7 +66,9 @@ def test_scenario_indices_outside_range(i, r, message):
 
 
 @pytest.mark.parametrize(
-    "bad", ["0.1", None, [0.1], pytest.param(10**400, id="huge_int")], ids=repr
+    "bad",
+    ["0.1", None, [0.1], pytest.param(10**400, id="huge_int"), np.complex128(0.1 + 0.5j)],
+    ids=repr,
 )
 def test_true_target_probability_must_be_a_number(bad):
     with pytest.raises(ap.ValidationError, match="true target probability must be a real number"):
@@ -237,6 +242,27 @@ def test_plan_matches_grid_brute_force():
         bid, val, step = grid_argmax(sc)
         assert plan.expected_profit >= val - 1e-6
         assert abs(plan.bid - bid) <= step + 1e-12
+
+
+@pytest.mark.parametrize("p_prime", [Fraction(1, 10), np.float32(0.1)], ids=repr)
+def test_true_target_probability_is_kept_as_the_checked_float(p_prime):
+    """The scenario keeps the float it checked, so a Fraction or a numpy float
+    gives a plan that serializes to JSON, with the profit of float(p')."""
+    sc = scenario([0.3, 0.6, 1.0], 1, 2, p_prime)
+    assert type(sc.true_target_probability) is float
+    plan = ap.optimal_sabotage_bid(sc)
+    assert json.loads(json.dumps(plan.to_dict()))["true_target_probability"] == float(p_prime)
+    assert plan == ap.optimal_sabotage_bid(scenario([0.3, 0.6, 1.0], 1, 2, float(p_prime)))
+
+
+def test_plan_profit_tie_takes_the_cheaper_bid():
+    """On [0.75, 1, 1] with saboteur 3, target 2 and p' = 0.5, pieces 1 and 2
+    both give profit 0.125, at bids 0.25 and 0.0: the later, cheaper piece
+    wins the tie."""
+    plan = ap.optimal_sabotage_bid(scenario([0.75, 1.0, 1.0], 3, 2, 0.5))
+    assert [(c.piece, c.bid) for c in plan.candidates] == [(1, 0.25), (2, 0.0)]
+    assert plan.candidates[0].profit == plan.candidates[1].profit == pytest.approx(0.125)
+    assert (plan.chosen.piece, plan.bid) == (2, 0.0)
 
 
 def test_plan_serialization():

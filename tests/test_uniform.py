@@ -18,7 +18,7 @@ def test_validation():
         case(3, 0.0)
     with pytest.raises(ap.ValidationError):
         case(3, 1.2)
-    for p in (True, "0.5", None, 10**400):
+    for p in (True, "0.5", None, 10**400, np.complex128(0.5 + 1j)):
         with pytest.raises(ap.ValidationError, match="common probability must be a real number"):
             case(3, p)
 
