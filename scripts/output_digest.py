@@ -17,7 +17,9 @@ than one factor block (218 columns at n = 300).  ``audits`` audits every bidder
 against the equilibrium; ``audits_cdfs`` audits bidders 1, n/2 and n against
 profiles given as CDF callables, the equilibrium's and a corrupted one.
 ``monte_carlo_threads`` runs two threads over twelve 256-trial chunks, so it
-covers the threaded fold.
+covers the threaded fold.  Both Monte Carlo families also run on ``FULL``,
+n = 64 bidders who always take part, so every chunk lists all nm entries as
+participants.
 ``cli_equilibrium``, ``cli_simulate`` and ``cli_table`` hash the exit code
 and stdout of that command line subcommand in json and csv, over the same
 configs plus two with dropped zeros, so a change to one report shows that
@@ -61,6 +63,7 @@ FAMILIES = (
 )
 DROPPED = [[0.5, 0.0, 1.0], [0.0, 0.3, 0.9, 0.0]]  # zeros only the command line sees
 WIDE = [list(np.linspace(0.05, 0.99, 300))]  # the oracles and audits_cdfs: several blocks
+FULL = [[1.0] * 64]  # the Monte Carlo families: every word is a participant
 UNIFORM_N = (1, 2, 3, 5, 16, 64, 300)
 UNIFORM_P = (1e-12, 1e-6, 0.01, 1 / 3, 0.5, 0.9, 1.0)
 CLI_COMMANDS = (
@@ -155,6 +158,10 @@ def main() -> None:
             record("distribution_mass_quadrature", ap.distribution_mass_quadrature, cfg, i)
         record("max_profit_quadrature", ap.max_profit_quadrature, cfg)
 
+    def record_monte_carlo(cfg):
+        record("monte_carlo", ap.monte_carlo, cfg, 3_000, SEED, 1, 1_000)
+        record("monte_carlo_threads", ap.monte_carlo, cfg, 3_000, SEED, 2, 256)  # 12 chunks
+
     levels = np.linspace(0.0, 1.0, 129)
     raw = raw_configs()
     for probs in raw + DROPPED:
@@ -176,8 +183,7 @@ def main() -> None:
         record("expected_bids", ap.expected_bids, cfg)
         record("max_profit", ap.max_profit, cfg)
         record("winning_bid_cdf", ap.winning_bid_cdf, cfg, xs)
-        record("monte_carlo", ap.monte_carlo, cfg, 3_000, SEED, 1, 1_000)
-        record("monte_carlo_threads", ap.monte_carlo, cfg, 3_000, SEED, 2, 256)  # 12 chunks
+        record_monte_carlo(cfg)
         bidders = sorted({1, 2, n // 2, n - 1, n} - {0})
         for i in bidders:
             for r in bidders:
@@ -195,6 +201,8 @@ def main() -> None:
     for cfg in map(ap.build_config, WIDE):
         record_oracles(cfg)
         record_profile_audits(cfg)
+    for cfg in map(ap.build_config, FULL):
+        record_monte_carlo(cfg)
     for n in UNIFORM_N:
         for p in UNIFORM_P:
             record("uniform", uniform_forms, n, p)

@@ -15,14 +15,14 @@ sqrt(2**53 / p_i) of them (9.5e13 at p_i = 1e-12).
 
 The default chunk follows from n: a fixed budget of 2**16 words per chunk
 (16,384 trials at n = 4, 1,024 at n = 64, 218 at n = 300), so a worker's
-buffers hold about 2.5 MiB of floats (5nm) at any n up to 2**16.  Each chunk
-of m trials is settled bidder-major, on n x m arrays with one contiguous row
-per bidder: one subtraction p - w gives every level and one multiply-subtract
-winners * share - bids every all-pay utility.  Its k participants are listed
-bidder-major as well: a single quantile call covers every participant, and
-one np.add.reduceat per power sums every bidder's contiguous segment of
-participants pairwise, since a non-participant's zero bid and utility would
-add nothing.
+buffers hold 1.5 MiB of floats (3nm) at any n up to 2**16.  Each chunk of m
+trials is settled bidder-major, on n x m arrays with one contiguous row per
+bidder: one subtraction p - w gives every level, whose sign gives the
+participation, and one multiply-subtract winners * share - bids every
+all-pay utility.  Its k participants are listed bidder-major as well: a
+single quantile call covers every participant, and one np.add.reduceat per
+power sums every bidder's contiguous segment of participants pairwise, since
+a non-participant's zero bid and utility would add nothing.
 
 Each chunk is a task that borrows one of the w buffer arenas the calling
 thread allocates for w workers, writes every array into C-contiguous prefixes
@@ -321,23 +321,27 @@ class _Arena:
 
     Every slot is flat: a chunk of m' <= m trials views a C-contiguous prefix
     of it, never a column slice, whose ravel would copy.  A slot is reused
-    once its first content is dead (k is the chunk's participant count):
+    once its first content is dead (k is the chunk's participant count), so
+    the three float slots hold 3nm floats in all:
 
-    - ``words`` (3nm entries) holds the random words in its first nm and,
-      in the k entries after them, the quantile's piece indices.  Then its
-      first nm hold the dense bids, which the utilities overwrite, and last,
-      its first 3k (or 3m) the powers for the moment sums.
+    - ``words`` holds the random words, then in its first k entries the
+      quantile's piece indices, then the dense bids, which the utilities
+      overwrite, and last, in its first k (or m) entries, the positive-bid
+      mask and the square and fourth power for the moment sums.
     - ``levels`` holds the dense levels, then the quantile's scratch, then
       the dense winners * share, and last the participants' utilities.
     - ``spare`` holds the participants' levels, which the quantile turns
       into their bids.
     - ``win`` holds the quantile's search mask, then the winner mask.
     - ``revenues`` holds each trial's sum and maximum of the bids.
+
+    The moment sums cube the participants' bids and utilities and the
+    revenues in place, as their last use.
     """
 
     def __init__(self, n: int, m: int):
         size = n * m
-        self.words = np.empty(3 * size)
+        self.words = np.empty(size)
         self.part = np.empty(size, dtype=bool)
         self.win = np.empty(size, dtype=bool)
         self.levels = np.empty(size)
@@ -378,20 +382,20 @@ def _play_chunk(config: AuctionConfig, seed: int, t0: int, m: int, arena: _Arena
     per-bidder quantity is one operation over the dense n x m arrays, and
     only the quantile runs on the k participants' levels alone."""
     n = config.n
-    size = n * m
     p = np.asarray(config.probabilities)[:, None]
     words = _trial_block(config, seed, t0, m, out=arena.words).T
-    part = _view(arena.part, n, m)  # C order; the transposed view's would be F
-    np.less(words, p, out=part)
-    counts = np.count_nonzero(part, axis=1)
-    flat = np.flatnonzero(part)  # participants, bidder-major
-    k = flat.size
     levels = np.subtract(p, words, out=_view(arena.levels, n, m))
+    # p - w > 0 exactly when w < p: two distinct doubles never differ by 0
+    part = np.greater(levels, 0.0, out=_view(arena.part, n, m))
+    flat = np.flatnonzero(part)  # participants, bidder-major
+    counts = np.diff(np.searchsorted(flat, np.arange(n + 1) * m))
+    k = flat.size
     # mode="clip": the indices are in range, and "raise" buffers ``out``
     values = np.take(levels.ravel(), flat, out=arena.spare[:k], mode="clip")
     if n > 1:
-        # the dense levels are dead: they hold the quantile's scratch
-        index = arena.words[size : size + k].view(np.int64)  # past the words
+        # the words and the dense levels are dead: they hold the quantile's
+        # piece indices and its scratch
+        index = arena.words[:k].view(np.int64)
         _quantile_into(
             equilibrium_profile(config), values, values, arena.levels[:k], index, arena.win[:k]
         )
@@ -448,16 +452,18 @@ def _chunk_sums(
     positive = np.greater(chunk.values, 0.0, out=scratch[: chunk.values.size])
     table[full, 5] = counts[full] - np.add.reduceat(positive, starts)
     segments = [(full, chunk.values, starts), (full + n, chunk.utilities, starts)]
-    # one revenue row at a time: at n = 1 the scratch holds the powers of
-    # only 3m values
     segments += [([2 * n + r], revenues, [0]) for r, revenues in enumerate(chunk.revenues)]
+    # each power in place, v itself turning into v^3: the scratch holds only
+    # v^2, then v^4, in its first k (or m) entries.  v * v^2 rounds as
+    # v^2 * v does, since a float product commutes exactly
     for rows, v, at in segments:
-        powers = _view(scratch, 3, v.size)  # v^2, v^3, v^4
-        np.multiply(v, v, out=powers[0])
-        np.multiply(powers[0], v, out=powers[1])
-        np.multiply(powers[0], powers[0], out=powers[2])
         table[rows, 1] = np.add.reduceat(v, at)
-        table[rows, 2:5] = np.add.reduceat(powers, at, axis=-1).T
+        square = np.multiply(v, v, out=scratch[: v.size])
+        table[rows, 2] = np.add.reduceat(square, at)
+        v *= square
+        table[rows, 3] = np.add.reduceat(v, at)
+        square *= square
+        table[rows, 4] = np.add.reduceat(square, at)
     return table
 
 

@@ -6,6 +6,8 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from numpy.random import Generator, PCG64DXSM
 
 import allpay_eq as ap
@@ -407,6 +409,59 @@ def test_edge_chunks_through_a_used_arena():
         assert out.winners == frozenset() and out.bidder_utilities == (0.0, 0.0)
 
 
+def _stacked_power_sums(v, at):
+    """s1..s4 over v's segments starting at ``at``, the powers formed out of
+    place as (v v) v and (v v)(v v) and summed as one 3 x len(v) stack."""
+    powers = np.stack([v * v, v * v * v, (v * v) * (v * v)])
+    return np.column_stack([np.add.reduceat(v, at), np.add.reduceat(powers, at, axis=-1).T])
+
+
+@pytest.mark.parametrize("n", [3, 64])
+def test_full_participation_chunks_through_one_arena(n):
+    """Bidders who always take part: every chunk has k = nm participants, so
+    the piece indices and the moment powers fill the whole dead word slot.
+    Full chunks and a tail chunk through one reused arena give the tables of
+    a fresh arena bit for bit, the power sums of an out-of-place stack, and
+    the bids, utilities and revenues that run_auction replays from the same
+    words."""
+    cfg = ap.build_config([1.0] * n)
+    m = 24
+    arena = _Arena(n, m)
+    for t0, size in ((0, m), (m, m), (2 * m, 17)):
+        part, bids, utils, srev, mrev = _simulate_block(cfg, 5, t0, size, arena)
+        assert part.all()
+        words = _trial_block(cfg, 5, t0, size)
+        for t in range(size):
+            out = ap.run_auction(cfg, iter(words[t]))
+            assert out.bids == tuple(bids[:, t])
+            assert out.bidder_utilities == tuple(utils[:, t])
+            assert (out.sum_revenue, out.max_revenue) == (srev[t], mrev[t])
+        starts = np.arange(n) * size
+        want = [_stacked_power_sums(a.ravel(), starts) for a in (bids, utils)]
+        want += [_stacked_power_sums(v, [0]) for v in (srev, mrev)]  # before the arena's reuse
+        got = _chunk_sums(cfg, 5, t0, size, arena)
+        assert got[:n, 0].tolist() == [size] * n
+        assert np.array_equal(got[:, 1:5], np.vstack(want))
+        assert np.array_equal(got, _chunk_sums(cfg, 5, t0, size))
+
+
+@example(p=0.5, w=0.5)
+@example(p=0.3, w=math.nextafter(0.3, 0.0))
+@example(p=5e-324, w=0.0)
+@example(p=5e-324, w=5e-324)
+@example(p=1.0, w=math.nextafter(1.0, 0.0))
+@example(p=1.0, w=0.0)
+@given(p=st.floats(0.0, 1.0, exclude_min=True), w=st.floats(0.0, 1.0, exclude_max=True))
+def test_a_positive_level_is_participation(p, w):
+    """p - w > 0 exactly when w < p, for p in (0, 1] and a word w in [0, 1),
+    w = p and w = nextafter(p, 0) included: the rounded difference of two
+    doubles keeps the sign of the exact one and is 0 only when they are
+    equal (gradual underflow), so a chunk reads participation off its dense
+    levels as run_auction compares the words."""
+    ws = np.array([w, math.nextafter(p, 0.0)] + ([p] if p < 1.0 else []))
+    assert np.array_equal(np.greater(np.subtract(p, ws), 0.0), np.less(ws, p))
+
+
 def test_tail_chunk_views_are_contiguous_prefixes():
     """A short tail chunk through an arena sized for full chunks: every
     (n, m') array is C-contiguous and equals a fresh arena's."""
@@ -459,8 +514,9 @@ def test_traced_memory_does_not_grow_with_trials_on_two_threads(example4, monkey
 
 
 def test_traced_memory_peak_bound(example4):
-    """One 2**18-trial call on one thread holds one arena: its traced peak
-    stays under 4 MiB, eight default word blocks (512 KiB each at n = 4)."""
+    """One 2**18-trial call on one thread holds one arena, three word blocks
+    of floats: its traced peak (2.4 MiB) stays under 3 MiB, six default word
+    blocks (512 KiB each at n = 4)."""
     word_block = example4.n * _default_chunk_size(example4.n) * 8
     assert word_block == 2**19
     tracemalloc.start()
@@ -469,7 +525,7 @@ def test_traced_memory_peak_bound(example4):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * word_block
+    assert peak < 6 * word_block
 
 
 def test_traced_memory_peak_bound_wide():
@@ -485,7 +541,7 @@ def test_traced_memory_peak_bound_wide():
     assert m == 1024
     arena = _Arena(cfg.n, m)
     arena_bytes = sum(a.nbytes for a in vars(arena).values())
-    assert arena.words.size + arena.levels.size + arena.spare.size == 5 * cfg.n * m
+    assert arena.words.size + arena.levels.size + arena.spare.size == 3 * cfg.n * m
     participants = max(
         np.count_nonzero(_simulate_block(cfg, 1, t0, m)[0]) for t0 in range(0, trials, m)
     )
@@ -602,8 +658,8 @@ def test_trial_blocks_are_stream_slices(example4):
         assert np.array_equal(_trial_block(cfg, 7, 0, 512), stream)
         parts = [_trial_block(cfg, 7, t0, 128) for t0 in range(0, 512, 128)]
         assert np.array_equal(np.vstack(parts), stream)
-    arena = _Arena(odd.n, 128)
     starts = [0, 1, 2, 3, 5, 64, 101, 229, 357, 512]
+    arena = _Arena(odd.n, max(np.diff(starts)))  # 155 trials
     for t0, t1 in zip(starts, starts[1:]):
         got = _trial_block(odd, 7, t0, t1 - t0, out=arena.words)
         assert got.flags.c_contiguous and np.array_equal(got, stream[t0:t1])
