@@ -25,7 +25,11 @@ and stdout of that command line subcommand in json and csv, over the same
 configs plus two with dropped zeros, so a change to one report shows that
 the other two stay identical.  ``uniform`` hashes lam, every ``uniform_*``
 closed form and ``no_failure_baseline`` over a fixed (n, p) grid, n = 1
-included.
+included.  ``payoffs`` hashes the two public callers of the factor kernel:
+``payoff`` of every bidder on the ``cdf`` points and on a shuffled copy of
+them, and ``sabotaged_payoff`` of each ``sabotage_plans`` scenario on the
+points in [0, s_0], shuffled; it also covers the n = 300 config, whose
+points span two factor blocks.
 """
 
 import contextlib
@@ -60,6 +64,7 @@ FAMILIES = (
     "cli_simulate",
     "cli_table",
     "uniform",
+    "payoffs",
 )
 DROPPED = [[0.5, 0.0, 1.0], [0.0, 0.3, 0.9, 0.0]]  # zeros only the command line sees
 WIDE = [list(np.linspace(0.05, 0.99, 300))]  # the oracles and audits_cdfs: several blocks
@@ -102,6 +107,20 @@ def audit_profiles(s: np.ndarray, cdfs: list) -> list[list]:
         return np.clip((np.asarray(xs, dtype=float) - s[1]) / (s[0] - s[1]), 0.0, 1.0)
 
     return [cdfs, [line, *cdfs[1:]]]
+
+
+def sabotage_scenarios(cfg) -> list:
+    """Saboteur and target among bidders 1, 2, n/2, n-1 and n, the target
+    kept at probability 0 or half its own."""
+    n = cfg.n
+    bidders = sorted({1, 2, n // 2, n - 1, n} - {0})
+    return [
+        ap.SabotageScenario(cfg, i, r, true_p)
+        for i in bidders
+        for r in bidders
+        if r != i
+        for true_p in (0.0, cfg.probabilities[r - 1] / 2)
+    ]
 
 
 def uniform_forms(n: int, p: float) -> list:
@@ -158,10 +177,22 @@ def main() -> None:
             record("distribution_mass_quadrature", ap.distribution_mass_quadrature, cfg, i)
         record("max_profit_quadrature", ap.max_profit_quadrature, cfg)
 
+    def record_payoffs(cfg, xs, scenarios):
+        n = cfg.n
+        s0 = ap.breakpoints(cfg)[0]
+        shuffled = rng.permutation(xs)
+        for i in range(1, n + 1):
+            record("payoffs", ap.payoff, cfg, i, xs)
+            record("payoffs", ap.payoff, cfg, i, shuffled)
+        on_support = rng.permutation(xs[(xs >= 0.0) & (xs <= s0)])
+        for scenario in scenarios:
+            record("payoffs", ap.sabotaged_payoff, scenario, on_support)
+
     def record_monte_carlo(cfg):
         record("monte_carlo", ap.monte_carlo, cfg, 3_000, SEED, 1, 1_000)
         record("monte_carlo_threads", ap.monte_carlo, cfg, 3_000, SEED, 2, 256)  # 12 chunks
 
+    rng = np.random.default_rng(SEED)  # the shuffles of ``payoffs``
     levels = np.linspace(0.0, 1.0, 129)
     raw = raw_configs()
     for probs in raw + DROPPED:
@@ -184,14 +215,10 @@ def main() -> None:
         record("max_profit", ap.max_profit, cfg)
         record("winning_bid_cdf", ap.winning_bid_cdf, cfg, xs)
         record_monte_carlo(cfg)
-        bidders = sorted({1, 2, n // 2, n - 1, n} - {0})
-        for i in bidders:
-            for r in bidders:
-                if r != i:
-                    p_r = cfg.probabilities[r - 1]
-                    for true_p in (0.0, p_r / 2):
-                        scenario = ap.SabotageScenario(cfg, i, r, true_p)
-                        record("sabotage_plans", ap.optimal_sabotage_bid, scenario)
+        scenarios = sabotage_scenarios(cfg)
+        for scenario in scenarios:
+            record("sabotage_plans", ap.optimal_sabotage_bid, scenario)
+        record_payoffs(cfg, xs, scenarios)
         scenario = ap.SabotageScenario(cfg, n, n - 1, cfg.probabilities[n - 2] / 3)
         for k in range(1, n):
             on_piece = s[k] + np.array([0.0, 0.25, 0.5, 0.75, 1.0]) * (s[k - 1] - s[k])
@@ -201,6 +228,9 @@ def main() -> None:
     for cfg in map(ap.build_config, WIDE):
         record_oracles(cfg)
         record_profile_audits(cfg)
+        s = np.array(ap.breakpoints(cfg))
+        xs = np.union1d(np.linspace(-0.1, 1.1 * s[0], 129), s)
+        record_payoffs(cfg, xs, sabotage_scenarios(cfg))
     for cfg in map(ap.build_config, FULL):
         record_monte_carlo(cfg)
     for n in UNIFORM_N:

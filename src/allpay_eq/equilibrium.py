@@ -34,17 +34,23 @@ during evaluation or sampling.  equilibrium_profile builds all of this once
 per config as one cached, read-only table, which every kernel reads.
 
 The product over bidders of p_j F_j(x) + 1 - p_j, which gives payoff and the
-winning-bid CDF, is one blocked kernel (_factor_blocks).  The grid
-best-response audit scans it too: against the equilibrium it covers every
-bidder in one pass over the blocks, from exclusive prefix and suffix
-products, and memoizes the last (config, grid_size), since callers audit the
-bidders of one config one at a time; a perturbed profile of CDF callables is
-folded one row at a time, in memory that does not grow with n.
+winning-bid CDF, is one blocked kernel (_factor_blocks).  Each call writes
+its n x cols blocks into one buffer in place: the CDF (_cdf_array) takes the
+level +inf at or above s_0, which the formula takes to exactly 1, and one
+mask of dead entries zeroes each bidder's CDF below its support.  The grid
+best-response audit scans the kernel too: against the equilibrium it covers
+every bidder in one pass over the blocks, from exclusive prefix and suffix
+products written into one payoff block (whose bytes hold the mask while a
+factor block is built), reads each bidder's maximum at its first argmax, and
+memoizes the last (config, grid_size), since callers audit the bidders of one
+config one at a time; a perturbed profile of CDF callables is folded one row
+at a time, in memory that does not grow with n.
 """
 
 from __future__ import annotations
 
 import reprlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Iterator, Sequence
@@ -312,25 +318,35 @@ def _scalar_or_array(kernel, x) -> float | np.ndarray:
     return float(out) if xs.ndim == 0 else out
 
 
-def _cdf_array(prof: EquilibriumProfile, i: int | np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _cdf_array(
+    prof: EquilibriumProfile,
+    i: int | np.ndarray,
+    xs: np.ndarray,
+    out: np.ndarray | None = None,
+    dead: np.ndarray | None = None,
+) -> np.ndarray:
     """CDF kernel for bidders ``i`` (1-based, scalar or array broadcast against
     ``xs``) at bids ``xs``.  Every bidder's CDF on piece k is built from the
-    same H_k(x), evaluated once per point; bidder i uses pieces 1..min(i, n-1).
-    The output is one array of the broadcast shape, built in place."""
+    same level h = H_k(x), evaluated once per point; bidder i uses pieces
+    1..min(i, n-1).  At or above s_0 the level is +inf, which the formula
+    (h + p_i - 1)/p_i and the clip to [0, 1] take to exactly 1.  One mask,
+    k > min(i, n-1), then zeroes every entry below bidder i's support,
+    bids below 0 included (there k = n).
+
+    The result is built in place in ``out`` and the mask in ``dead`` (bool),
+    both C-contiguous of the broadcast shape and fresh when not given."""
     n = prof.n
     p_i = prof.probs[np.asarray(i) - 1]
     k = _piece_indices(prof, xs)
     k_max = np.minimum(i, n - 1)  # bidder i's piece of lowest bids
     inner = (k >= 1) & (k <= np.max(k_max))  # on a piece of some requested bidder
-    h = np.zeros_like(xs, dtype=float)
+    h = np.full(xs.shape, np.inf)  # x >= s_0; any other point off inner is masked
     h[inner] = _level_of_bid(prof, xs[inner], n - k[inner])
-    out = np.add(h, p_i)
+    out = np.add(h, p_i, out=out)
     out -= 1.0
     out /= p_i
     np.clip(out, 0.0, 1.0, out=out)
-    dead = k > k_max  # below bidder i's support, or on no piece at all
-    dead |= ~inner
-    np.copyto(out, k == 0, where=dead)
+    np.copyto(out, 0.0, where=np.greater(k, k_max, out=dead))
     return out
 
 
@@ -483,28 +499,67 @@ def payoff(config: AuctionConfig, i: int, x) -> float | np.ndarray:
 
 
 _BLOCK_ENTRIES = 2**16  # factor-matrix entries per column block
+_BLOCK_COLUMNS = 2**10  # and columns per block
+
+
+def _block_columns(n: int) -> int:
+    """Columns of a factor block for n bidders: about _BLOCK_ENTRIES entries,
+    and at most _BLOCK_COLUMNS, since the CDF kernel holds some seven arrays
+    over a block's columns beside the block (the piece index, the level and
+    the level's temporaries), at most 56 KiB then whatever n is."""
+    return max(1, min(_BLOCK_COLUMNS, _BLOCK_ENTRIES // n))
 
 
 def _factor_blocks(
-    prof: EquilibriumProfile, xs: np.ndarray, p=None
+    prof: EquilibriumProfile, xs: np.ndarray, p=None, spare: np.ndarray | None = None
 ) -> Iterator[tuple[slice, np.ndarray]]:
-    """The factor kernel, bidder-major: over column blocks of about
-    _BLOCK_ENTRIES entries of the 1-d bids ``xs``, yield each block's slice
-    and C-contiguous n x cols matrix of p_j F_j(x) + 1 - p_j, the chance that
-    bidder j does not outbid x, one row per sorted bidder j, with F_j the
-    equilibrium CDF; ``p`` overrides the probabilities.  Bounding the
-    entries, not the columns, bounds the transient memory whatever n is."""
+    """The factor kernel, bidder-major: over column blocks of the 1-d bids
+    ``xs``, _block_columns(n) wide, yield each block's slice and C-contiguous
+    n x cols matrix of p_j F_j(x) + 1 - p_j, the chance that bidder j does
+    not outbid x, one row per sorted bidder j, with F_j the equilibrium CDF
+    (_cdf_array; its level is +inf at or above s_0, where F_j is exactly 1);
+    ``p`` overrides the probabilities.  Bounding both the entries and the
+    columns of a block bounds the memory whatever n is.
+
+    Every block is a view of one buffer allocated per call, so a block is
+    valid only until the next one is yielded.  The dead-entry mask of
+    _cdf_array takes its bytes from ``spare``, a float array of one block's
+    entries that the consumer may overwrite between yields, or from a bool
+    buffer of its own when none is given."""
+    n = prof.n
     p = (prof.probs if p is None else np.asarray(p, dtype=float))[:, None]
-    bidders = np.arange(1, prof.n + 1)[:, None]
-    step = max(1, _BLOCK_ENTRIES // prof.n)
+    bidders = np.arange(1, n + 1)[:, None]
+    step = _block_columns(n)
+    entries = n * min(step, len(xs))
+    block = np.empty(entries)
+    dead = np.empty(entries, dtype=bool) if spare is None else spare.view(bool)
     for start in range(0, len(xs), step):
         cols = slice(start, start + step)
-        f = _cdf_array(prof, bidders, xs[None, cols])
-        f *= p
-        f += 1.0
-        f -= p
+        x = xs[None, cols]
+        size = n * x.shape[1]
+        f = block[:size].reshape(n, -1)
+        with _row_buffers(x.shape[1]):
+            _cdf_array(prof, bidders, x, out=f, dead=dead[:size].reshape(n, -1))
+            f *= p
+            f += 1.0
+            f -= p
         yield cols, f
-        del f  # the block is released before the next one is built
+
+
+@contextmanager
+def _row_buffers(row: int) -> Iterator[None]:
+    """numpy's ufunc buffers at most ``row`` entries long (a multiple of 16,
+    as numpy asks), for the block's broadcast operations.  Where a row is
+    shorter than a buffer (8192 entries by default), numpy copies the
+    broadcast row or column operand into buffers that span several rows, at
+    two to four times the cost of the arithmetic; with buffers no longer
+    than a row it walks the rows in place and allocates none.  The values
+    are the same either way."""
+    old = np.setbufsize(max(16, min(np.getbufsize(), row - row % 16)))
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
 
 
 def _opponent_product(
@@ -518,7 +573,6 @@ def _opponent_product(
         if skip:
             f[skip - 1] = 1.0  # exact: a factor of 1 leaves the product unchanged
         np.multiply.reduce(f, axis=0, out=out[cols])
-        del f  # the block is released before the next one is built
     return out
 
 
@@ -610,37 +664,44 @@ def _equilibrium_audits(config: AuctionConfig, grid_size: int) -> tuple[AuditRes
     f_j, from exclusive prefix and suffix products down the rows (each a
     plain product in bidder order, the suffix taken from the last bidder
     down): dividing the full product by f_i fails where f_i is exactly 0,
-    below the support of a bidder with p = 1."""
+    below the support of a bidder with p = 1.
+
+    The payoff block is allocated once; while a factor block is built, its
+    bytes hold the dead-entry mask, so the audit holds two blocks at most.
+    Each row's maximum is read at its first argmax, the same value bits as
+    a separate max."""
     prof = equilibrium_profile(config)
     grid = _audit_grid(prof, grid_size)
     best = np.full(config.n, -np.inf)
     argmax = np.zeros(config.n)
-    for cols, f in _factor_blocks(prof, grid):
-        payoffs = _exclusive_products(f)
-        payoffs -= grid[cols]
-        values = payoffs.max(axis=1)
-        argmax = np.where(values > best, grid[cols][payoffs.argmax(axis=1)], argmax)
+    rows = np.arange(config.n)
+    spare = np.empty(config.n * min(_block_columns(config.n), len(grid)))
+    for cols, f in _factor_blocks(prof, grid, spare=spare):
+        payoffs = _exclusive_products(f, spare[: f.size].reshape(f.shape))
+        with _row_buffers(f.shape[1]):
+            payoffs -= grid[cols]
+        first = payoffs.argmax(axis=1)
+        values = payoffs[rows, first]
+        argmax = np.where(values > best, grid[cols][first], argmax)
         best = np.maximum(values, best)
-        del f, payoffs  # release this block before the next one is built
     return tuple(
         AuditResult(i, float(m), float(x), prof.lam, float(m - prof.lam))
         for i, m, x in zip(range(1, config.n + 1), best, argmax)
     )
 
 
-def _exclusive_products(f: np.ndarray) -> np.ndarray:
-    """Row i of the result is prod_{j != i} f_j over the rows of the factor
-    block ``f``, which is overwritten.  Row by row: np.cumprod(axis=0) gives
-    the same bits, several times slower at n <= 64.  The row views die with
-    this frame, so they keep no block alive."""
-    payoffs = np.empty_like(f)  # row i: prod_{j<i} f_j
-    payoffs[0] = 1.0
-    for below, f_j, out in zip(payoffs, f, payoffs[1:]):
-        np.multiply(below, f_j, out=out)
+def _exclusive_products(f: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row i of ``out`` becomes prod_{j != i} f_j over the rows of the factor
+    block ``f``, which is overwritten; both C-contiguous of one shape.  Row
+    by row: np.cumprod(axis=0) gives the same bits, several times slower at
+    n <= 64."""
+    out[0] = 1.0  # row i: prod_{j<i} f_j
+    for below, f_j, row in zip(out, f, out[1:]):
+        np.multiply(below, f_j, out=row)
     for above, f_j in zip(f[:0:-1], f[-2:0:-1]):  # row j of f becomes prod_{l>=j} f_l
         f_j *= above
-    payoffs[:-1] *= f[1:]
-    return payoffs
+    out[:-1] *= f[1:]
+    return out
 
 
 def equilibrium_cdf_callables(config: AuctionConfig) -> list[Callable[[np.ndarray], np.ndarray]]:

@@ -9,7 +9,17 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-import allpay_eq as ap
+# The package under test comes from PYTHONPATH when an entry there holds it,
+# so PYTHONPATH=<other tree>/src python -m pytest tests that tree, and from
+# this checkout's src otherwise.
+if not any(
+    Path(entry, "allpay_eq").is_dir()
+    for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    if entry
+):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import allpay_eq as ap  # noqa: E402
 
 settings.register_profile(
     "allpay",

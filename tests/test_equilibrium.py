@@ -15,9 +15,12 @@ from allpay_eq.equilibrium import (
     _BLOCK_ENTRIES,
     _audit_grid,
     _bid_of_level,
+    _block_columns,
     _equilibrium_audits,
+    _factor_blocks,
     _level_of_bid,
     _opponent_product,
+    _piece_indices,
     _piece_search,
     _profile_payoff,
     _quantile_array,
@@ -527,7 +530,7 @@ def test_factor_kernel_is_the_plain_product_bit_for_bit(probs, blocks, data):
     product of the per-bidder factors exactly, not to a tolerance."""
     cfg = ap.build_config(probs)
     n, s0 = cfg.n, ap.breakpoints(cfg)[0]
-    step = _BLOCK_ENTRIES // n
+    step = _block_columns(n)
     xs = np.linspace(0.0, s0, data.draw(st.integers((blocks - 1) * step + 1, blocks * step)))
     i = data.draw(st.integers(1, n), label="bidder")
     assert np.array_equal(ap.payoff(cfg, i, xs), _plain_product(cfg, xs, skip=i) - xs)
@@ -539,6 +542,74 @@ def test_factor_kernel_is_the_plain_product_bit_for_bit(probs, blocks, data):
     p[r - 1] *= data.draw(st.sampled_from([0.0, 0.5, 1 - 2**-52]), label="kept share")
     sabotaged = ap.sabotaged_payoff(ap.SabotageScenario(cfg, i, r, p[r - 1]), xs)
     assert np.array_equal(sabotaged, _plain_product(cfg, xs, skip=i, p=p) - xs)
+
+
+def _fresh_factors(prof, xs, p=None):
+    """The factor matrix of every bidder at the 1-d bids ``xs`` as the kernel
+    was first written, in fresh arrays: the level h = 0 off the pieces, the
+    CDF clipped, then dead |= ~inner and a copy of k == 0 over the dead
+    entries, and the factor p F + 1 - p formed in place."""
+    n = prof.n
+    i = np.arange(1, n + 1)[:, None]
+    x = xs[None, :]
+    p_i = prof.probs[i - 1]
+    k = _piece_indices(prof, x)
+    k_max = np.minimum(i, n - 1)
+    inner = (k >= 1) & (k <= np.max(k_max))
+    h = np.zeros_like(x, dtype=float)
+    h[inner] = _level_of_bid(prof, x[inner], n - k[inner])
+    f = np.add(h, p_i)
+    f -= 1.0
+    f /= p_i
+    np.clip(f, 0.0, 1.0, out=f)
+    dead = k > k_max
+    dead |= ~inner
+    np.copyto(f, k == 0, where=dead)
+    q = (prof.probs if p is None else np.asarray(p, dtype=float))[:, None]
+    f *= q
+    f += 1.0
+    f -= q
+    return f
+
+
+@example(probs=[0.3] * 40 + [1.0, 1.0], blocks=3, fill=1.0, seed=0, override=(41, 0.0))
+@example(probs=[1.0, 1.0], blocks=1, fill=0.5, seed=1, override=None)
+@given(
+    probs=tied_prob_lists,
+    blocks=st.integers(1, 3),
+    fill=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    override=st.none() | st.tuples(st.integers(1, 80), st.sampled_from([0.0, 0.5, 1 - 2**-52])),
+)
+def test_factor_blocks_match_the_fresh_array_kernel_bit_for_bit(probs, blocks, fill, seed, override):
+    """The blocks of _factor_blocks, built in one reused buffer with one
+    dead-entry mask and the level +inf at or above s_0, hold the same bits as
+    the fresh-array kernel, over grids of one to three blocks and over
+    unsorted bids below 0, at s_0 and above it, with or without a
+    probability override (one target's probability scaled by a kept share)
+    and with the mask taken from a spare block of garbage.  The public CDF
+    is exactly 1.0 from s_0 up and exactly 0.0 below each bidder's support."""
+    cfg = ap.build_config(probs)
+    prof = ap.equilibrium_profile(cfg)
+    n, s = cfg.n, np.array(prof.breakpoints)
+    step = _block_columns(n)
+    grid = np.linspace(0.0, s[0], (blocks - 1) * step + 1 + int(fill * (step - 1)))
+    rng = np.random.default_rng(seed)
+    off = np.concatenate((s, [s[0], np.nextafter(s[0], 2.0), 1.0, -1e-300, -0.25]))
+    xs = rng.permutation(np.concatenate((grid, off, rng.uniform(-0.5, 1.5 * s[0], 64))))
+    q = None
+    if override is not None:
+        target, kept = override
+        q = list(cfg.probabilities)
+        q[(target - 1) % n] *= kept
+    want = _fresh_factors(prof, xs, q).view(np.int64)
+    for spare in (None, np.full(n * min(len(xs), step), np.nan)):
+        got = np.concatenate([f.copy() for _, f in _factor_blocks(prof, xs, q, spare)], axis=1)
+        assert np.array_equal(got.view(np.int64), want)
+    for i in range(1, n + 1):
+        f = ap.cdf(cfg, i, xs)
+        assert np.all(f[xs >= s[0]] == 1.0)
+        assert np.all(f[xs < ap.support(cfg, i)[0]] == 0.0)
 
 
 def test_expected_utility_worked_example(example4):
@@ -888,7 +959,7 @@ def test_all_bidder_audit_matches_per_bidder_product(probs, blocks, extra, bidde
     factors in [0, 1], in different orders, and subtract the same grid
     point, so their payoffs differ by at most 2 (n - 1) rounding units."""
     cfg = ap.build_config(probs)
-    grid = blocks * (_BLOCK_ENTRIES // cfg.n) + extra
+    grid = blocks * _block_columns(cfg.n) + extra
     cdfs = ap.equilibrium_cdf_callables(cfg)
     for i in {1, 1 + (bidder - 1) % cfg.n, cfg.n}:
         # factors are exactly 0 below the support of a bidder with p = 1: the
@@ -900,13 +971,14 @@ def test_all_bidder_audit_matches_per_bidder_product(probs, blocks, extra, bidde
         assert fast.baseline == ap.lambda_value(cfg)
 
 
-@pytest.mark.parametrize("n", [64, 300])
+@pytest.mark.parametrize("n", [4, 16, 64, 300])
 def test_all_bidder_audit_memory_is_bounded(n):
-    """The audit holds one factor block of about _BLOCK_ENTRIES entries, its
-    payoff block and the CDF kernel's temporaries at a time, never a matrix
-    over the whole grid, and releases each block before the next one is
-    built, so its traced peak at grid 10,001 stays under three blocks of
-    float64 whatever n is."""
+    """The audit holds one factor block of at most _BLOCK_ENTRIES entries and
+    one payoff block, whose bytes also hold the dead-entry mask while a
+    factor block is built, plus the grid and the CDF kernel's per-column
+    temporaries, never a matrix over the whole grid, so its traced peak at
+    grid 10,001 stays under two and a half blocks of float64 whatever n
+    is."""
     cfg = ap.build_config(list(np.linspace(0.05, 0.99, n)))
     # imports and caches outside the trace: the cached table, and numpy.ma,
     # which np.union1d imports on its first call
@@ -917,7 +989,25 @@ def test_all_bidder_audit_memory_is_bounded(n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * _BLOCK_ENTRIES * 8
+    assert peak < 2.5 * _BLOCK_ENTRIES * 8
+
+
+def test_opponent_product_memory_is_bounded():
+    """The opponent product holds one factor block, reused for every block of
+    columns, its dead-entry mask and the CDF kernel's per-column
+    temporaries: at n = 64 on 2,001 bids (two blocks of columns) its traced
+    peak stays under one and a half blocks of float64."""
+    cfg = ap.build_config(list(np.linspace(0.05, 0.99, 64)))
+    prof = ap.equilibrium_profile(cfg)
+    xs = np.linspace(0.0, prof.breakpoints[0], 2_001)
+    _opponent_product(prof, xs, 3)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        _opponent_product(prof, xs, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * _BLOCK_ENTRIES * 8
 
 
 def test_audit_memo_holds_only_the_last_config_and_grid(example4):

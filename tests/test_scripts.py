@@ -4,6 +4,7 @@ import csv
 import io
 from pathlib import Path
 
+import allpay_eq as ap
 from conftest import run_python
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,6 +46,14 @@ def test_output_digest_script():
     assert all(done.returncode == 0 for done in runs), runs[0].stderr
     lines = runs[0].stdout.splitlines()
     names = [line.split()[0] for line in lines]
-    assert names[:3] == ["quantile", "cdf", "pdf"] and len(names) == len(set(names)) == 20
+    assert names[:3] == ["quantile", "cdf", "pdf"] and len(names) == len(set(names)) == 21
     assert all(len(line.split()[1]) == 64 for line in lines)
     assert runs[1].stdout == runs[0].stdout
+
+
+def test_fresh_interpreter_imports_the_package_under_test():
+    """run_python's interpreter imports the very package this process tests,
+    whether it came from PYTHONPATH or from the checkout's src."""
+    done = run_python("-c", "import allpay_eq; print(allpay_eq.__file__)")
+    assert done.returncode == 0, done.stderr
+    assert Path(done.stdout.strip()).resolve() == Path(ap.__file__).resolve()
