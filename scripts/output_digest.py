@@ -12,10 +12,13 @@ n = 64.  Every value is hashed from its exact bits (arrays by their bytes,
 other floats by their shortest round-trip repr); a call that raises is
 hashed as the name of its exception class.  The three quadrature oracle
 families and ``audits_cdfs`` also cover one n = 300 config, over which the
-oracle pass walks more than one block of pieces and the audit grid is wider
-than one factor block (218 columns at n = 300).  ``audits`` audits every bidder
-against the equilibrium; ``audits_cdfs`` audits bidders 1, n/2 and n against
-profiles given as CDF callables, the equilibrium's and a corrupted one.
+oracle pass walks more than one block of pieces.  ``audits`` audits every
+bidder against the equilibrium, on every config at grid 501 (one factor
+block up to n = 64) and on ``blocked_audit_configs`` at grid 10,001, which
+spans one factor block at n = 4, three at n = 16, ten at n = 64 and 48 at
+n = 300; ``audits_cdfs`` audits bidders 1, n/2 and n against profiles given
+as CDF callables, the equilibrium's and a corrupted one, which never go
+through the factor blocks.
 ``monte_carlo_threads`` runs two threads over twelve 256-trial chunks, so it
 covers the threaded fold.  Both Monte Carlo families also run on ``FULL``,
 n = 64 bidders who always take part, so every chunk lists all nm entries as
@@ -68,6 +71,7 @@ FAMILIES = (
 )
 DROPPED = [[0.5, 0.0, 1.0], [0.0, 0.3, 0.9, 0.0]]  # zeros only the command line sees
 WIDE = [list(np.linspace(0.05, 0.99, 300))]  # the oracles and audits_cdfs: several blocks
+BLOCKED_AUDIT_GRID = 10_001
 FULL = [[1.0] * 64]  # the Monte Carlo families: every word is a participant
 UNIFORM_N = (1, 2, 3, 5, 16, 64, 300)
 UNIFORM_P = (1e-12, 1e-6, 0.01, 1 / 3, 0.5, 0.9, 1.0)
@@ -95,6 +99,12 @@ def raw_configs() -> list[list[float]]:
     tiny = [list(10.0 ** rng.uniform(-12.0, 0.0, n)) for n in (6, 12)]
     tied = [list(rng.choice([0.1, 0.35, 0.6, 1.0], n)) for n in (9, 33)]
     return fixed + drawn + tiny + tied
+
+
+def blocked_audit_configs(raw: list[list[float]]) -> list[list[float]]:
+    """The configs audited at BLOCKED_AUDIT_GRID: the worked example, the
+    drawn n = 16 config, the n = 64 linspace config and WIDE."""
+    return [raw[0], next(p for p in raw if len(p) == 16), raw[8], *WIDE]
 
 
 def audit_profiles(s: np.ndarray, cdfs: list) -> list[list]:
@@ -231,6 +241,9 @@ def main() -> None:
         s = np.array(ap.breakpoints(cfg))
         xs = np.union1d(np.linspace(-0.1, 1.1 * s[0], 129), s)
         record_payoffs(cfg, xs, sabotage_scenarios(cfg))
+    for cfg in map(ap.build_config, blocked_audit_configs(raw)):
+        for i in range(1, cfg.n + 1):
+            record("audits", ap.best_response_audit, cfg, i, BLOCKED_AUDIT_GRID)
     for cfg in map(ap.build_config, FULL):
         record_monte_carlo(cfg)
     for n in UNIFORM_N:

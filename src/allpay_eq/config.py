@@ -15,7 +15,7 @@ import json
 import numbers
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 
@@ -111,11 +111,22 @@ class AuctionConfig:
     probabilities : ascending values in (0, 1], one per retained bidder
     user_order    : user_order[k] is the 1-based caller position of sorted bidder k+1
     dropped       : 1-based caller positions removed because their probability was 0
+
+    The hash is that of the three fields, taken once: a config is the key of
+    every per-config cache, looked up many times.
     """
 
     probabilities: tuple[float, ...]
     user_order: tuple[int, ...]
     dropped: tuple[int, ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        key = (self.probabilities, self.user_order, self.dropped)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:

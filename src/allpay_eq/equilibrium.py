@@ -35,16 +35,21 @@ per config as one cached, read-only table, which every kernel reads.
 
 The product over bidders of p_j F_j(x) + 1 - p_j, which gives payoff and the
 winning-bid CDF, is one blocked kernel (_factor_blocks).  Each call writes
-its n x cols blocks into one buffer in place: the CDF (_cdf_array) takes the
-level +inf at or above s_0, which the formula takes to exactly 1, and one
-mask of dead entries zeroes each bidder's CDF below its support.  The grid
-best-response audit scans the kernel too: against the equilibrium it covers
-every bidder in one pass over the blocks, from exclusive prefix and suffix
-products written into one payoff block (whose bytes hold the mask while a
-factor block is built), reads each bidder's maximum at its first argmax, and
-memoizes the last (config, grid_size), since callers audit the bidders of one
-config one at a time; a perturbed profile of CDF callables is folded one row
-at a time, in memory that does not grow with n.
+its n x cols blocks, of about _BLOCK_ENTRIES entries at any n, into one
+buffer in place.  The CDF (_cdf_array) works out the level at every column
+from its exponent alone, in three arrays over the columns (the exponent,
+the level and its scratch, which borrows the head of the block), with the
+level +inf at or above s_0, which the formula takes to exactly 1; one mask
+of dead entries then zeroes each bidder's CDF below its support.  So a
+small n takes few, wide blocks: one for a 2,001-point call up to n = 32.
+The grid best-response audit scans the kernel too: against the equilibrium
+it covers every bidder in one pass over the blocks, from exclusive prefix
+and suffix products written into one payoff block (whose bytes hold the
+mask while a factor block is built), reads each bidder's maximum at its
+first argmax, and memoizes the last (config, grid_size), since callers
+audit the bidders of one config one at a time; a perturbed profile of CDF
+callables is folded one row at a time, in memory that does not grow with
+n.
 """
 
 from __future__ import annotations
@@ -240,11 +245,25 @@ def _bid_of_level(
     return out
 
 
-def _level_of_bid(prof: EquilibriumProfile, x: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _level_of_bid(
+    prof: EquilibriumProfile, x: np.ndarray, m, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """The level h = ((lam + x)/C)**(1/m) of bid x >= -lam on the piece of
-    exponent m = n - k >= 1, with C = prof.prefix_rev[m]: the inverse of
-    _bid_of_level, and the one place it is evaluated."""
-    return ((prof.lam + x) / prof.prefix_rev[m]) ** (1.0 / m)
+    exponent m = n - k >= 1 (an int, or an integer array broadcast against
+    x), with C = prof.prefix_rev[m]: the inverse of _bid_of_level, and the
+    one place it is evaluated.  The level is a fresh array, built in place;
+    ``scratch``, a float array of m's shape not overlapping x, holds C and
+    then 1/m when given, with no temporary.  An int m keeps the scalar
+    exponent, which numpy takes for m = 2 as a square root, not as the
+    power of an array exponent."""
+    h = np.add(prof.lam, x)
+    # mode="clip": every exponent is in range, and the default "raise" buffers ``out``
+    h /= np.take(prof.prefix_rev, m, out=scratch, mode="clip")
+    if scratch is not None:  # 1/m of m as floats: dividing the ints would buffer their cast
+        np.copyto(scratch, m)
+        m = scratch
+    h **= np.divide(1.0, m, out=scratch)
+    return h
 
 
 def support(config: AuctionConfig, i: int) -> tuple[float, float]:
@@ -327,26 +346,33 @@ def _cdf_array(
 ) -> np.ndarray:
     """CDF kernel for bidders ``i`` (1-based, scalar or array broadcast against
     ``xs``) at bids ``xs``.  Every bidder's CDF on piece k is built from the
-    same level h = H_k(x), evaluated once per point; bidder i uses pieces
+    same level h = H_k(x), evaluated once per point, as in _level_of_bid,
+    from the exponent m = n - k alone: the count of breakpoints at or below
+    x, which is 0 below bid 0 and n at or above s_0.  Bidder i uses pieces
     1..min(i, n-1).  At or above s_0 the level is +inf, which the formula
     (h + p_i - 1)/p_i and the clip to [0, 1] take to exactly 1.  One mask,
-    k > min(i, n-1), then zeroes every entry below bidder i's support,
-    bids below 0 included (there k = n).
+    m < n - min(i, n-1), then zeroes every entry below bidder i's support,
+    bids below 0 included, so the level's value there does not matter.
 
-    The result is built in place in ``out`` and the mask in ``dead`` (bool),
-    both C-contiguous of the broadcast shape and fresh when not given."""
+    Over the points the kernel holds three arrays: m, the level and the
+    level's scratch, which borrows the head of ``out`` when it is given.
+    The result is built in place in ``out`` and the mask in ``dead``
+    (bool), both C-contiguous of the broadcast shape and fresh when not
+    given."""
     n = prof.n
     p_i = prof.probs[np.asarray(i) - 1]
-    k = _piece_indices(prof, xs)
-    k_max = np.minimum(i, n - 1)  # bidder i's piece of lowest bids
-    inner = (k >= 1) & (k <= np.max(k_max))  # on a piece of some requested bidder
-    h = np.full(xs.shape, np.inf)  # x >= s_0; any other point off inner is masked
-    h[inner] = _level_of_bid(prof, xs[inner], n - k[inner])
+    m = np.searchsorted(prof.breaks_asc, xs, side="right")
+    # the level's scratch: the head of ``out``, which is written only after it
+    scratch = np.empty(xs.shape) if out is None else out.reshape(-1)[: xs.size].reshape(xs.shape)
+    # m = 0, below bid 0, is masked: 1/0, x/0 when lam = 0, and x/lam overflows for x << -lam
+    with np.errstate(divide="ignore", over="ignore"):
+        h = _level_of_bid(prof, xs, m, scratch)
+    np.copyto(h, np.inf, where=m == n)
     out = np.add(h, p_i, out=out)
     out -= 1.0
     out /= p_i
     np.clip(out, 0.0, 1.0, out=out)
-    np.copyto(out, 0.0, where=np.greater(k, k_max, out=dead))
+    np.copyto(out, 0.0, where=np.less(m, n - np.minimum(i, n - 1), out=dead))
     return out
 
 
@@ -499,15 +525,15 @@ def payoff(config: AuctionConfig, i: int, x) -> float | np.ndarray:
 
 
 _BLOCK_ENTRIES = 2**16  # factor-matrix entries per column block
-_BLOCK_COLUMNS = 2**10  # and columns per block
 
 
 def _block_columns(n: int) -> int:
     """Columns of a factor block for n bidders: about _BLOCK_ENTRIES entries,
-    and at most _BLOCK_COLUMNS, since the CDF kernel holds some seven arrays
-    over a block's columns beside the block (the piece index, the level and
-    the level's temporaries), at most 56 KiB then whatever n is."""
-    return max(1, min(_BLOCK_COLUMNS, _BLOCK_ENTRIES // n))
+    with no cap on the columns.  Beside the block's 8 n bytes a column, the
+    CDF kernel holds two arrays over its columns, the exponent m and the
+    level (16 bytes a column; the level's scratch borrows the block), at
+    most half the block's bytes from n = 4 up."""
+    return max(1, _BLOCK_ENTRIES // n)
 
 
 def _factor_blocks(
@@ -518,8 +544,8 @@ def _factor_blocks(
     n x cols matrix of p_j F_j(x) + 1 - p_j, the chance that bidder j does
     not outbid x, one row per sorted bidder j, with F_j the equilibrium CDF
     (_cdf_array; its level is +inf at or above s_0, where F_j is exactly 1);
-    ``p`` overrides the probabilities.  Bounding both the entries and the
-    columns of a block bounds the memory whatever n is.
+    ``p`` overrides the probabilities.  Bounding the entries of a block
+    bounds the memory whatever n is.
 
     Every block is a view of one buffer allocated per call, so a block is
     valid only until the next one is yielded.  The dead-entry mask of
@@ -554,8 +580,12 @@ def _row_buffers(row: int) -> Iterator[None]:
     broadcast row or column operand into buffers that span several rows, at
     two to four times the cost of the arithmetic; with buffers no longer
     than a row it walks the rows in place and allocates none.  The values
-    are the same either way."""
-    old = np.setbufsize(max(16, min(np.getbufsize(), row - row % 16)))
+    are the same either way.  A row at least a buffer long changes
+    nothing, so it leaves the settings alone."""
+    if row >= np.getbufsize():
+        yield
+        return
+    old = np.setbufsize(max(16, row - row % 16))
     try:
         yield
     finally:

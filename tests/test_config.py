@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 
@@ -118,3 +120,20 @@ def test_config_hashable_and_frozen():
     assert hash(cfg) == hash(ap.build_config([0.5, 1.0]))
     with pytest.raises(AttributeError):
         cfg.probabilities = (0.1,)
+
+
+def test_config_hash_is_taken_once_and_follows_the_fields():
+    """The hash is cached at construction: equal configs hash equal, a
+    replaced field re-hashes, and a pickle round trip keeps both ``==`` and
+    the hash; the cached field is in neither the repr nor ``==``."""
+    cfg = ap.build_config([0.5, 0.0, 1.0, 0.25])
+    assert hash(cfg) == hash((cfg.probabilities, cfg.user_order, cfg.dropped))
+    assert "_hash" not in repr(cfg)
+    other = dataclasses.replace(cfg, dropped=())
+    assert other != cfg
+    assert hash(other) == hash((other.probabilities, other.user_order, ()))
+    assert dataclasses.replace(other, dropped=(2,)) == cfg
+    assert hash(dataclasses.replace(other, dropped=(2,))) == hash(cfg)
+    back = pickle.loads(pickle.dumps(cfg))
+    assert back == cfg and hash(back) == hash(cfg)
+    assert {cfg: 1}[back] == 1

@@ -24,6 +24,7 @@ from allpay_eq.equilibrium import (
     _piece_search,
     _profile_payoff,
     _quantile_array,
+    _row_buffers,
 )
 from conftest import (
     edge_prob_lists,
@@ -574,6 +575,7 @@ def _fresh_factors(prof, xs, p=None):
 
 @example(probs=[0.3] * 40 + [1.0, 1.0], blocks=3, fill=1.0, seed=0, override=(41, 0.0))
 @example(probs=[1.0, 1.0], blocks=1, fill=0.5, seed=1, override=None)
+@example(probs=[1 / 3, 1 / 2, 3 / 4, 1.0], blocks=2, fill=0.25, seed=2, override=(2, 0.5))
 @given(
     probs=tied_prob_lists,
     blocks=st.integers(1, 3),
@@ -585,17 +587,18 @@ def test_factor_blocks_match_the_fresh_array_kernel_bit_for_bit(probs, blocks, f
     """The blocks of _factor_blocks, built in one reused buffer with one
     dead-entry mask and the level +inf at or above s_0, hold the same bits as
     the fresh-array kernel, over grids of one to three blocks and over
-    unsorted bids below 0, at s_0 and above it, with or without a
-    probability override (one target's probability scaled by a kept share)
-    and with the mask taken from a spare block of garbage.  The public CDF
-    is exactly 1.0 from s_0 up and exactly 0.0 below each bidder's support."""
+    unsorted bids below 0 (down to -1e308), at s_0 and above it (up to
+    +inf), with or without a probability override (one target's
+    probability scaled by a kept share) and with the mask taken from a
+    spare block of garbage.  The public CDF is exactly 1.0 from s_0 up and
+    exactly 0.0 below each bidder's support."""
     cfg = ap.build_config(probs)
     prof = ap.equilibrium_profile(cfg)
     n, s = cfg.n, np.array(prof.breakpoints)
     step = _block_columns(n)
     grid = np.linspace(0.0, s[0], (blocks - 1) * step + 1 + int(fill * (step - 1)))
     rng = np.random.default_rng(seed)
-    off = np.concatenate((s, [s[0], np.nextafter(s[0], 2.0), 1.0, -1e-300, -0.25]))
+    off = np.concatenate((s, [s[0], np.nextafter(s[0], 2.0), 1.0, np.inf, -1e-300, -0.25, -1e308]))
     xs = rng.permutation(np.concatenate((grid, off, rng.uniform(-0.5, 1.5 * s[0], 64))))
     q = None
     if override is not None:
@@ -950,6 +953,7 @@ def test_audit_rejects_bidder_outside_config(example4, bidder):
 
 
 @example(probs=[0.3] * 76 + [1.0, 1.0], blocks=2, extra=47, bidder=40)  # 1.1e-15 apart here
+@example(probs=[1 / 3, 1 / 2, 3 / 4, 1.0], blocks=2, extra=3, bidder=2)  # three blocks at n = 4
 @given(probs=tied_prob_lists, blocks=st.integers(1, 3), extra=st.integers(0, 50),
        bidder=st.integers(1, 80))
 def test_all_bidder_audit_matches_per_bidder_product(probs, blocks, extra, bidder):
@@ -971,14 +975,15 @@ def test_all_bidder_audit_matches_per_bidder_product(probs, blocks, extra, bidde
         assert fast.baseline == ap.lambda_value(cfg)
 
 
-@pytest.mark.parametrize("n", [4, 16, 64, 300])
+@pytest.mark.parametrize("n", [4, 8, 16, 32, 64, 300])
 def test_all_bidder_audit_memory_is_bounded(n):
     """The audit holds one factor block of at most _BLOCK_ENTRIES entries and
     one payoff block, whose bytes also hold the dead-entry mask while a
     factor block is built, plus the grid and the CDF kernel's per-column
-    temporaries, never a matrix over the whole grid, so its traced peak at
-    grid 10,001 stays under two and a half blocks of float64 whatever n
-    is."""
+    arrays, never a matrix over the whole grid, so its traced peak at grid
+    10,001 stays under two and a half blocks of float64 whatever n is: one
+    block at n = 4, two at n = 8 (the widest blocks that are full), three
+    at n = 16."""
     cfg = ap.build_config(list(np.linspace(0.05, 0.99, n)))
     # imports and caches outside the trace: the cached table, and numpy.ma,
     # which np.union1d imports on its first call
@@ -992,22 +997,38 @@ def test_all_bidder_audit_memory_is_bounded(n):
     assert peak < 2.5 * _BLOCK_ENTRIES * 8
 
 
+def test_block_columns_and_row_buffers():
+    """A factor block takes _BLOCK_ENTRIES // n columns, at least one, so a
+    2,001-point call is one block up to n = 32.  _row_buffers shortens
+    numpy's buffers to a row shorter than them and restores them after; a
+    row at least a buffer long leaves them as they are."""
+    assert [_block_columns(n) for n in (2, 4, 32, 64, 2**17)] == [2**15, 2**14, 2048, 1024, 1]
+    size = np.getbufsize()
+    with _row_buffers(100):
+        assert np.getbufsize() == 96
+    assert np.getbufsize() == size
+    with _row_buffers(size):
+        assert np.getbufsize() == size
+    assert np.getbufsize() == size
+
+
 def test_opponent_product_memory_is_bounded():
     """The opponent product holds one factor block, reused for every block of
-    columns, its dead-entry mask and the CDF kernel's per-column
-    temporaries: at n = 64 on 2,001 bids (two blocks of columns) its traced
-    peak stays under one and a half blocks of float64."""
-    cfg = ap.build_config(list(np.linspace(0.05, 0.99, 64)))
-    prof = ap.equilibrium_profile(cfg)
-    xs = np.linspace(0.0, prof.breakpoints[0], 2_001)
-    _opponent_product(prof, xs, 3)  # imports and caches outside the trace
-    tracemalloc.start()
-    try:
-        _opponent_product(prof, xs, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * _BLOCK_ENTRIES * 8
+    columns, its dead-entry mask and the CDF kernel's per-column arrays: on
+    2,001 bids (one block at n = 4 and 16, two at n = 64) its traced peak
+    stays under one and a half blocks of float64."""
+    for n in (4, 16, 64):
+        cfg = ap.build_config(list(np.linspace(0.05, 0.99, n)))
+        prof = ap.equilibrium_profile(cfg)
+        xs = np.linspace(0.0, prof.breakpoints[0], 2_001)
+        _opponent_product(prof, xs, 3)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            _opponent_product(prof, xs, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * _BLOCK_ENTRIES * 8, n
 
 
 def test_audit_memo_holds_only_the_last_config_and_grid(example4):
