@@ -28,11 +28,12 @@ and stdout of that command line subcommand in json and csv, over the same
 configs plus two with dropped zeros, so a change to one report shows that
 the other two stay identical.  ``uniform`` hashes lam, every ``uniform_*``
 closed form and ``no_failure_baseline`` over a fixed (n, p) grid, n = 1
-included.  ``payoffs`` hashes the two public callers of the factor kernel:
-``payoff`` of every bidder on the ``cdf`` points and on a shuffled copy of
-them, and ``sabotaged_payoff`` of each ``sabotage_plans`` scenario on the
-points in [0, s_0], shuffled; it also covers the n = 300 config, whose
-points span two factor blocks.
+included.  The factor kernel has three public callers: ``winning_bid_cdf``
+has a family of its own, and ``payoffs`` hashes the other two, ``payoff``
+of every bidder on the ``cdf`` points and on a shuffled copy of them, and
+``sabotaged_payoff`` of each ``sabotage_plans`` scenario on the points in
+[0, s_0], shuffled; it also covers the n = 300 config, whose points span
+two factor blocks.
 """
 
 import contextlib

@@ -36,20 +36,18 @@ per config as one cached, read-only table, which every kernel reads.
 The product over bidders of p_j F_j(x) + 1 - p_j, which gives payoff and the
 winning-bid CDF, is one blocked kernel (_factor_blocks).  Each call writes
 its n x cols blocks, of about _BLOCK_ENTRIES entries at any n, into one
-buffer in place.  The CDF (_cdf_array) works out the level at every column
-from its exponent alone, in three arrays over the columns (the exponent,
-the level and its scratch, which borrows the head of the block), with the
-level +inf at or above s_0, which the formula takes to exactly 1; one mask
-of dead entries then zeroes each bidder's CDF below its support.  So a
-small n takes few, wide blocks: one for a 2,001-point call up to n = 32.
-The grid best-response audit scans the kernel too: against the equilibrium
-it covers every bidder in one pass over the blocks, from exclusive prefix
-and suffix products written into one payoff block (whose bytes hold the
-mask while a factor block is built), reads each bidder's maximum at its
-first argmax, and memoizes the last (config, grid_size), since callers
-audit the bidders of one config one at a time; a perturbed profile of CDF
-callables is folded one row at a time, in memory that does not grow with
-n.
+buffer in place.  On piece k bidder j's factor is clip(H_k(x), 1 - p_j, 1),
+so a block is one broadcast maximum of the level row against the column
+1 - p_j; the level is worked out at every column from its exponent alone,
+in two arrays over the columns (the exponent and the level; its scratch
+borrows the block).  So a small n takes few, wide blocks: one for a
+2,001-point call up to n = 32.  The grid best-response audit scans the
+kernel too: against the equilibrium it covers every bidder in one pass over
+the blocks, from exclusive prefix and suffix products written into one
+payoff block, reads each bidder's maximum at its first argmax, and memoizes
+the last (config, grid_size), since callers audit the bidders of one config
+one at a time; a perturbed profile of CDF callables is folded one row at a
+time, in memory that does not grow with n.
 """
 
 from __future__ import annotations
@@ -337,42 +335,30 @@ def _scalar_or_array(kernel, x) -> float | np.ndarray:
     return float(out) if xs.ndim == 0 else out
 
 
-def _cdf_array(
-    prof: EquilibriumProfile,
-    i: int | np.ndarray,
-    xs: np.ndarray,
-    out: np.ndarray | None = None,
-    dead: np.ndarray | None = None,
-) -> np.ndarray:
+def _cdf_array(prof: EquilibriumProfile, i: int | np.ndarray, xs: np.ndarray) -> np.ndarray:
     """CDF kernel for bidders ``i`` (1-based, scalar or array broadcast against
-    ``xs``) at bids ``xs``.  Every bidder's CDF on piece k is built from the
-    same level h = H_k(x), evaluated once per point, as in _level_of_bid,
-    from the exponent m = n - k alone: the count of breakpoints at or below
-    x, which is 0 below bid 0 and n at or above s_0.  Bidder i uses pieces
-    1..min(i, n-1).  At or above s_0 the level is +inf, which the formula
-    (h + p_i - 1)/p_i and the clip to [0, 1] take to exactly 1.  One mask,
-    m < n - min(i, n-1), then zeroes every entry below bidder i's support,
-    bids below 0 included, so the level's value there does not matter.
-
-    Over the points the kernel holds three arrays: m, the level and the
-    level's scratch, which borrows the head of ``out`` when it is given.
-    The result is built in place in ``out`` and the mask in ``dead``
-    (bool), both C-contiguous of the broadcast shape and fresh when not
-    given."""
+    ``xs``) at bids ``xs``, in fresh arrays: it serves cdf, the quadrature
+    oracle and a factor row whose probability is overridden (_factor_blocks).
+    Every bidder's CDF on piece k is built from the same level h = H_k(x),
+    evaluated once per point, as in _level_of_bid, from the exponent m = n - k
+    alone: the count of breakpoints at or below x, which is 0 below bid 0 and
+    n at or above s_0.  Bidder i uses pieces 1..min(i, n-1).  At or above s_0
+    the level is +inf, which the formula (h + p_i - 1)/p_i and the clip to
+    [0, 1] take to exactly 1.  One mask, m < n - min(i, n-1), then zeroes
+    every entry below bidder i's support, bids below 0 included, so the
+    level's value there does not matter."""
     n = prof.n
     p_i = prof.probs[np.asarray(i) - 1]
     m = np.searchsorted(prof.breaks_asc, xs, side="right")
-    # the level's scratch: the head of ``out``, which is written only after it
-    scratch = np.empty(xs.shape) if out is None else out.reshape(-1)[: xs.size].reshape(xs.shape)
     # m = 0, below bid 0, is masked: 1/0, x/0 when lam = 0, and x/lam overflows for x << -lam
     with np.errstate(divide="ignore", over="ignore"):
-        h = _level_of_bid(prof, xs, m, scratch)
+        h = _level_of_bid(prof, xs, m)
     np.copyto(h, np.inf, where=m == n)
-    out = np.add(h, p_i, out=out)
+    out = np.add(h, p_i)
     out -= 1.0
     out /= p_i
     np.clip(out, 0.0, 1.0, out=out)
-    np.copyto(out, 0.0, where=np.less(m, n - np.minimum(i, n - 1), out=dead))
+    np.copyto(out, 0.0, where=m < n - np.minimum(i, n - 1))
     return out
 
 
@@ -530,45 +516,62 @@ _BLOCK_ENTRIES = 2**16  # factor-matrix entries per column block
 def _block_columns(n: int) -> int:
     """Columns of a factor block for n bidders: about _BLOCK_ENTRIES entries,
     with no cap on the columns.  Beside the block's 8 n bytes a column, the
-    CDF kernel holds two arrays over its columns, the exponent m and the
-    level (16 bytes a column; the level's scratch borrows the block), at
-    most half the block's bytes from n = 4 up."""
+    kernel holds two arrays over its columns, the exponent m and the level
+    (16 bytes a column; the level's scratch borrows the block), at most half
+    the block's bytes from n = 4 up."""
     return max(1, _BLOCK_ENTRIES // n)
 
 
 def _factor_blocks(
-    prof: EquilibriumProfile, xs: np.ndarray, p=None, spare: np.ndarray | None = None
+    prof: EquilibriumProfile, xs: np.ndarray, p=None
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """The factor kernel, bidder-major: over column blocks of the 1-d bids
     ``xs``, _block_columns(n) wide, yield each block's slice and C-contiguous
     n x cols matrix of p_j F_j(x) + 1 - p_j, the chance that bidder j does
-    not outbid x, one row per sorted bidder j, with F_j the equilibrium CDF
-    (_cdf_array; its level is +inf at or above s_0, where F_j is exactly 1);
-    ``p`` overrides the probabilities.  Bounding the entries of a block
-    bounds the memory whatever n is.
+    not outbid x, one row per sorted bidder j, with F_j the equilibrium CDF.
+    Bounding the entries of a block bounds the memory whatever n is.
+
+    On piece k every bidder j >= k has the factor h = H_k(x), and every
+    bidder j < k, below its support, has 1 - p_j; since 1 - p_k <= h <=
+    1 - p_{k-1}, bidder j's factor is clip(h, 1 - p_j, 1).  So each block is
+    one broadcast maximum of the level row against the column 1 - p_j.  The
+    level is taken as in _cdf_array, from the exponent m = n - k alone, and
+    clipped at 1, with h = 1 at or above s_0 (m = n) and h = 0 below bid 0
+    (m = 0): every factor is exactly 1 from s_0 up and exactly 1 - p_j below
+    0.  That is one rounding chain where the CDF's (h + p_j - 1)/p_j and the
+    factor p_j F_j + 1 - p_j take six, and it differs from theirs by at most
+    2**-53.
+
+    ``p`` overrides the probabilities.  A row whose probability it changes
+    (a sabotage target at its true probability) is p_j F_j + 1 - p_j, F_j
+    from _cdf_array at that bidder's own support, in fresh arrays of one
+    row.
 
     Every block is a view of one buffer allocated per call, so a block is
-    valid only until the next one is yielded.  The dead-entry mask of
-    _cdf_array takes its bytes from ``spare``, a float array of one block's
-    entries that the consumer may overwrite between yields, or from a bool
-    buffer of its own when none is given."""
+    valid only until the next one is yielded."""
     n = prof.n
-    p = (prof.probs if p is None else np.asarray(p, dtype=float))[:, None]
-    bidders = np.arange(1, n + 1)[:, None]
+    floor = (1.0 - prof.probs)[:, None]
+    q = prof.probs if p is None else np.asarray(p, dtype=float)
+    overridden = np.flatnonzero(q != prof.probs)
     step = _block_columns(n)
-    entries = n * min(step, len(xs))
-    block = np.empty(entries)
-    dead = np.empty(entries, dtype=bool) if spare is None else spare.view(bool)
+    block = np.empty(n * min(step, len(xs)))
     for start in range(0, len(xs), step):
         cols = slice(start, start + step)
-        x = xs[None, cols]
-        size = n * x.shape[1]
-        f = block[:size].reshape(n, -1)
-        with _row_buffers(x.shape[1]):
-            _cdf_array(prof, bidders, x, out=f, dead=dead[:size].reshape(n, -1))
-            f *= p
-            f += 1.0
-            f -= p
+        x = xs[cols]
+        f = block[: n * len(x)].reshape(n, -1)
+        m = np.searchsorted(prof.breaks_asc, x, side="right")
+        # m = 0, below bid 0, is overwritten: 1/0, x/0 when lam = 0, and x/lam overflows
+        with np.errstate(divide="ignore", over="ignore"):
+            h = _level_of_bid(prof, x, m, scratch=f[0])  # the scratch borrows the block
+        np.copyto(h, 1.0, where=m == n)
+        np.copyto(h, 0.0, where=m == 0)
+        np.minimum(h, 1.0, out=h)
+        with _row_buffers(len(x)):
+            np.maximum(h, floor, out=f)
+        for j in overridden:
+            np.multiply(_cdf_array(prof, j + 1, x), q[j], out=f[j])
+            f[j] += 1.0
+            f[j] -= q[j]
         yield cols, f
 
 
@@ -696,18 +699,17 @@ def _equilibrium_audits(config: AuctionConfig, grid_size: int) -> tuple[AuditRes
     down): dividing the full product by f_i fails where f_i is exactly 0,
     below the support of a bidder with p = 1.
 
-    The payoff block is allocated once; while a factor block is built, its
-    bytes hold the dead-entry mask, so the audit holds two blocks at most.
-    Each row's maximum is read at its first argmax, the same value bits as
-    a separate max."""
+    The payoff block is allocated once, beside the factor kernel's one
+    buffer, so the audit holds two blocks at most.  Each row's maximum is
+    read at its first argmax, the same value bits as a separate max."""
     prof = equilibrium_profile(config)
     grid = _audit_grid(prof, grid_size)
     best = np.full(config.n, -np.inf)
     argmax = np.zeros(config.n)
     rows = np.arange(config.n)
-    spare = np.empty(config.n * min(_block_columns(config.n), len(grid)))
-    for cols, f in _factor_blocks(prof, grid, spare=spare):
-        payoffs = _exclusive_products(f, spare[: f.size].reshape(f.shape))
+    block = np.empty(config.n * min(_block_columns(config.n), len(grid)))
+    for cols, f in _factor_blocks(prof, grid):
+        payoffs = _exclusive_products(f, block[: f.size].reshape(f.shape))
         with _row_buffers(f.shape[1]):
             payoffs -= grid[cols]
         first = payoffs.argmax(axis=1)

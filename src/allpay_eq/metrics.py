@@ -93,12 +93,10 @@ def winning_bid_cdf(config: AuctionConfig, x) -> float | np.ndarray:
     0 below 0 and exactly 1 from s_0 up.
     """
     prof = equilibrium_profile(config)
-    s0 = prof.breakpoints[0]
 
     def kernel(xs: np.ndarray) -> np.ndarray:
         g = _opponent_product(prof, xs)
         g[xs < 0.0] = 0.0
-        g[xs >= s0] = 1.0
         return g
 
     return _scalar_or_array(kernel, x)

@@ -4,6 +4,7 @@ import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import allpay_eq as ap
+import exact
 from allpay_eq.equilibrium import (
     _BLOCK_ENTRIES,
     _audit_grid,
@@ -512,14 +514,30 @@ def test_payoff_properties_randomized(probs):
         assert np.all(ap.payoff(cfg, i, off) <= lam + 1e-9)
 
 
+def _factor_row(cfg, j, xs, p=None):
+    """Bidder j's factor at the 1-d bids ``xs``, in fresh arrays:
+    clip(H_k(x), 1 - p_j, 1) on the piece k of x, the level exactly 1 from
+    s_0 up and 0 below bid 0, or p'_j cdf_j + 1 - p'_j where ``p`` overrides
+    p_j by p'_j."""
+    prof = ap.equilibrium_profile(cfg)
+    p_j = cfg.probabilities[j - 1]
+    q = p_j if p is None else p[j - 1]
+    if q != p_j:
+        return q * ap.cdf(cfg, j, xs) + 1 - q
+    k = _piece_indices(prof, xs)
+    on = (k >= 1) & (k < cfg.n)
+    h = (k == 0).astype(float)
+    h[on] = _level_of_bid(prof, xs[on], cfg.n - k[on])
+    return np.maximum(np.minimum(h, 1.0), 1 - p_j)
+
+
 def _plain_product(cfg, xs, skip=0, p=None):
-    """prod_j (p_j F_j(x) + 1 - p_j) over j != skip, one bidder's cdf at a
-    time, multiplied left to right."""
-    p = cfg.probabilities if p is None else p
-    factors = [p[j - 1] * ap.cdf(cfg, j, xs) + 1 - p[j - 1] for j in range(1, cfg.n + 1)]
+    """prod_j f_j(x) over j != skip, one bidder's _factor_row at a time,
+    multiplied left to right."""
     out = None
-    for j, f in enumerate(factors, start=1):
+    for j in range(1, cfg.n + 1):
         if j != skip:
+            f = _factor_row(cfg, j, xs, p)
             out = f if out is None else out * f
     return out
 
@@ -545,32 +563,38 @@ def test_factor_kernel_is_the_plain_product_bit_for_bit(probs, blocks, data):
     assert np.array_equal(sabotaged, _plain_product(cfg, xs, skip=i, p=p) - xs)
 
 
-def _fresh_factors(prof, xs, p=None):
-    """The factor matrix of every bidder at the 1-d bids ``xs`` as the kernel
-    was first written, in fresh arrays: the level h = 0 off the pieces, the
-    CDF clipped, then dead |= ~inner and a copy of k == 0 over the dead
-    entries, and the factor p F + 1 - p formed in place."""
-    n = prof.n
-    i = np.arange(1, n + 1)[:, None]
-    x = xs[None, :]
-    p_i = prof.probs[i - 1]
-    k = _piece_indices(prof, x)
-    k_max = np.minimum(i, n - 1)
-    inner = (k >= 1) & (k <= np.max(k_max))
-    h = np.zeros_like(x, dtype=float)
-    h[inner] = _level_of_bid(prof, x[inner], n - k[inner])
-    f = np.add(h, p_i)
-    f -= 1.0
-    f /= p_i
-    np.clip(f, 0.0, 1.0, out=f)
-    dead = k > k_max
-    dead |= ~inner
-    np.copyto(f, k == 0, where=dead)
-    q = (prof.probs if p is None else np.asarray(p, dtype=float))[:, None]
-    f *= q
-    f += 1.0
-    f -= q
-    return f
+def _fresh_factors(cfg, xs, p=None):
+    """The factor matrix of every bidder at the 1-d bids ``xs``, one
+    _factor_row per sorted bidder."""
+    return np.array([_factor_row(cfg, j, xs, p) for j in range(1, cfg.n + 1)])
+
+
+def _kernel_factors(prof, xs, p=None):
+    """The blocks of _factor_blocks side by side, each copied before the next
+    one overwrites it."""
+    return np.concatenate([f.copy() for _, f in _factor_blocks(prof, xs, p)], axis=1)
+
+
+def _off_grid_bids(prof, rng):
+    """Bids off the audit grid, unsorted: every breakpoint, s_0 and the
+    float above it, 1, +inf, bids below 0 down to -1e308, and 64 uniform
+    draws over [-0.5, 1.5 s_0]."""
+    s = np.array(prof.breakpoints)
+    off = [s[0], np.nextafter(s[0], 2.0), 1.0, np.inf, -1e-300, -0.25, -1e308]
+    return rng.permutation(np.concatenate((s, off, rng.uniform(-0.5, 1.5 * s[0], 64))))
+
+
+def _override(cfg, override):
+    """The probabilities with one target's scaled by a kept share, or None."""
+    if override is None:
+        return None
+    target, kept = override
+    q = list(cfg.probabilities)
+    q[(target - 1) % cfg.n] *= kept
+    return q
+
+
+overrides = st.none() | st.tuples(st.integers(1, 80), st.sampled_from([0.0, 0.5, 1 - 2**-52]))
 
 
 @example(probs=[0.3] * 40 + [1.0, 1.0], blocks=3, fill=1.0, seed=0, override=(41, 0.0))
@@ -581,38 +605,94 @@ def _fresh_factors(prof, xs, p=None):
     blocks=st.integers(1, 3),
     fill=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
-    override=st.none() | st.tuples(st.integers(1, 80), st.sampled_from([0.0, 0.5, 1 - 2**-52])),
+    override=overrides,
 )
 def test_factor_blocks_match_the_fresh_array_kernel_bit_for_bit(probs, blocks, fill, seed, override):
-    """The blocks of _factor_blocks, built in one reused buffer with one
-    dead-entry mask and the level +inf at or above s_0, hold the same bits as
-    the fresh-array kernel, over grids of one to three blocks and over
-    unsorted bids below 0 (down to -1e308), at s_0 and above it (up to
-    +inf), with or without a probability override (one target's
-    probability scaled by a kept share) and with the mask taken from a
-    spare block of garbage.  The public CDF is exactly 1.0 from s_0 up and
-    exactly 0.0 below each bidder's support."""
+    """The blocks of _factor_blocks, built in one reused buffer from the
+    level row, hold the same bits as the factors taken one bidder at a time
+    in fresh arrays, over grids of one to three blocks and over unsorted
+    bids below 0 (down to -1e308), at s_0 and above it (up to +inf), with or
+    without a probability override (one target's probability scaled by a
+    kept share).  The public CDF is exactly 1.0 from s_0 up and exactly 0.0
+    below each bidder's support."""
     cfg = ap.build_config(probs)
     prof = ap.equilibrium_profile(cfg)
-    n, s = cfg.n, np.array(prof.breakpoints)
+    n, s0 = cfg.n, prof.breakpoints[0]
     step = _block_columns(n)
-    grid = np.linspace(0.0, s[0], (blocks - 1) * step + 1 + int(fill * (step - 1)))
+    grid = np.linspace(0.0, s0, (blocks - 1) * step + 1 + int(fill * (step - 1)))
     rng = np.random.default_rng(seed)
-    off = np.concatenate((s, [s[0], np.nextafter(s[0], 2.0), 1.0, np.inf, -1e-300, -0.25, -1e308]))
-    xs = rng.permutation(np.concatenate((grid, off, rng.uniform(-0.5, 1.5 * s[0], 64))))
-    q = None
-    if override is not None:
-        target, kept = override
-        q = list(cfg.probabilities)
-        q[(target - 1) % n] *= kept
-    want = _fresh_factors(prof, xs, q).view(np.int64)
-    for spare in (None, np.full(n * min(len(xs), step), np.nan)):
-        got = np.concatenate([f.copy() for _, f in _factor_blocks(prof, xs, q, spare)], axis=1)
-        assert np.array_equal(got.view(np.int64), want)
+    xs = rng.permutation(np.concatenate((grid, _off_grid_bids(prof, rng))))
+    q = _override(cfg, override)
+    got = _kernel_factors(prof, xs, q)
+    assert np.array_equal(got.view(np.int64), _fresh_factors(cfg, xs, q).view(np.int64))
     for i in range(1, n + 1):
         f = ap.cdf(cfg, i, xs)
-        assert np.all(f[xs >= s[0]] == 1.0)
+        assert np.all(f[xs >= s0] == 1.0)
         assert np.all(f[xs < ap.support(cfg, i)[0]] == 0.0)
+
+
+@example(probs=[1e-12, 1e-12, 0.5], seed=0, override=None)
+@example(probs=[1e-12, 1.0], seed=1, override=(2, 0.5))
+@example(probs=[1.0, 1.0, 1.0], seed=2, override=None)
+@example(probs=[1e-12, 1e-6, 0.3, 0.8, 1.0, 1.0], seed=3, override=(3, 1 - 2**-52))
+@given(probs=tied_prob_lists, seed=st.integers(0, 2**32 - 1), override=overrides)
+def test_factor_kernel_matches_the_public_cdf(probs, seed, override):
+    """Every entry of _factor_blocks lies within 2**-53 of p_j cdf_j + 1 - p_j,
+    the factor the public CDF gives, over [0, s_0] and the bids off it (below
+    0 down to -1e308, at s_0 and up to +inf); a row whose probability ``p``
+    overrides is p'_j cdf_j + 1 - p'_j bit for bit."""
+    cfg = ap.build_config(probs)
+    prof = ap.equilibrium_profile(cfg)
+    rng = np.random.default_rng(seed)
+    xs = np.concatenate((np.linspace(0.0, prof.breakpoints[0], 257), _off_grid_bids(prof, rng)))
+    q = _override(cfg, override) or list(cfg.probabilities)
+    got = _kernel_factors(prof, xs, q)
+    for j, (p_j, q_j) in enumerate(zip(cfg.probabilities, q), start=1):
+        want = q_j * ap.cdf(cfg, j, xs) + 1 - q_j
+        if q_j != p_j:
+            assert np.array_equal(got[j - 1].view(np.int64), want.view(np.int64))
+        else:
+            assert np.all(np.abs(got[j - 1] - want) <= 2.0**-53)
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [[1 / 3, 1 / 2, 3 / 4, 1.0], list(np.linspace(0.05, 1.0, 64)), [1e-9, 0.5],
+     [0.2, 0.4, 0.4, 0.9, 1.0, 1.0]],
+    ids=["example", "n64", "tiny_p", "ties_p_one"],
+)
+def test_factor_kernel_is_accurate_against_mpmath(probs):
+    """Against min(max(H_k(x), 1 - p_j), 1) at 50 digits, with the piece k of
+    x and H_k from the exact rational probabilities (tests/exact.py), the
+    kernel's worst error over [0, s_0] and the breakpoints is at most 2**-53,
+    and no larger than that of p_j cdf_j + 1 - p_j, the six-rounding chain
+    through the public CDF."""
+    cfg = ap.build_config(probs)
+    prof = ap.equilibrium_profile(cfg)
+    n = cfg.n
+    xs = _audit_grid(prof, 101)
+    p = prof.probs[:, None]
+    new = _kernel_factors(prof, xs).tolist()
+    old = (np.array([ap.cdf(cfg, j, xs) for j in range(1, n + 1)]) * p + 1 - p).tolist()
+    q = exact.exact_probabilities(probs)
+    c, s = exact.prefix_products(q), exact.breakpoints(q)
+    worst = {"new": 0.0, "old": 0.0}
+    with mpmath.workdps(50):
+        floors = [1 - mpmath.mpf(v) for v in cfg.probabilities]
+        for col, x in enumerate(xs):
+            x = Fraction(x)
+            k = next((k for k in range(n) if x >= s[k]), n)  # 0 from s_0 up
+            if k == 0:
+                h = mpmath.mpf(1)
+            else:
+                r = (c[n] + x) / c[k]
+                h = mpmath.root(mpmath.mpf(r.numerator) / r.denominator, n - k)
+            for j, floor in enumerate(floors):
+                want = min(max(h, floor), 1)
+                for name, f in (("new", new), ("old", old)):
+                    worst[name] = max(worst[name], abs(float(f[j][col] - want)))
+    assert worst["new"] <= 2.0**-53
+    assert worst["new"] <= worst["old"]
 
 
 def test_expected_utility_worked_example(example4):
@@ -911,18 +991,27 @@ def test_audit_checks_each_row_before_the_next_callable_runs(example4):
     ids=["p_one", "ties", "n300"],
 )
 def test_profile_fold_matches_the_factor_kernel_bit_for_bit(probs):
-    """Folding the equilibrium's own callables one row at a time multiplies
-    the same factors, in the same bidder order, as the blocked kernel's
-    np.multiply.reduce, so the payoffs agree bit for bit, over one factor
-    block or several (n = 300 takes four at this grid)."""
+    """Folding the equilibrium's own callables one row at a time gives, bit
+    for bit, the left-to-right product of p_j cdf_j + 1 - p_j over j != i,
+    and bidder i's own row is its cdf.  The blocked kernel's factors differ
+    from these by at most 2**-53 each and are multiplied in the same bidder
+    order, so its payoffs lie within the audit cross-check's 2 (n - 1)
+    rounding units, over one factor block or several (n = 300 takes four at
+    this grid)."""
     cfg = ap.build_config(probs)
     prof = ap.equilibrium_profile(cfg)
     grid = _audit_grid(prof, 501)
     cdfs = ap.equilibrium_cdf_callables(cfg)
     for i in sorted({1, cfg.n // 2, cfg.n}):
         payoff, own = _profile_payoff(prof, cdfs, grid, i)
-        assert np.array_equal(payoff, _opponent_product(prof, grid, i) - grid)
+        fold = np.ones(len(grid))
+        for j, p in enumerate(prof.probs, start=1):
+            if j != i:
+                fold *= ap.cdf(cfg, j, grid) * p + 1.0 - p
+        assert np.array_equal(payoff, fold - grid)
         assert np.array_equal(own, ap.cdf(cfg, i, grid))
+        kernel = _opponent_product(prof, grid, i) - grid
+        assert np.all(np.abs(payoff - kernel) <= 2 * (cfg.n - 1) * 2.0**-53)
 
 
 @pytest.mark.parametrize("n", [16, 300])
@@ -954,14 +1043,19 @@ def test_audit_rejects_bidder_outside_config(example4, bidder):
 
 @example(probs=[0.3] * 76 + [1.0, 1.0], blocks=2, extra=47, bidder=40)  # 1.1e-15 apart here
 @example(probs=[1 / 3, 1 / 2, 3 / 4, 1.0], blocks=2, extra=3, bidder=2)  # three blocks at n = 4
+@example(probs=[0.3, 0.9], blocks=1, extra=0, bidder=1)  # 2 (n - 1) units apart here
+@example(probs=[0.5, 0.999], blocks=1, extra=0, bidder=1)  # and here
 @given(probs=tied_prob_lists, blocks=st.integers(1, 3), extra=st.integers(0, 50),
        bidder=st.integers(1, 80))
 def test_all_bidder_audit_matches_per_bidder_product(probs, blocks, extra, bidder):
     """The one-pass audit (prefix and suffix products of the factor blocks)
     against the per-bidder product over the equilibrium CDF callables, on grids
-    that span one to four factor blocks.  Both multiply the same n - 1
-    factors in [0, 1], in different orders, and subtract the same grid
-    point, so their payoffs differ by at most 2 (n - 1) rounding units."""
+    that span one to four factor blocks.  Both multiply n - 1 factors in
+    [0, 1], in different orders, that differ by at most 2**-53 each (the
+    blocks' clip(H_k, 1 - p_j, 1) and the callables' p_j F_j + 1 - p_j), and
+    subtract the same grid point, so their payoffs differ by at most
+    2 (n - 1) rounding units; [0.3, 0.9] and [0.5, 0.999] read exactly that
+    at bidder 1."""
     cfg = ap.build_config(probs)
     grid = blocks * _block_columns(cfg.n) + extra
     cdfs = ap.equilibrium_cdf_callables(cfg)
@@ -978,9 +1072,8 @@ def test_all_bidder_audit_matches_per_bidder_product(probs, blocks, extra, bidde
 @pytest.mark.parametrize("n", [4, 8, 16, 32, 64, 300])
 def test_all_bidder_audit_memory_is_bounded(n):
     """The audit holds one factor block of at most _BLOCK_ENTRIES entries and
-    one payoff block, whose bytes also hold the dead-entry mask while a
-    factor block is built, plus the grid and the CDF kernel's per-column
-    arrays, never a matrix over the whole grid, so its traced peak at grid
+    one payoff block, plus the grid and the kernel's per-column arrays (the
+    exponent and the level), never a matrix over the whole grid, so its traced peak at grid
     10,001 stays under two and a half blocks of float64 whatever n is: one
     block at n = 4, two at n = 8 (the widest blocks that are full), three
     at n = 16."""
@@ -1014,7 +1107,7 @@ def test_block_columns_and_row_buffers():
 
 def test_opponent_product_memory_is_bounded():
     """The opponent product holds one factor block, reused for every block of
-    columns, its dead-entry mask and the CDF kernel's per-column arrays: on
+    columns, and the kernel's per-column arrays (the exponent and the level): on
     2,001 bids (one block at n = 4 and 16, two at n = 64) its traced peak
     stays under one and a half blocks of float64."""
     for n in (4, 16, 64):
