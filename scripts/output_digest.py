@@ -28,12 +28,13 @@ and stdout of that command line subcommand in json and csv, over the same
 configs plus two with dropped zeros, so a change to one report shows that
 the other two stay identical.  ``uniform`` hashes lam, every ``uniform_*``
 closed form and ``no_failure_baseline`` over a fixed (n, p) grid, n = 1
-included.  The factor kernel has three public callers: ``winning_bid_cdf``
-has a family of its own, and ``payoffs`` hashes the other two, ``payoff``
-of every bidder on the ``cdf`` points and on a shuffled copy of them, and
-``sabotaged_payoff`` of each ``sabotage_plans`` scenario on the points in
-[0, s_0], shuffled; it also covers the n = 300 config, whose points span
-two factor blocks.
+included.  The factor kernel has three public callers, each with a family
+of its own: ``winning_bid_cdf``; ``payoff``, of every bidder on the ``cdf``
+points and on a shuffled copy of them; and ``sabotaged_payoff``, of each
+``sabotage_plans`` scenario on the points in [0, s_0], shuffled.  So a
+change to the sabotage target's factor row alone moves ``sabotaged_payoff``
+and leaves ``payoff`` identical.  Both also cover the n = 300 config, whose
+points span two factor blocks.
 """
 
 import contextlib
@@ -68,7 +69,8 @@ FAMILIES = (
     "cli_simulate",
     "cli_table",
     "uniform",
-    "payoffs",
+    "payoff",
+    "sabotaged_payoff",
 )
 DROPPED = [[0.5, 0.0, 1.0], [0.0, 0.3, 0.9, 0.0]]  # zeros only the command line sees
 WIDE = [list(np.linspace(0.05, 0.99, 300))]  # the oracles and audits_cdfs: several blocks
@@ -193,17 +195,17 @@ def main() -> None:
         s0 = ap.breakpoints(cfg)[0]
         shuffled = rng.permutation(xs)
         for i in range(1, n + 1):
-            record("payoffs", ap.payoff, cfg, i, xs)
-            record("payoffs", ap.payoff, cfg, i, shuffled)
+            record("payoff", ap.payoff, cfg, i, xs)
+            record("payoff", ap.payoff, cfg, i, shuffled)
         on_support = rng.permutation(xs[(xs >= 0.0) & (xs <= s0)])
         for scenario in scenarios:
-            record("payoffs", ap.sabotaged_payoff, scenario, on_support)
+            record("sabotaged_payoff", ap.sabotaged_payoff, scenario, on_support)
 
     def record_monte_carlo(cfg):
         record("monte_carlo", ap.monte_carlo, cfg, 3_000, SEED, 1, 1_000)
         record("monte_carlo_threads", ap.monte_carlo, cfg, 3_000, SEED, 2, 256)  # 12 chunks
 
-    rng = np.random.default_rng(SEED)  # the shuffles of ``payoffs``
+    rng = np.random.default_rng(SEED)  # the shuffles of ``payoff`` and ``sabotaged_payoff``
     levels = np.linspace(0.0, 1.0, 129)
     raw = raw_configs()
     for probs in raw + DROPPED:

@@ -33,18 +33,21 @@ below index n-1 forcing a zero prefix product) are stored but never selected
 during evaluation or sampling.  equilibrium_profile builds all of this once
 per config as one cached, read-only table, which every kernel reads.
 
-The product over bidders of p_j F_j(x) + 1 - p_j, which gives payoff and the
-winning-bid CDF, is one blocked kernel (_factor_blocks).  Each call writes
-its n x cols blocks, of about _BLOCK_ENTRIES entries at any n, into one
-buffer in place.  On piece k bidder j's factor is clip(H_k(x), 1 - p_j, 1),
-so a block is one broadcast maximum of the level row against the column
-1 - p_j; the level is worked out at every column from its exponent alone,
-in two arrays over the columns (the exponent and the level; its scratch
-borrows the block).  So a small n takes few, wide blocks: one for a
+The product over bidders of p_j F_j(x) + 1 - p_j, which gives payoff, the
+winning-bid CDF and the sabotaged payoff, is one blocked kernel
+(_factor_blocks).  Each call writes its n x cols blocks, of about
+_BLOCK_ENTRIES entries at any n, into one buffer in place.  On piece k
+bidder j's factor f_j is clip(H_k(x), 1 - p_j, 1), so a block is one
+broadcast maximum of the level row against the column 1 - p_j; the level
+is worked out at every column from its exponent alone, in two arrays over
+the columns (the exponent and the level; its scratch borrows the block).
+A sabotage target's row, at its true p'_j, is 1 - (p'_j/p_j)(1 - f_j),
+rescaled in place.  So a small n takes few, wide blocks: one for a
 2,001-point call up to n = 32.  The grid best-response audit scans the
 kernel too: against the equilibrium it covers every bidder in one pass over
-the blocks, from exclusive prefix and suffix products written into one
-payoff block, reads each bidder's maximum at its first argmax, and memoizes
+the blocks, from exclusive prefix and suffix products written into a
+payoff block (one array with the factor block, so a repeat audit reuses
+its pages), reads each bidder's maximum at its first argmax, and memoizes
 the last (config, grid_size), since callers audit the bidders of one config
 one at a time; a perturbed profile of CDF callables is folded one row at a
 time, in memory that does not grow with n.
@@ -337,8 +340,8 @@ def _scalar_or_array(kernel, x) -> float | np.ndarray:
 
 def _cdf_array(prof: EquilibriumProfile, i: int | np.ndarray, xs: np.ndarray) -> np.ndarray:
     """CDF kernel for bidders ``i`` (1-based, scalar or array broadcast against
-    ``xs``) at bids ``xs``, in fresh arrays: it serves cdf, the quadrature
-    oracle and a factor row whose probability is overridden (_factor_blocks).
+    ``xs``) at bids ``xs``, in fresh arrays: it serves cdf and the quadrature
+    oracle (the factor kernel, _factor_blocks, works from the level alone).
     Every bidder's CDF on piece k is built from the same level h = H_k(x),
     evaluated once per point, as in _level_of_bid, from the exponent m = n - k
     alone: the count of breakpoints at or below x, which is 0 below bid 0 and
@@ -523,7 +526,7 @@ def _block_columns(n: int) -> int:
 
 
 def _factor_blocks(
-    prof: EquilibriumProfile, xs: np.ndarray, p=None
+    prof: EquilibriumProfile, xs: np.ndarray, p=None, out: np.ndarray | None = None
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """The factor kernel, bidder-major: over column blocks of the 1-d bids
     ``xs``, _block_columns(n) wide, yield each block's slice and C-contiguous
@@ -543,18 +546,23 @@ def _factor_blocks(
     2**-53.
 
     ``p`` overrides the probabilities.  A row whose probability it changes
-    (a sabotage target at its true probability) is p_j F_j + 1 - p_j, F_j
-    from _cdf_array at that bidder's own support, in fresh arrays of one
-    row.
+    from p_j to p'_j (a sabotage target at its true probability) is
+    p'_j F_j + 1 - p'_j = 1 - (p'_j/p_j)(1 - f_j), with f_j the row the
+    block already holds, written over it in three in-place operations.  It
+    is exactly 1 from s_0 up and where p'_j = 0, and exactly 1 - p'_j below
+    bid 0 when p_j = 1; elsewhere it lies within 3 * 2**-53 of
+    p'_j cdf_j + 1 - p'_j, a longer rounding chain, and nearer the exact
+    value than it on the configs the tests hold to 50 digits.
 
-    Every block is a view of one buffer allocated per call, so a block is
-    valid only until the next one is yielded."""
+    Every block is a view of one buffer, ``out`` when given (at least n
+    times the block's columns long) and else allocated per call, so a block
+    is valid only until the next one is yielded."""
     n = prof.n
     floor = (1.0 - prof.probs)[:, None]
     q = prof.probs if p is None else np.asarray(p, dtype=float)
     overridden = np.flatnonzero(q != prof.probs)
     step = _block_columns(n)
-    block = np.empty(n * min(step, len(xs)))
+    block = np.empty(n * min(step, len(xs))) if out is None else out
     for start in range(0, len(xs), step):
         cols = slice(start, start + step)
         x = xs[cols]
@@ -569,9 +577,9 @@ def _factor_blocks(
         with _row_buffers(len(x)):
             np.maximum(h, floor, out=f)
         for j in overridden:
-            np.multiply(_cdf_array(prof, j + 1, x), q[j], out=f[j])
+            f[j] -= 1.0
+            f[j] *= q[j] / prof.probs[j]
             f[j] += 1.0
-            f[j] -= q[j]
         yield cols, f
 
 
@@ -667,8 +675,12 @@ def best_response_audit(
 
 def _audit_grid(prof: EquilibriumProfile, grid_size: int) -> np.ndarray:
     """The bids an audit scans: grid_size even steps over [0, s_0] and every
-    breakpoint, ascending and without repeats."""
-    return np.union1d(np.linspace(0.0, prof.breakpoints[0], grid_size), prof.breakpoints)
+    breakpoint, ascending and without repeats.  Sorting them together and
+    dropping equal neighbours gives np.union1d's bits without its np.unique,
+    which imports numpy.ma on its first call."""
+    grid = np.concatenate((np.linspace(0.0, prof.breakpoints[0], grid_size), prof.breakpoints))
+    grid.sort()
+    return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
 
 
 def _profile_payoff(prof: EquilibriumProfile, cdfs, xs: np.ndarray, i: int):
@@ -699,16 +711,22 @@ def _equilibrium_audits(config: AuctionConfig, grid_size: int) -> tuple[AuditRes
     down): dividing the full product by f_i fails where f_i is exactly 0,
     below the support of a bidder with p = 1.
 
-    The payoff block is allocated once, beside the factor kernel's one
-    buffer, so the audit holds two blocks at most.  Each row's maximum is
-    read at its first argmax, the same value bits as a separate max."""
+    The factor block, passed to _factor_blocks as its buffer, and the payoff
+    block are the two halves of one array allocated per call, so the audit
+    holds two blocks at most.  Being one chunk matters under glibc: freeing
+    an mmapped chunk raises the mmap threshold to its size and the trim
+    threshold to twice that (mallopt(3)), so one chunk of 2B bytes then stays
+    on the heap and a repeat audit reuses its pages, where two chunks of B,
+    freed together, reach the trim threshold of 2B they set and went back
+    to the OS on every call.  Each row's maximum is read at its first
+    argmax, the same value bits as a separate max."""
     prof = equilibrium_profile(config)
     grid = _audit_grid(prof, grid_size)
     best = np.full(config.n, -np.inf)
     argmax = np.zeros(config.n)
     rows = np.arange(config.n)
-    block = np.empty(config.n * min(_block_columns(config.n), len(grid)))
-    for cols, f in _factor_blocks(prof, grid):
+    factors, block = np.empty((2, config.n * min(_block_columns(config.n), len(grid))))
+    for cols, f in _factor_blocks(prof, grid, out=factors):
         payoffs = _exclusive_products(f, block[: f.size].reshape(f.shape))
         with _row_buffers(f.shape[1]):
             payoffs -= grid[cols]

@@ -7,6 +7,10 @@ equilibrium is
 
     pi(x) = (p'_r F_r(x) + 1 - p'_r) * prod_{j != i, r} (p_j F_j(x) + 1 - p_j) - x.
 
+sabotaged_payoff evaluates it by equilibrium's factor kernel, which takes
+the target's factor as 1 - (p'_r/p_r)(1 - f_r) from its equilibrium factor
+f_r = p_r F_r + 1 - p_r.
+
 On pieces shared by both supports (k <= min(i, r)) it is, in the level
 q = 1 - H_k(x) of x, which sweeps [p_{k-1}, p_k],
 

@@ -219,7 +219,7 @@ def test_criterion_4_quadrature_cross_checks():
                 worst_bid, abs(ap.expected_bid(cfg, i) - ap.expected_bid_quadrature(cfg, i))
             )
         worst_max = max(worst_max, abs(ap.max_profit(cfg) - ap.max_profit_quadrature(cfg)))
-    ok = worst_bid <= 1e-6 and worst_max <= 1e-6
+    ok = worst_bid <= 1e-13 and worst_max <= 1e-13
     elapsed = time.perf_counter() - start
     ok &= elapsed < 60.0
     _line(
@@ -370,7 +370,7 @@ def test_criterion_8_sabotage_brute_force():
         j = int(np.argmax(vals))
         step = s0 / 100_000
         worst_profit_gap = max(worst_profit_gap, float(vals[j]) - plan.expected_profit)
-        ok &= plan.expected_profit >= float(vals[j]) - 1e-6
+        ok &= plan.expected_profit >= float(vals[j]) - 1e-12
         ok &= abs(plan.bid - float(xs[j])) <= step + 1e-12
     elapsed = time.perf_counter() - start
     ok &= elapsed < 60.0

@@ -46,7 +46,7 @@ def test_output_digest_script():
     assert all(done.returncode == 0 for done in runs), runs[0].stderr
     lines = runs[0].stdout.splitlines()
     names = [line.split()[0] for line in lines]
-    assert names[:3] == ["quantile", "cdf", "pdf"] and len(names) == len(set(names)) == 21
+    assert names[:3] == ["quantile", "cdf", "pdf"] and len(names) == len(set(names)) == 22
     assert all(len(line.split()[1]) == 64 for line in lines)
     assert runs[1].stdout == runs[0].stdout
 
